@@ -7,8 +7,8 @@ comparison pipeline), and a hidden selftest.
 Inputs are either a JSON file in the documented sparse format or
 ``catalog:NAME`` with an optional --field (files fix their own field, so
 --field is rejected there). Exit codes: 0 success, 1 failed verdict or
-internal assertion, 2 parse error, 3 semantic error, 4 not perfect,
-5 axiom precondition violated.
+internal assertion, 2 unreadable or malformed input, 3 semantic error,
+4 not perfect, 5 axiom precondition violated.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ _EXIT_BY_ERROR = (
 
 
 def _emit_json(obj):
-    print(json.dumps(obj, sort_keys=True, indent=1))
+    json.dump(obj, sys.stdout, sort_keys=True, indent=1)
+    sys.stdout.write("\n")
 
 
 def _yesno(b):

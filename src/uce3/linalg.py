@@ -26,8 +26,17 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, FieldMismatch, InternalAssertionFailed
 from .fields import Field, PrimeField, Rationals, ensure_same_field
+from .tensorops import (
+    _I64_LIMIT,
+    ExactTensor,
+    _scaled,
+    _witness,
+    exact_tensor,
+    exact_tensordot,
+    unscale,
+)
 
 __all__ = [
     "Matrix",
@@ -80,6 +89,15 @@ def _int_vector(v):
         else:
             out.append(int(x) * den)
     return out
+
+
+def _projection_tensor(n, pivots, cols, block, scale, p):
+    """The ambient x len(cols) projection matrix: scale * e_j in the row of
+    the j-th coset column, block (one row per pivot) in the pivot rows."""
+    k = np.zeros((n, len(cols)), dtype=block.dtype)
+    k[list(cols), np.arange(len(cols))] = scale
+    k[list(pivots)] = block
+    return ExactTensor(k, scale, p)
 
 
 class _EchelonQ:
@@ -186,6 +204,19 @@ class _EchelonQ:
                     w[t] -= f * row[t]
         return w
 
+    def projection(self, cols):
+        self.finalize()
+        scale = lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
+        vals = [
+            -row[c] * (scale // row[p])
+            for row, p in zip(self.rows, self.pivots)
+            for c in cols
+        ]
+        top = max(max(map(abs, vals), default=0), scale)
+        block = np.array(vals, dtype=np.int64 if top < _I64_LIMIT else object)
+        block = block.reshape(len(self.rows), len(cols))
+        return _projection_tensor(self.n, self.pivots, cols, block, scale, None)
+
     def key(self):
         self.finalize()
         return tuple(tuple(row) for row in self.rows)
@@ -266,6 +297,13 @@ class _EchelonGFp:
                 w = (w - c * self.rows[i]) % self.p
         return [int(x) for x in w]
 
+    def projection(self, cols):
+        self.finalize()
+        c = list(cols)
+        block = np.array([row[c] for row in self.rows], dtype=np.int64)
+        block = (-block.reshape(len(self.rows), len(c))) % self.p
+        return _projection_tensor(self.n, self.pivots, cols, block, 1, self.p)
+
     def key(self):
         self.finalize()
         return tuple(tuple(int(x) for x in row) for row in self.rows)
@@ -342,6 +380,17 @@ class _EchelonGF2:
     def reduce_exact(self, v):
         m = self.reduce_mask(self.pack(v))
         return [(m >> t) & 1 for t in range(self.n)]
+
+    def projection(self, cols):
+        self.finalize()
+        # bit t of a row mask is bit t % 8 of its byte t // 8, little endian
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(m.to_bytes(width, "little") for m in self.rows), np.uint8
+        ).reshape(len(self.rows), width)
+        c = np.array(cols, dtype=np.intp)
+        block = ((packed[:, c >> 3] >> (c & 7)) & 1).astype(np.int64)
+        return _projection_tensor(self.n, self.pivots, cols, block, 1, 2)
 
     def key(self):
         self.finalize()
@@ -569,9 +618,17 @@ class Subspace:
 class QuotientSpace:
     """Coordinates for ambient/killed with an explicit coordinate section.
 
-    Coset coordinates are the non-pivot columns of the killed subspace in
+    Coset coordinates are the non-pivot columns C of the killed subspace in
     increasing order; ``section`` embeds a coset vector back supported on
     exactly those columns, so project(section(x)) == x on the nose.
+
+    Projection is one exact matrix K (``projection``, an ExactTensor of
+    shape ambient x dim) read off the RREF of the killed subspace: row c_j
+    of K is scale * e_j, and for RREF row i with pivot column p_i and pivot
+    entry a_i, row p_i of K is -R[i, C] * scale / a_i. Then
+    project(v) = v K / scale exactly, and a map F (one row per ambient
+    coordinate) kills the killed subspace exactly when
+    scale * F == K F[C], which ``kill_witness`` checks as one product.
     """
 
     def __init__(self, killed):
@@ -581,10 +638,33 @@ class QuotientSpace:
         piv = set(killed.pivots)
         self.coset_coords = tuple(i for i in range(self.ambient) if i not in piv)
         self.dim = len(self.coset_coords)
+        self._projection = None
+
+    @property
+    def projection(self):
+        if self._projection is None:
+            self._projection = self.killed._ech.projection(self.coset_coords)
+        return self._projection
 
     def project(self, v):
-        w = self.killed.reduce(v)
-        return [w[c] for c in self.coset_coords]
+        if len(v) != self.ambient:
+            raise DimensionMismatch(f"vector length {len(v)} != ambient {self.ambient}")
+        vt = exact_tensor(self.field, v)
+        k = self.projection
+        raw = exact_tensordot(vt.arr, k.arr, ([0], [0]), k.p)
+        return unscale(self.field, raw, vt.scale * k.scale)
+
+    def kill_witness(self, fmap):
+        """None when fmap, an ExactTensor with one row per ambient
+        coordinate, kills the killed subspace; otherwise the pivot column
+        of a killed basis vector that fmap does not send to zero."""
+        k = self.projection
+        cols = fmap.arr[list(self.coset_coords)]
+        res = _scaled(fmap.arr, k.scale) - exact_tensordot(
+            k.arr, cols, ([1], [0]), k.p
+        )
+        w = _witness(res, k.p)
+        return None if w is None else w[0]
 
     def project_pairs(self, pairs):
         v = [self.field.zero] * self.ambient
@@ -768,7 +848,10 @@ def kernel(m, packed=None):
                 v[p] = f.neg(a)
         vecs.append(v)
     sub = Subspace.from_vectors(f, m.ncols, vecs, packed)
-    assert sub.dim == m.ncols - len(piv), "rank-nullity violated"
+    if sub.dim != m.ncols - len(piv):
+        raise InternalAssertionFailed(
+            "rank-nullity-violated", f"kernel dim {sub.dim}, rank {len(piv)}"
+        )
     return sub
 
 

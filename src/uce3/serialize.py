@@ -9,8 +9,9 @@ or with "ternary": [[i, j, k, [[l, "coeff"], ...]], ...] for a trilinear
 bracket. Entries are sparse (absent tuples are zero), indices 0-based,
 coefficients decimal integers or "a/b" strings.
 
-Error split, mirrored by the CLI exit codes: FormatError for a document
-whose shape is wrong (bad JSON, unknown keys, wrong types), SemanticError
+Error split, mirrored by the CLI exit codes: FormatError for a file that
+cannot be read as ASCII text or a document whose shape is wrong (bad JSON,
+unknown keys, wrong types), SemanticError
 for a well-formed document with invalid content (unknown field, index out
 of range, unparsable coefficient).
 """
@@ -154,6 +155,11 @@ def dumps_algebra(alg):
 
 
 def load_algebra(path):
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not ASCII text (byte {e.start})")
     return loads_algebra(text)

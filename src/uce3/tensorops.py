@@ -29,6 +29,7 @@ __all__ = [
     "ExactTensor",
     "exact_tensor",
     "exact_tensordot",
+    "unscale",
     "left_nested",
     "alternating_witness",
     "leibniz_witness",
@@ -69,10 +70,11 @@ class ExactTensor:
 
 def exact_tensor(field, nested):
     """Build an ExactTensor from nested lists of canonical field scalars."""
-    a = np.array(nested, dtype=object)
     if isinstance(field, PrimeField):
-        arr = a.astype(np.int64) % field.p if a.size else a.astype(np.int64)
-        return ExactTensor(arr, 1, field.p)
+        # moduli are below 2**31, so residues fit int64 without an object pass
+        arr = np.array(nested, dtype=np.int64)
+        return ExactTensor(np.remainder(arr, field.p, out=arr), 1, field.p)
+    a = np.array(nested, dtype=object)
     if not isinstance(field, Rationals):
         raise TypeError(f"unsupported field {field!r}")
     den = 1
@@ -107,16 +109,33 @@ def exact_tensordot(a, b, axes, p=None):
     plain = a.dtype != object and b.dtype != object
     if plain and bound < _F64_LIMIT:
         c = np.tensordot(a.astype(np.float64), b.astype(np.float64), axes)
-        c = np.rint(c).astype(np.int64)
+        c = np.rint(c, out=c).astype(np.int64)
     elif plain and bound < _I64_LIMIT:
         c = np.tensordot(a, b, axes)
     else:
         c = np.tensordot(a.astype(object), b.astype(object), axes)
     if p is not None:
-        c = c % p
         if c.dtype == object:
-            c = c.astype(np.int64)
+            c = (c % p).astype(np.int64)
+        else:
+            # in place: the result can be the largest array of a whole check
+            np.remainder(c, p, out=c)
     return c
+
+
+def unscale(field, raw, den=1):
+    """Canonical field scalars raw / den as nested python lists: python int
+    over GF(p) (where den is 1), Fraction over Q, never numpy scalars. raw
+    is an exact contraction whose inputs carried the total scale den."""
+    a = np.asarray(raw)
+    if field.characteristic:
+        p = field.characteristic
+        # exact contractions already return residues; copy only if not
+        if a.size and not (a.min() >= 0 and a.max() < p):
+            a = a % p
+        return a.tolist()
+    out = np.array([Fraction(int(x), den) for x in a.flat], dtype=object)
+    return out.reshape(a.shape).tolist()
 
 
 def _scaled(a, s):

@@ -25,7 +25,8 @@ counts are reported separately so a failure localizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+
+import numpy as np
 
 from .algebra import (
     BinaryAlgebra,
@@ -70,17 +71,6 @@ __all__ = [
 ]
 
 
-def _scalar(f, raw, den):
-    # tensordot output back to a field scalar; den is the accumulated scale
-    if f.characteristic:
-        return int(raw) % f.characteristic
-    return Fraction(int(raw), den)
-
-
-def _vec(f, row, den):
-    return [_scalar(f, x, den) for x in row]
-
-
 @dataclass(frozen=True)
 class LeibnizStructureCertificate:
     """Carrier of the induced Leibniz bracket on an LTS central extension,
@@ -116,10 +106,8 @@ def _action_from_splitting(ext, g, sigma):
     sr = sg.arr.reshape(n, n, n)
     acted = tops.exact_tensordot(sr, u2, ([0, 1], [1, 0]), t.p)
     den = sg.scale * st.scale**2 * t.scale
-    table = [
-        [_vec(f, acted[v, x], den) for v in range(n)] for x in range(m)
-    ]
-    return ModuleAction(m, g, table)
+    # acted[v, x] is the vector e_x * e_v; the action table is indexed [x][v]
+    return ModuleAction(m, g, tops.unscale(f, acted.transpose(1, 0, 2), den))
 
 
 def _reversed_right_inverse(mu):
@@ -174,17 +162,16 @@ def induced_leibniz_structure(ext, g):
     b1 = tops.exact_tensordot(pt.arr, gt.arr, ([0], [0]), gt.p)
     b2 = tops.exact_tensordot(pt.arr, b1, ([0], [1]), gt.p)
     pairs, _ = wedge_index_pairs(m)
+    rows_i = [i for (i, j) in pairs]
+    rows_j = [j for (i, j) in pairs]
     den = pt.scale**2 * gt.scale
-    zmap = Matrix.from_columns(
-        f, [_vec(f, b2[j, i], den) for (i, j) in pairs], g.dim
-    )
+    # b2[j, i] is [pi e_i, pi e_j]: one column of zmap per wedge pair
+    zmap = Matrix(f, tops.unscale(f, b2[rows_j, rows_i].T, den), len(pairs))
     z = kernel(zmap)
 
     t = ext.algebra.tensor()
     if z.dim:
         zt = tops.exact_tensor(f, z.basis_vectors())
-        rows_i = [i for (i, j) in pairs]
-        rows_j = [j for (i, j) in pairs]
         sliced = t.arr[:, rows_i, rows_j, :]
         hit = tops.exact_tensordot(zt.arr, sliced, ([1], [1]), t.p)
         w = tops._witness(hit, t.p)
@@ -355,25 +342,21 @@ def _quotient_as_lts_extension(u_leib, j, base_lts):
     central extension of the derived triple system of the base."""
     f = u_leib.base.field
     qj = quotient(u_leib.carrier_dim, j)
+    k = qj.projection
     et = u_leib.extension_algebra.tensor()
-    nested = tops.left_nested(et)
-    den = et.scale**2
-    coords = qj.coset_coords
-    table = [
-        [
-            [qj.project(_vec(f, nested[x, y, z], den)) for z in coords]
-            for y in coords
-        ]
-        for x in coords
-    ]
+    c = list(qj.coset_coords)
+    nested = tops.left_nested(et)[np.ix_(c, c, c)]
+    raw = tops.exact_tensordot(nested, k.arr, ([3], [0]), k.p)
     alg = TernaryAlgebra(
-        f, qj.dim, table, name=f"{u_leib.extension_algebra.name}/J"
+        f,
+        qj.dim,
+        tops.unscale(f, raw, et.scale**2 * k.scale),
+        name=f"{u_leib.extension_algebra.name}/J",
     )
     proj = _factor_through(u_leib.projection_b, qj)
-    sec_cols = [
-        qj.project(u_leib.section_s.col(i)) for i in range(u_leib.base.dim)
-    ]
-    sec = Matrix.from_columns(f, sec_cols, qj.dim)
+    st = tops.exact_tensor(f, u_leib.section_s.rows)
+    sec_raw = tops.exact_tensordot(k.arr, st.arr, ([0], [0]), k.p)
+    sec = Matrix(f, tops.unscale(f, sec_raw, k.scale * st.scale), u_leib.base.dim)
     ext = CentralExtension("lts", base_lts, alg, proj, sec)
     return qj, ext
 

@@ -12,22 +12,29 @@ generators, and quotient:
               {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
               - {x,y,z} (x) a (x) b.
 
-The bracket on the quotient is project(images under the evaluation map,
-re-tensored), the projection to the base is the evaluation map itself, and
-the kernel of that projection is the second homology of the base.
+The quotient comes with one exact projection matrix K (ambient x carrier,
+read off the RREF of the relation span; see QuotientSpace). The bracket on
+the quotient is the images under the evaluation map, re-tensored and
+projected: one slotwise contraction of K with the image matrix, not a loop
+over basis tuples. The projection to the base is the evaluation map itself,
+and the kernel of that projection is the second homology of the base.
 
 Everything a proof would normally guarantee is instead asserted on the
 constructed objects: the evaluation map kills the relation span (which also
 gives the ideal property, since the bracket factors slotwise through the
 evaluation map), the quotient satisfies its category's axioms, the kernel
 is central, the carrier is perfect, and the projection is a surjective
-morphism split by the stored section.
+morphism split by the stored section. A map F with one row per ambient
+coordinate kills the relation span exactly when scale * F == K F[C], C the
+coset coordinates; that single product is the check both for the
+evaluation map here and for the canonical map in universal_map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .algebra import (
     BinaryAlgebra,
@@ -320,93 +327,63 @@ def _fold_relations(field, ambient, streams, stop_dim, rng=None):
     return acc.to_subspace()
 
 
-def _assert_relations_killed(relations, ev_of_index, field, base_dim):
-    """Every relation-basis row must evaluate to zero in the base.
+def _wedge_rows(n):
+    """Index arrays (i, j) of the wedge basis e_i ^ e_j, i < j, in order."""
+    pairs, _ = wedge_index_pairs(n)
+    return np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
 
-    The quotient bracket factors through the evaluation map in each slot
-    separately, so this single check is also the ideal property: a bracket
-    with a relation in any slot is the zero tensor, which lies in the span.
+
+def _slotwise(t, m, arity, p):
+    """out[r_1..r_a, w] = sum over i of m[r_1, i_1]..m[r_a, i_a] t[i_1..i_a, w]."""
+    for _ in range(arity):
+        t = tops.exact_tensordot(t, m, ([0], [1]), p)
+    return np.moveaxis(t, 0, -1)
+
+
+def _finish_extension(category, base, relations, ev):
+    """Common tail of all three constructions; runs the assertion battery.
+
+    ev is the evaluation map as an ExactTensor with one row per ambient
+    coordinate (the base vector that ambient basis tensor evaluates to).
     """
-    for row in relations.basis_vectors():
-        out = [field.zero] * base_dim
-        for idx, coeff in _nonzero(field, row):
-            for a, c in enumerate(ev_of_index(idx)):
-                if not field.is_zero(c):
-                    out[a] = field.add(out[a], field.mul(coeff, c))
-        if any(not field.is_zero(x) for x in out):
-            raise InternalAssertionFailed(
-                "relations-escape-evaluation-kernel",
-                f"row with pivots {relations.pivots} evaluates to {out}",
-            )
-
-
-def _pure2_pairs(field, u, v, n):
-    out = []
-    for i, ui in _nonzero(field, u):
-        base = i * n
-        for j, vj in _nonzero(field, v):
-            out.append((base + j, field.mul(ui, vj)))
-    return out
-
-
-def _pure2_wedge_pairs(field, u, v, index):
-    acc = {}
-    nzu = _nonzero(field, u)
-    nzv = _nonzero(field, v)
-    for i, ui in nzu:
-        for j, vj in nzv:
-            if i == j:
-                continue
-            val = field.mul(ui, vj)
-            if i < j:
-                key = index[(i, j)]
-            else:
-                key = index[(j, i)]
-                val = field.neg(val)
-            acc[key] = field.add(acc.get(key, field.zero), val)
-    return [(k, v) for k, v in acc.items() if not field.is_zero(v)]
-
-
-def _pure3_pairs(field, u, v, w, n):
-    out = []
-    for i, ui in _nonzero(field, u):
-        for j, vj in _nonzero(field, v):
-            uv = field.mul(ui, vj)
-            base = (i * n + j) * n
-            for k, wk in _nonzero(field, w):
-                out.append((base + k, field.mul(uv, wk)))
-    return out
-
-
-def _finish_extension(category, base, ambient, relations, ev_vectors, pure_pairs):
-    """Common tail of all three constructions; runs the assertion battery."""
     f = base.field
-    _assert_relations_killed(relations, lambda i: ev_vectors[i], f, base.dim)
-    q = quotient(ambient, relations)
+    n = base.dim
+    q = quotient(relations.ambient, relations)
+    col = q.kill_witness(ev)
+    if col is not None:
+        # the quotient bracket factors slotwise through ev, so this one
+        # check is also the ideal property of the relation span
+        raise InternalAssertionFailed(
+            "relations-escape-evaluation-kernel",
+            f"the relation with pivot column {col} evaluates to a nonzero vector",
+        )
     if q.dim == 0:
         raise InternalAssertionFailed(
             "quotient-collapsed", "carrier of a perfect base cannot be zero"
         )
-    coords = q.coset_coords
-    images = [ev_vectors[c] for c in coords]
-    proj = Matrix.from_columns(f, images, base.dim)
+    images = ev.arr[list(q.coset_coords)]
+    proj = Matrix(f, tops.unscale(f, images.T, ev.scale), q.dim)
 
-    label = f"uce-{category}({base.name})"
-    if category == "lts":
-        table = [
-            [
-                [q.project_pairs(pure_pairs(mr, ms, mu)) for mu in images]
-                for ms in images
-            ]
-            for mr in images
-        ]
-        ext = TernaryAlgebra(f, q.dim, table, name=label)
+    k = q.projection
+    arity = 3 if category == "lts" else 2
+    if category == "lie":
+        # lift K to an antisymmetric n x n x dim tensor, so that
+        # class(u ^ v) = sum u_a v_b K[a, b] like the Leibniz case
+        i, j = _wedge_rows(n)
+        kt = np.zeros((n, n, q.dim), dtype=k.arr.dtype)
+        kt[i, j] = k.arr
+        kt[j, i] = -k.arr
     else:
-        table = [
-            [q.project_pairs(pure_pairs(mr, ms)) for ms in images]
-            for mr in images
-        ]
-        ext = BinaryAlgebra(f, q.dim, table, name=label)
+        kt = k.arr.reshape((n,) * arity + (q.dim,))
+    # no local keeps the raw or nested table alive past the constructor:
+    # they would sit on top of the axiom checks' peak memory
+    algebra = TernaryAlgebra if category == "lts" else BinaryAlgebra
+    ext = algebra(
+        f,
+        q.dim,
+        tops.unscale(f, _slotwise(kt, images, arity, k.p), ev.scale**arity * k.scale),
+        name=f"uce-{category}({base.name})",
+    )
 
     defect = _category_axiom_defect(category, ext)
     if defect is not None:
@@ -416,7 +393,7 @@ def _finish_extension(category, base, ambient, relations, ev_vectors, pure_pairs
     zt = _subspace_tensor(h2)
     if zt is not None:
         et = ext.tensor()
-        for slot in range(3 if category == "lts" else 2):
+        for slot in range(arity):
             w = tops.central_slot_witness(et, zt, slot)
             if w is not None:
                 raise InternalAssertionFailed(
@@ -432,11 +409,10 @@ def _finish_extension(category, base, ambient, relations, ev_vectors, pure_pairs
     except DimensionMismatch as e:
         raise InternalAssertionFailed("projection-not-surjective", str(e))
 
-    wit = (
-        tops.ternary_morphism_witness(ext.tensor(), base.tensor(), _matrix_tensor(proj))
-        if category == "lts"
-        else tops.binary_morphism_witness(ext.tensor(), base.tensor(), _matrix_tensor(proj))
+    witness = (
+        tops.ternary_morphism_witness if arity == 3 else tops.binary_morphism_witness
     )
+    wit = witness(ext.tensor(), base.tensor(), _matrix_tensor(proj))
     if wit is not None:
         raise InternalAssertionFailed(
             "projection-not-a-morphism", f"basis tuple {wit}"
@@ -467,7 +443,6 @@ def leibniz_uce(g, rng=None):
     f = g.field
     n = g.dim
     ambient = n * n
-    ev = [g.c[i][j] for i in range(n) for j in range(n)]
 
     def gens():
         for x in range(n):
@@ -487,14 +462,9 @@ def leibniz_uce(g, rng=None):
                     yield [(k, v) for k, v in acc.items() if not f.is_zero(v)]
 
     relations = _fold_relations(f, ambient, [gens()], ambient - n, rng)
-    return _finish_extension(
-        "leibniz",
-        g,
-        ambient,
-        relations,
-        ev,
-        lambda u, v: _pure2_pairs(f, u, v, n),
-    )
+    t = g.tensor()
+    ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
+    return _finish_extension("leibniz", g, relations, ev)
 
 
 def lie_uce(g, rng=None):
@@ -509,7 +479,6 @@ def lie_uce(g, rng=None):
     n = g.dim
     pairs, index = wedge_index_pairs(n)
     ambient = len(pairs)
-    ev = [g.c[i][j] for (i, j) in pairs]
 
     def wedge_into(acc, vec, other, sign):
         # fold sign * (vec ^ e_other) into the accumulator dict
@@ -537,14 +506,10 @@ def lie_uce(g, rng=None):
                     yield [(k, v) for k, v in acc.items() if not f.is_zero(v)]
 
     relations = _fold_relations(f, ambient, [gens()], ambient - n, rng)
-    return _finish_extension(
-        "lie",
-        g,
-        ambient,
-        relations,
-        ev,
-        lambda u, v: _pure2_wedge_pairs(f, u, v, index),
-    )
+    t = g.tensor()
+    i, j = _wedge_rows(n)
+    ev = tops.ExactTensor(t.arr[i, j], t.scale, t.p)
+    return _finish_extension("lie", g, relations, ev)
 
 
 def lts_tensor_cube(lts, force=False, rng=None):
@@ -566,9 +531,6 @@ def lts_tensor_cube(lts, force=False, rng=None):
     f = lts.field
     ambient = n**3
     t = lts.t
-    ev = [
-        t[i][j][k] for i in range(n) for j in range(n) for k in range(n)
-    ]
     one = f.one
     neg_one = f.neg(one)
 
@@ -633,54 +595,9 @@ def lts_tensor_cube(lts, force=False, rng=None):
     relations = _fold_relations(
         f, ambient, [squares(), cycles(), fundamentals()], ambient - n, rng
     )
-    return _finish_extension(
-        "lts",
-        lts,
-        ambient,
-        relations,
-        ev,
-        lambda u, v, w: _pure3_pairs(f, u, v, w, n),
-    )
-
-
-def _section_bracket_grid(e):
-    """Brackets in e's carrier of the section images of base basis vectors,
-    as exact field scalars: G[i][j](...) is a carrier vector."""
-    f = e.base.field
-    et = e.algebra.tensor()
-    st = _matrix_tensor(e.section)
-    n = e.base.dim
-    m = e.carrier_dim
-    if e.category == "lts":
-        s1 = tops.exact_tensordot(st.arr, et.arr, ([0], [0]), et.p)
-        s2 = tops.exact_tensordot(st.arr, s1, ([0], [1]), et.p)
-        s3 = tops.exact_tensordot(st.arr, s2, ([0], [2]), et.p)
-        raw = s3.transpose(2, 1, 0, 3)
-        den = st.scale**3 * et.scale
-        return [
-            [
-                [
-                    [_unscale(f, raw[i, j, k, w], den) for w in range(m)]
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    s1 = tops.exact_tensordot(st.arr, et.arr, ([0], [0]), et.p)
-    s2 = tops.exact_tensordot(st.arr, s1, ([0], [1]), et.p)
-    raw = s2.transpose(1, 0, 2)
-    den = st.scale**2 * et.scale
-    return [
-        [[_unscale(f, raw[i, j, w], den) for w in range(m)] for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _unscale(f, raw, den):
-    if f.characteristic:
-        return int(raw) % f.characteristic
-    return Fraction(int(raw), den)
+    tt = lts.tensor()
+    ev = tops.ExactTensor(tt.arr.reshape(ambient, n), tt.scale, tt.p)
+    return _finish_extension("lts", lts, relations, ev)
 
 
 def universal_map(u, e):
@@ -696,47 +613,30 @@ def universal_map(u, e):
     _same_base(u.base, e.base)
     e.verify()
     f = u.base.field
-    n = u.base.dim
-    grid = _section_bracket_grid(e)
-    ternary = u.category == "lts"
-
-    if ternary:
-        def phi(aidx):
-            k = aidx % n
-            j = (aidx // n) % n
-            return grid[aidx // (n * n)][j][k]
-    elif u.category == "leibniz":
-        def phi(aidx):
-            return grid[aidx // n][aidx % n]
+    et = e.algebra.tensor()
+    st = _matrix_tensor(e.section)
+    arity = 3 if u.category == "lts" else 2
+    # grid[i, j, (k,) w] / scale: coordinate w of the bracket of section lifts
+    grid = _slotwise(et.arr, st.arr.T, arity, et.p)
+    scale = st.scale**arity * et.scale
+    if u.category == "lie":
+        i, j = _wedge_rows(u.base.dim)
+        rows = grid[i, j]
     else:
-        pairs, _ = wedge_index_pairs(n)
-
-        def phi(aidx):
-            i, j = pairs[aidx]
-            return grid[i][j]
-
-    m = e.carrier_dim
-    for row in u.relations.basis_vectors():
-        out = [f.zero] * m
-        for aidx, coeff in _nonzero(f, row):
-            for w, c in enumerate(phi(aidx)):
-                if not f.is_zero(c):
-                    out[w] = f.add(out[w], f.mul(coeff, c))
-        if any(not f.is_zero(x) for x in out):
-            raise WellDefinednessFailed(
-                "a relation generator does not map to zero; the target is "
-                "not a central extension or the source is not universal"
-            )
-
-    cols = [phi(c) for c in u.carrier.coset_coords]
-    mat = Matrix.from_columns(f, cols, m)
-
-    mt = _matrix_tensor(mat)
-    wit = (
-        tops.ternary_morphism_witness(u.extension_algebra.tensor(), e.algebra.tensor(), mt)
-        if ternary
-        else tops.binary_morphism_witness(u.extension_algebra.tensor(), e.algebra.tensor(), mt)
+        rows = grid.reshape(-1, e.carrier_dim)
+    # phi has one row per ambient coordinate of u: the image of that tensor
+    col = u.carrier.kill_witness(tops.ExactTensor(rows, scale, et.p))
+    if col is not None:
+        raise WellDefinednessFailed(
+            f"the relation with pivot column {col} does not map to zero; the "
+            "target is not a central extension or the source is not universal"
+        )
+    coset = rows[list(u.carrier.coset_coords)]
+    mat = Matrix(f, tops.unscale(f, coset.T, scale), u.carrier_dim)
+    witness = (
+        tops.ternary_morphism_witness if arity == 3 else tops.binary_morphism_witness
     )
+    wit = witness(u.extension_algebra.tensor(), et, _matrix_tensor(mat))
     if wit is not None:
         raise InternalAssertionFailed(
             "universal-map-not-a-morphism", f"basis tuple {wit}"

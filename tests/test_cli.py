@@ -150,6 +150,29 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert "error [FormatError]" in err
 
 
+def test_exit_code_missing_file(capsys, tmp_path):
+    code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert err.startswith("error [FormatError]: cannot read")
+    assert err.count("\n") == 1
+
+
+def test_exit_code_directory_input(capsys, tmp_path):
+    code, _, err = run(capsys, "theorem", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error [FormatError]: cannot read")
+    assert err.count("\n") == 1
+
+
+def test_exit_code_non_ascii_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9", "field": "Q", "dim": 0, "binary": []}')
+    code, _, err = run(capsys, "uce", str(path), "--category", "lie")
+    assert code == 2
+    assert err.startswith("error [FormatError]:") and "not ASCII" in err
+    assert err.count("\n") == 1
+
+
 def test_exit_code_semantic_errors(capsys, tmp_path):
     code, _, err = run(capsys, "check", "catalog:nope")
     assert code == 3
@@ -245,3 +268,26 @@ def test_selftest_runs(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "8128")
     assert code == 0
     assert "checks passed" in out
+
+
+def test_theorem_json_identical_under_optimize_flag():
+    # python -O strips assert statements; every self-check must survive it
+    import os
+    import subprocess
+    import sys
+
+    import uce3
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(uce3.__file__))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "uce3.cli", "theorem",
+             "catalog:sl2", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1])["ok"] is True

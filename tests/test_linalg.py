@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uce3 import (
     QQ,
@@ -18,6 +19,7 @@ from uce3 import (
     solve_columns,
     span_incremental,
 )
+from uce3.tensorops import exact_tensor
 
 FIELDS = ["Q", "GF(2)", "GF(3)", "GF(7)"]
 
@@ -252,3 +254,74 @@ def test_packed_and_generic_gf2_agree_randomized(size):
         r_pack, p_pack = rref(m)
         assert p_gen == p_pack
         assert r_gen.rows == r_pack.rows
+
+
+def _dot(f, xs, ys):
+    acc = f.zero
+    for x, y in zip(xs, ys):
+        acc = f.add(acc, f.mul(f.coerce(x), f.coerce(y)))
+    return acc
+
+
+def _times_k(f, k, v):
+    """v K / scale evaluated entry by entry in field arithmetic."""
+    inv = f.inv(f.coerce(k.scale))
+    return [
+        f.mul(_dot(f, v, [int(x) for x in k.arr[:, j]]), inv)
+        for j in range(k.shape[1])
+    ]
+
+
+def _rows_not_killed(f, killed, fmap):
+    """Pivot columns of the killed basis rows r with r F != 0."""
+    cols = list(zip(*fmap))
+    return [
+        p for p, row in zip(killed.pivots, killed.basis_vectors())
+        if any(not f.is_zero(_dot(f, row, col)) for col in cols)
+    ]
+
+
+# (field, packed): Q, GF(3), and GF(2) on both of its backends
+K_BACKENDS = [("Q", None), ("GF(3)", None), ("GF(2)", True), ("GF(2)", False)]
+
+
+@pytest.mark.parametrize("spec,packed", K_BACKENDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    ambient=st.integers(1, 12),
+    nrows=st.integers(0, 7),
+)
+def test_projection_matrix_against_reduce(spec, packed, seed, ambient, nrows):
+    f = field_of(spec)
+    rng = random.Random(seed)
+    rows = [[f.random_scalar(rng) for _ in range(ambient)] for _ in range(nrows)]
+    killed = Subspace.from_vectors(f, ambient, rows, packed)
+    q = quotient(ambient, killed)
+    k = q.projection
+    assert k.shape == (ambient, q.dim)
+    if spec == "GF(2)":
+        other = Subspace.from_vectors(f, ambient, rows, not packed)
+        assert (quotient(ambient, other).projection.arr == k.arr).all()
+    for _ in range(4):
+        v = [f.random_scalar(rng) for _ in range(ambient)]
+        red = killed.reduce(v)
+        want = [red[c] for c in q.coset_coords]
+        assert _times_k(f, k, v) == want
+        assert q.project(v) == want
+    # F = K A / scale factors through the quotient, so it kills the span;
+    # a random F usually does not
+    width = rng.randint(1, 3)
+    a = [[f.random_scalar(rng) for _ in range(width)] for _ in range(q.dim)]
+    a_cols = list(zip(*a)) or [()] * width
+    units = [[f.one if t == i else f.zero for t in range(ambient)]
+             for i in range(ambient)]
+    through = [[_dot(f, _times_k(f, k, e), col) for col in a_cols]
+               for e in units]
+    noise = [[f.random_scalar(rng) for _ in range(width)] for _ in range(ambient)]
+    for fmap in (through, noise):
+        wit = q.kill_witness(exact_tensor(f, fmap))
+        bad = _rows_not_killed(f, killed, fmap)
+        assert (wit is None) == (not bad)
+        if wit is not None:
+            assert wit in bad

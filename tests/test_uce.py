@@ -9,12 +9,16 @@ from uce3 import (
     BinaryAlgebra,
     CentralExtension,
     DimensionGuard,
+    InternalAssertionFailed,
     Matrix,
     NotCentral,
     NotLeibniz,
     NotLie,
     NotOverSameBase,
     NotPerfect,
+    Subspace,
+    UceResult,
+    WellDefinednessFailed,
     WrongCategory,
     catalog,
     check_binary,
@@ -24,6 +28,7 @@ from uce3 import (
     leibniz_uce,
     lie_uce,
     lts_tensor_cube,
+    quotient,
     universal_map,
 )
 
@@ -248,3 +253,43 @@ def test_universal_map_independent_of_section_choice():
     m1 = universal_map(u, CentralExtension("lie", g, padded, proj, sect1))
     m2 = universal_map(u, CentralExtension("lie", g, padded, proj, sect2))
     assert m1 == m2
+
+
+def _e0_e1(n):
+    # e_0 (x) e_1 in the tensor square; sl2 has [e_0, e_1] != 0
+    v = [0] * (n * n)
+    v[1] = 1
+    return v
+
+
+def test_construction_rejects_relations_outside_evaluation_kernel(monkeypatch):
+    import uce3.uce as uce_mod
+
+    g = catalog("sl2", QQ)
+    assert any(g.c[0][1])
+    fold = uce_mod._fold_relations
+
+    def fold_plus_bad_vector(field, ambient, streams, stop_dim, rng=None):
+        rel = fold(field, ambient, streams, stop_dim, rng)
+        return rel.sum_with(Subspace.from_vectors(field, ambient, [_e0_e1(3)]))
+
+    monkeypatch.setattr(uce_mod, "_fold_relations", fold_plus_bad_vector)
+    with pytest.raises(InternalAssertionFailed) as exc:
+        leibniz_uce(g)
+    assert exc.value.fact == "relations-escape-evaluation-kernel"
+    assert "pivot column" in str(exc.value)
+
+
+def test_universal_map_rejects_source_killing_too_much():
+    # a fake UCE whose carrier also kills e_0 (x) e_1, which the genuine
+    # Leibniz UCE of sl2 (sl2 itself) sends to [e_0, e_1] != 0
+    g = catalog("sl2", QQ)
+    u = leibniz_uce(g)
+    rel = u.relations.sum_with(Subspace.from_vectors(QQ, 9, [_e0_e1(3)]))
+    assert rel.dim == u.relations.dim + 1
+    fake = UceResult(
+        "leibniz", g, quotient(9, rel), u.extension_algebra, u.projection_b,
+        rel, u.h2, u.section_s,
+    )
+    with pytest.raises(WellDefinednessFailed, match="pivot column"):
+        universal_map(fake, u.as_extension())
