@@ -40,6 +40,7 @@ __all__ = [
     "TernaryFlags",
     "check_binary",
     "check_ternary",
+    "bracket_span_dim",
     "derived_lts",
     "tensor_leibniz",
     "canonical_wedge_action",
@@ -64,7 +65,8 @@ class BinaryAlgebra:
     """An algebra with a bilinear bracket, presented by structure constants.
 
     c[i][j] is the coordinate vector of [e_i, e_j]. No axiom is assumed:
-    flavor flags (Lie, Leibniz, perfect) are always computed by check_binary.
+    flavor flags (Lie, Leibniz, perfect) are computed by check_binary, once
+    per instance, so the table must not be edited after construction.
     """
 
     def __init__(self, field, dim, table, name=""):
@@ -73,6 +75,7 @@ class BinaryAlgebra:
         self.name = name
         self.c = _coerce_table(field, table, (dim, dim, dim))
         self._tensor_cache = None
+        self._flags = None
 
     @classmethod
     def zero(cls, field, dim, name=""):
@@ -127,6 +130,7 @@ class TernaryAlgebra:
         self.name = name
         self.t = _coerce_table(field, table, (dim, dim, dim, dim))
         self._tensor_cache = None
+        self._flags = None
 
     @classmethod
     def zero(cls, field, dim, name=""):
@@ -200,28 +204,26 @@ class TernaryFlags:
     witnesses: dict = dc_field(default_factory=dict, compare=False)
 
 
-def _binary_perfect(a):
+def bracket_span_dim(a):
+    """Dimension of the span of all basis brackets of a binary or ternary
+    algebra; stops early once the span is the whole algebra."""
+    if isinstance(a, TernaryAlgebra):
+        vectors = (v for plane in a.t for row in plane for v in row)
+    else:
+        vectors = (v for row in a.c for v in row)
     acc = SpanAccumulator(a.field, a.dim)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if acc.dim == a.dim:
-                return True
-            acc.add_dense(a.c[i][j])
-    return acc.dim == a.dim
-
-
-def _ternary_perfect(a):
-    acc = SpanAccumulator(a.field, a.dim)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                if acc.dim == a.dim:
-                    return True
-                acc.add_dense(a.t[i][j][k])
-    return acc.dim == a.dim
+    for vec in vectors:
+        if acc.dim == a.dim:
+            break
+        acc.add_dense(vec)
+    return acc.dim
 
 
 def check_binary(a):
+    """Axiom flags of a binary algebra, computed once per instance: algebras
+    are immutable, so later calls return the stored record."""
+    if a._flags is not None:
+        return a._flags
     t = a.tensor()
     w = {}
     alt = tops.alternating_witness(t)
@@ -233,17 +235,21 @@ def check_binary(a):
     jac = tops.jacobi_witness(t)
     if jac is not None:
         w["jacobi"] = jac
-    return BinaryFlags(
+    a._flags = BinaryFlags(
         is_alternating=alt is None,
         is_lie=alt is None and jac is None,
         is_leibniz=leib is None,
         satisfies_jacobi=jac is None,
-        is_perfect=_binary_perfect(a),
+        is_perfect=bracket_span_dim(a) == a.dim,
         witnesses=w,
     )
+    return a._flags
 
 
 def check_ternary(a):
+    """LTS flags of a ternary algebra, computed once per instance."""
+    if a._flags is not None:
+        return a._flags
     t = a.tensor()
     w = {}
     pair = tops.lts_pair_witness(t)
@@ -255,11 +261,12 @@ def check_ternary(a):
     der = tops.lts_derivation_witness(t)
     if der is not None:
         w["derivation"] = der
-    return TernaryFlags(
+    a._flags = TernaryFlags(
         is_lts=pair is None and cyc is None and der is None,
-        is_perfect=_ternary_perfect(a),
+        is_perfect=bracket_span_dim(a) == a.dim,
         witnesses=w,
     )
+    return a._flags
 
 
 def _left_compose(g):
@@ -440,10 +447,8 @@ class ModuleAction:
 
 
 def canonical_wedge_action(lts):
-    """The wedge square of an LTS acting on it by x * (y ^ z) = {x,y,z}."""
-    flags = check_ternary(lts)
-    if not flags.is_lts:
-        raise NotLts(f"input fails LTS axioms: {flags.witnesses}")
+    """The wedge square of an LTS acting on it by x * (y ^ z) = {x,y,z};
+    tensor_leibniz rejects an input that fails the LTS axioms."""
     acting = tensor_leibniz(lts, "wedge")
     pairs, _ = wedge_index_pairs(lts.dim)
     table = [
@@ -510,9 +515,10 @@ def equivariant_leibniz(act, fmap):
                         vec[w] = f.add(vec[w], f.mul(coeff, c))
             table[u][v] = vec
     out = BinaryAlgebra(f, m, table, name=f"leibniz[{g.name or 'g'}-action]")
-    lw = tops.leibniz_witness(out.tensor())
-    if lw is not None:
+    flags = check_binary(out)
+    if not flags.is_leibniz:
         raise InternalAssertionFailed(
-            "equivariant-bracket-not-leibniz", f"fails at basis triple {lw}"
+            "equivariant-bracket-not-leibniz",
+            f"fails at basis triple {flags.witnesses['leibniz']}",
         )
     return out

@@ -39,10 +39,8 @@ from .errors import (
 )
 from .fields import QQ, field_of
 from .serialize import load_algebra
-from .uce import LTS_DIM_GUARD, homology, leibniz_uce, lie_uce, lts_tensor_cube
+from .uce import dimension_guard, homology, leibniz_uce, lie_uce, lts_tensor_cube
 from .theorem import verify_main_theorem
-
-BINARY_DIM_GUARD = 25
 
 _EXIT_BY_ERROR = (
     (FormatError, 2),
@@ -74,34 +72,6 @@ def _load_input(args):
             "--field cannot override the field fixed by an input file"
         )
     return load_algebra(src)
-
-
-def _guard_estimate_mb(field, ambient):
-    # echelon storage is at worst ambient rows of length ambient
-    if field.characteristic == 2:
-        per_row = ambient / 8
-    elif field.characteristic:
-        per_row = ambient * 8
-    else:
-        per_row = ambient * 48
-    return max(1, int(ambient * per_row / 1_000_000))
-
-
-def _check_guard(alg, category, force):
-    limit = LTS_DIM_GUARD if category == "lts" else BINARY_DIM_GUARD
-    if alg.dim <= limit:
-        return
-    ambient = alg.dim**3 if category == "lts" else alg.dim**2
-    if not force:
-        raise DimensionGuard(
-            f"dim {alg.dim} exceeds the {category} guard {limit} "
-            f"(ambient {ambient}); pass --force to proceed"
-        )
-    print(
-        f"forcing past the dimension guard; rough peak memory "
-        f"{_guard_estimate_mb(alg.field, ambient)} MB",
-        file=sys.stderr,
-    )
 
 
 def cmd_check(args):
@@ -157,13 +127,12 @@ def _build_uce(args):
     if category == "lts":
         if isinstance(alg, BinaryAlgebra):
             alg = derived_lts(alg)
-        _check_guard(alg, "lts", args.force)
         return lts_tensor_cube(alg, force=args.force)
     if not isinstance(alg, BinaryAlgebra):
         raise WrongCategory(
             f"category {category} needs a binary algebra; the input is ternary"
         )
-    _check_guard(alg, category, args.force)
+    dimension_guard(alg.dim, category, args.force)
     return leibniz_uce(alg) if category == "leibniz" else lie_uce(alg)
 
 
@@ -202,7 +171,6 @@ def cmd_theorem(args):
     alg = _load_input(args)
     if not isinstance(alg, BinaryAlgebra):
         raise WrongCategory("the theorem pipeline starts from a Lie algebra")
-    _check_guard(alg, "lts", args.force)
     t0 = time.monotonic()
     rep = verify_main_theorem(alg, force=args.force)
     if args.verbose:
@@ -273,7 +241,7 @@ def _parser():
         p.add_argument(
             "--force",
             action="store_true",
-            help="override the dimension guard (prints a memory estimate)",
+            help="override the dimension guard",
         )
         p.add_argument("--verbose", action="store_true")
         if category:

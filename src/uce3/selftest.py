@@ -29,6 +29,12 @@ from .theorem import verify_main_theorem
 _PRIMES = [3, 5, 7, 11, 13]
 
 
+def _require(condition, what):
+    # an explicit raise, unlike assert, survives python -O
+    if not condition:
+        raise AssertionError(what)
+
+
 def _random_field(rng, allow_q=True, allow_two=True):
     pool = list(_PRIMES)
     if allow_two:
@@ -48,11 +54,17 @@ def _check_fields(rng):
     for _ in range(60):
         f = _random_field(rng)
         a, b, c = (_random_scalar(rng, f) for _ in range(3))
-        assert f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c))
-        assert f.add(a, f.neg(a)) == f.zero
+        _require(
+            f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c)),
+            "distributive law",
+        )
+        _require(f.add(a, f.neg(a)) == f.zero, "additive inverse")
         if not f.is_zero(b):
-            assert f.mul(b, f.inv(b)) == f.one
-        assert f.coerce(f.parse_scalar(f.scalar_str(a))) == a
+            _require(f.mul(b, f.inv(b)) == f.one, "multiplicative inverse")
+        _require(
+            f.coerce(f.parse_scalar(f.scalar_str(a))) == a,
+            "scalar string round trip",
+        )
 
 
 def _check_linalg(rng):
@@ -63,14 +75,20 @@ def _check_linalg(rng):
             f, [[_random_scalar(rng, f) for _ in range(m)] for _ in range(n)], m
         )
         k = kernel(mat)
-        assert mat.rank() + k.dim == m, "rank-nullity"
+        _require(mat.rank() + k.dim == m, "rank-nullity")
         for v in k.basis_vectors():
-            assert all(f.is_zero(x) for x in mat.apply(v))
+            _require(
+                all(f.is_zero(x) for x in mat.apply(v)),
+                "kernel vector not killed",
+            )
         vs = [[_random_scalar(rng, f) for _ in range(m)] for _ in range(4)]
         ws = [[_random_scalar(rng, f) for _ in range(m)] for _ in range(4)]
         u = Subspace.from_vectors(f, m, vs)
         w = Subspace.from_vectors(f, m, ws)
-        assert u.dim + w.dim == u.sum_with(w).dim + u.intersect(w).dim
+        _require(
+            u.dim + w.dim == u.sum_with(w).dim + u.intersect(w).dim,
+            "dimension formula for sum and intersection",
+        )
 
 
 def _check_serialize(rng):
@@ -88,10 +106,13 @@ def _check_serialize(rng):
         alg = algebra_from_dict(d)
         again = algebra_from_dict(algebra_to_dict(alg))
         if arity == 2:
-            assert alg.c == again.c
+            _require(alg.c == again.c, "binary table round trip")
         else:
-            assert alg.t == again.t
-        assert dumps_algebra(alg) == dumps_algebra(again)
+            _require(alg.t == again.t, "ternary table round trip")
+        _require(
+            dumps_algebra(alg) == dumps_algebra(again),
+            "canonical dump round trip",
+        )
 
 
 def _check_catalog_axioms(rng):
@@ -99,13 +120,22 @@ def _check_catalog_axioms(rng):
         f = _random_field(rng, allow_two=(name == "sl3"))
         g = catalog(name, f)
         fl = check_binary(g)
-        assert fl.is_lie and fl.is_perfect, (name, f.spec_str())
+        _require(fl.is_lie and fl.is_perfect, f"{name} over {f.spec_str()}")
         dl = derived_lts(g)
-        assert check_ternary(dl).is_lts
+        _require(check_ternary(dl).is_lts, "derived bracket is an LTS")
         for variant in ("tensor", "wedge"):
-            assert check_binary(tensor_leibniz(g, variant)).is_leibniz
-            assert check_binary(tensor_leibniz(dl, variant)).is_leibniz
-        assert verify_action(canonical_wedge_action(dl), target=dl)
+            _require(
+                check_binary(tensor_leibniz(g, variant)).is_leibniz,
+                f"tensor_leibniz({variant}) of g",
+            )
+            _require(
+                check_binary(tensor_leibniz(dl, variant)).is_leibniz,
+                f"tensor_leibniz({variant}) of the derived LTS",
+            )
+        _require(
+            verify_action(canonical_wedge_action(dl), target=dl),
+            "canonical wedge action",
+        )
 
 
 def _check_shuffles(rng):
@@ -119,13 +149,25 @@ def _check_shuffles(rng):
             lts_tensor_cube(derived_lts(g), rng=rng),
         )
         for a, b in zip(base, shuffled):
-            assert a.carrier_dim == b.carrier_dim
-            assert a.h2.dim == b.h2.dim
-            assert a.relations.equals(b.relations)
+            _require(
+                a.carrier_dim == b.carrier_dim,
+                "carrier dim under shuffle",
+            )
+            _require(a.h2.dim == b.h2.dim, "H2 dim under shuffle")
+            _require(
+                a.relations.equals(b.relations),
+                "relation span under shuffle",
+            )
             if a.category == "lts":
-                assert a.extension_algebra.t == b.extension_algebra.t
+                _require(
+                    a.extension_algebra.t == b.extension_algebra.t,
+                    "LTS bracket under shuffle",
+                )
             else:
-                assert a.extension_algebra.c == b.extension_algebra.c
+                _require(
+                    a.extension_algebra.c == b.extension_algebra.c,
+                    "bracket under shuffle",
+                )
 
 
 def _permuted(g, perm):
@@ -148,8 +190,8 @@ def _check_basis_permutation(rng):
     perm = list(range(g.dim))
     rng.shuffle(perm)
     rep = verify_main_theorem(_permuted(g, perm))
-    assert rep.ok and ref.ok
-    assert rep.dims == ref.dims
+    _require(rep.ok and ref.ok, "theorem verdicts")
+    _require(rep.dims == ref.dims, "dims under basis permutation")
 
 
 def _check_packed_vs_generic(rng):
@@ -161,7 +203,7 @@ def _check_packed_vs_generic(rng):
     finally:
         set_gf2_packed_default(prev)
     ref["base"] = alt["base"] = ""
-    assert ref == alt
+    _require(ref == alt, "packed and generic GF(2) reports")
 
 
 def _check_universal_map_identity(rng):
@@ -169,7 +211,10 @@ def _check_universal_map_identity(rng):
     g = catalog("sl2", f)
     for u in (leibniz_uce(g), lie_uce(g), lts_tensor_cube(derived_lts(g))):
         m = universal_map(u, u.as_extension())
-        assert m == Matrix.identity(u.base.field, u.carrier_dim)
+        _require(
+            m == Matrix.identity(u.base.field, u.carrier_dim),
+            "universal map into itself is the identity",
+        )
 
 
 def _check_map_into_padded_extension(rng):
@@ -191,7 +236,7 @@ def _check_map_into_padded_extension(rng):
                       for i in range(n + 1)], n)
     ext = CentralExtension("leibniz", g, padded, proj, sect)
     m = universal_map(u, ext)
-    assert m.shape == (n + 1, u.carrier_dim)
+    _require(m.shape == (n + 1, u.carrier_dim), "universal map shape")
 
 
 _CHECKS = [

@@ -185,21 +185,18 @@ def left_nested(t):
     return m.transpose(2, 0, 1, 3)
 
 
-_left_nested = left_nested
-
-
 def leibniz_witness(t):
     """Defect of [x,[y,z]] = [[x,y],z] - [[x,z],y]; None when it holds."""
     c = t.arr
     u = exact_tensordot(c, c, ([2], [0]), t.p)  # u[x, y, z, w] = [[x,y],z]
-    res = _left_nested(t) - u + u.transpose(0, 2, 1, 3)
+    res = left_nested(t) - u + u.transpose(0, 2, 1, 3)
     w = _witness(res, t.p)
     return None if w is None else w[:3]
 
 
 def jacobi_witness(t):
     """Defect of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0; None when it holds."""
-    lhs = _left_nested(t)
+    lhs = left_nested(t)
     res = lhs + lhs.transpose(1, 2, 0, 3) + lhs.transpose(2, 0, 1, 3)
     w = _witness(res, t.p)
     return None if w is None else w[:3]
@@ -255,7 +252,7 @@ def lts_derivation_witness(t):
 
 def derived_mismatch_witness(tern, bina):
     """First (x, y, z) where {x,y,z} != [x,[y,z]]; None when they agree."""
-    lhs = _left_nested(bina)  # scale bina.scale**2
+    lhs = left_nested(bina)  # scale bina.scale**2
     if tern.p is not None:
         res = lhs - tern.arr
     else:

@@ -53,6 +53,7 @@ from .linalg import Matrix, SpanAccumulator, kernel, quotient, right_inverse
 from .uce import (
     CentralExtension,
     UceResult,
+    dimension_guard,
     leibniz_uce,
     lie_uce,
     lts_tensor_cube,
@@ -146,8 +147,12 @@ def induced_leibniz_structure(ext, g):
     if ext.category != "lts":
         raise WrongCategory("only an lts extension can be upgraded")
     ext.verify()
-    dl = derived_lts(g)
-    if ext.base.t != dl.t:
+    base = ext.base
+    if (
+        base.field != g.field
+        or base.dim != g.dim
+        or tops.derived_mismatch_witness(base.tensor(), g.tensor()) is not None
+    ):
         raise NotOverSameBase(
             "the extension's base is not the derived triple system of g"
         )
@@ -366,6 +371,7 @@ def verify_main_theorem(g, force=False):
     algebra and verify how they compare: U_LTS is isomorphic to U_Leib/J in
     every characteristic, to U_Leib itself in characteristic 2 (where J
     vanishes), and to U_Lie away from characteristic 2."""
+    dimension_guard(g.dim, "lts", force)
     gflags = check_binary(g)
     if not gflags.is_lie:
         raise NotLie(f"input is not a Lie algebra: {gflags.witnesses}")

@@ -22,12 +22,14 @@ and the kernel of that projection is the second homology of the base.
 Everything a proof would normally guarantee is instead asserted on the
 constructed objects: the evaluation map kills the relation span (which also
 gives the ideal property, since the bracket factors slotwise through the
-evaluation map), the quotient satisfies its category's axioms, the kernel
-is central, the carrier is perfect, and the projection is a surjective
-morphism split by the stored section. A map F with one row per ambient
-coordinate kills the relation span exactly when scale * F == K F[C], C the
-coset coordinates; that single product is the check both for the
-evaluation map here and for the canonical map in universal_map.
+evaluation map), the carrier is perfect, the projection is surjective, and
+the quotient is a central extension by CentralExtension.verify, the same
+battery that checks hand-built extensions: category axioms, central kernel,
+and a bracket morphism split by the stored section. A map F with one row
+per ambient coordinate kills the relation span exactly when
+scale * F == K F[C], C the coset coordinates; that single product is the
+check both for the evaluation map here and for the canonical map in
+universal_map.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from .algebra import (
     BinaryAlgebra,
     TernaryAlgebra,
+    bracket_span_dim,
     check_binary,
     check_ternary,
     wedge_index_pairs,
@@ -75,12 +78,37 @@ __all__ = [
     "lts_tensor_cube",
     "homology",
     "universal_map",
+    "dimension_guard",
     "LTS_DIM_GUARD",
+    "BINARY_DIM_GUARD",
 ]
 
+# desk-scale limits on the base dimension: the cube streams dim**5 relation
+# generators over an ambient of dim**3, the binary categories dim**3 over
+# dim**2
 LTS_DIM_GUARD = 12
+BINARY_DIM_GUARD = 25
 
 _CATEGORIES = ("lie", "leibniz", "lts")
+
+# the flag witnesses (see check_binary / check_ternary) that decide each
+# category's axioms
+_CATEGORY_AXIOMS = {
+    "lie": ("alternating", "jacobi"),
+    "leibniz": ("leibniz",),
+    "lts": ("last_two_slots", "cyclic", "derivation"),
+}
+
+
+def dimension_guard(dim, category, force):
+    """Refuse a base past the dimension guard of its category unless forced."""
+    limit = LTS_DIM_GUARD if category == "lts" else BINARY_DIM_GUARD
+    if dim > limit and not force:
+        ambient = dim**3 if category == "lts" else dim**2
+        raise DimensionGuard(
+            f"dim {dim} exceeds the {category} guard {limit} (ambient "
+            f"{ambient}); pass --force (force=True) to proceed"
+        )
 
 
 def _nonzero(field, vec):
@@ -103,38 +131,15 @@ def _matrix_tensor(m):
     return tops.exact_tensor(m.field, m.rows)
 
 
-def _subspace_tensor(sub):
-    rows = sub.basis_vectors()
-    if not rows:
-        return None
-    return tops.exact_tensor(sub.field, rows)
-
-
-def _category_axiom_defect(category, algebra):
-    """Name of the first failed axiom of the category, or None."""
-    t = algebra.tensor()
-    if category == "lts":
-        for name, fn in (
-            ("last-two-slots", tops.lts_pair_witness),
-            ("cyclic-sum", tops.lts_cyclic_witness),
-            ("derivation-identity", tops.lts_derivation_witness),
-        ):
-            w = fn(t)
-            if w is not None:
-                return f"{name} at {w}"
-        return None
-    if category == "lie":
-        w = tops.alternating_witness(t)
-        if w is not None:
-            return f"alternating at {w}"
-        w = tops.jacobi_witness(t)
-        if w is not None:
-            return f"jacobi at {w}"
-        return None
-    w = tops.leibniz_witness(t)
-    if w is not None:
-        return f"leibniz at {w}"
-    return None
+def _morphism_witness(ext, base, proj):
+    """First basis tuple where the matrix proj (carrier of ext -> carrier of
+    base) is not a bracket morphism; None when it is one."""
+    witness = (
+        tops.ternary_morphism_witness
+        if isinstance(base, TernaryAlgebra)
+        else tops.binary_morphism_witness
+    )
+    return witness(ext.tensor(), base.tensor(), _matrix_tensor(proj))
 
 
 class CentralExtension:
@@ -186,22 +191,23 @@ class CentralExtension:
             )
         if self.projection @ self.section != Matrix.identity(self.base.field, n):
             raise NotCentral("section is not split by the projection")
-        defect = _category_axiom_defect(self.category, self.algebra)
-        if defect is not None:
-            raise NotCentral(f"carrier fails its category's axioms: {defect}")
-        et = self.algebra.tensor()
-        bt = self.base.tensor()
-        pt = _matrix_tensor(self.projection)
-        wit = (
-            tops.ternary_morphism_witness(et, bt, pt)
-            if want_ternary
-            else tops.binary_morphism_witness(et, bt, pt)
-        )
+        check = check_ternary if want_ternary else check_binary
+        witnesses = check(self.algebra).witnesses
+        failed = {
+            name: witnesses[name]
+            for name in _CATEGORY_AXIOMS[self.category]
+            if name in witnesses
+        }
+        if failed:
+            raise NotCentral(f"carrier fails its category's axioms: {failed}")
+        wit = _morphism_witness(self.algebra, self.base, self.projection)
         if wit is not None:
             raise NotCentral(f"projection is not a bracket morphism at {wit}")
         self.kernel = kernel(self.projection)
-        zt = _subspace_tensor(self.kernel)
-        if zt is not None:
+        rows = self.kernel.basis_vectors()
+        if rows:
+            zt = tops.exact_tensor(self.kernel.field, rows)
+            et = self.algebra.tensor()
             arity = 3 if want_ternary else 2
             for slot in range(arity):
                 w = tops.central_slot_witness(et, zt, slot)
@@ -285,20 +291,11 @@ class UceResult:
 
 def homology(u):
     """H1 = coker of the bracket span, H2 = kernel of the projection."""
-    base = u.base
-    acc = SpanAccumulator(base.field, base.dim)
-    if isinstance(base, BinaryAlgebra):
-        for i in range(base.dim):
-            for j in range(base.dim):
-                acc.add_dense(base.c[i][j])
-    else:
-        for i in range(base.dim):
-            for j in range(base.dim):
-                for k in range(base.dim):
-                    acc.add_dense(base.t[i][j][k])
     lifts = tuple(tuple(u.carrier.section(v)) for v in u.h2.basis_vectors())
     return HomologyReport(
-        h1_dim=base.dim - acc.dim, h2_dim=u.h2.dim, h2_basis=lifts
+        h1_dim=u.base.dim - bracket_span_dim(u.base),
+        h2_dim=u.h2.dim,
+        h2_basis=lifts,
     )
 
 
@@ -341,7 +338,9 @@ def _slotwise(t, m, arity, p):
 
 
 def _finish_extension(category, base, relations, ev):
-    """Common tail of all three constructions; runs the assertion battery.
+    """Common tail of all three constructions. The quotient is checked as a
+    central extension by CentralExtension.verify, plus the assertions
+    specific to the construction.
 
     ev is the evaluation map as an ExactTensor with one row per ambient
     coordinate (the base vector that ambient basis tensor evaluates to).
@@ -385,38 +384,18 @@ def _finish_extension(category, base, relations, ev):
         name=f"uce-{category}({base.name})",
     )
 
-    defect = _category_axiom_defect(category, ext)
-    if defect is not None:
-        raise InternalAssertionFailed("quotient-fails-axioms", defect)
-
-    h2 = kernel(proj)
-    zt = _subspace_tensor(h2)
-    if zt is not None:
-        et = ext.tensor()
-        for slot in range(arity):
-            w = tops.central_slot_witness(et, zt, slot)
-            if w is not None:
-                raise InternalAssertionFailed(
-                    "kernel-not-central", f"slot {slot} witness {w}"
-                )
-
-    flags = check_ternary(ext) if category == "lts" else check_binary(ext)
-    if not flags.is_perfect:
-        raise InternalAssertionFailed("carrier-not-perfect")
-
     try:
         section = right_inverse(proj)
     except DimensionMismatch as e:
         raise InternalAssertionFailed("projection-not-surjective", str(e))
-
-    witness = (
-        tops.ternary_morphism_witness if arity == 3 else tops.binary_morphism_witness
-    )
-    wit = witness(ext.tensor(), base.tensor(), _matrix_tensor(proj))
-    if wit is not None:
-        raise InternalAssertionFailed(
-            "projection-not-a-morphism", f"basis tuple {wit}"
-        )
+    extension = CentralExtension(category, base, ext, proj, section)
+    try:
+        extension.verify()
+    except NotCentral as e:
+        raise InternalAssertionFailed("quotient-not-a-central-extension", str(e))
+    flags = check_ternary(ext) if category == "lts" else check_binary(ext)
+    if not flags.is_perfect:
+        raise InternalAssertionFailed("carrier-not-perfect")
 
     return UceResult(
         category=category,
@@ -425,7 +404,7 @@ def _finish_extension(category, base, relations, ev):
         extension_algebra=ext,
         projection_b=proj,
         relations=relations,
-        h2=h2,
+        h2=extension.kernel,
         section_s=section,
     )
 
@@ -516,18 +495,13 @@ def lts_tensor_cube(lts, force=False, rng=None):
     """The non-abelian tensor cube of a perfect Lie triple system: the
     triple tensor power modulo the three relation families, realizing the
     universal central extension in the LTS category."""
+    n = lts.dim
+    dimension_guard(n, "lts", force)
     flags = check_ternary(lts)
     if not flags.is_lts:
         raise NotLts(f"input fails LTS axioms: {flags.witnesses}")
     if not flags.is_perfect:
         raise NotPerfect(f"{lts.name or 'input'} is not perfect")
-    n = lts.dim
-    if n > LTS_DIM_GUARD and not force:
-        raise DimensionGuard(
-            f"carrier dim {n} exceeds the guard {LTS_DIM_GUARD}: the relation "
-            f"stream has {n}**5 = {n**5} generators over an ambient of "
-            f"{n}**3 = {n**3}; pass force to proceed anyway"
-        )
     f = lts.field
     ambient = n**3
     t = lts.t
@@ -633,10 +607,7 @@ def universal_map(u, e):
         )
     coset = rows[list(u.carrier.coset_coords)]
     mat = Matrix(f, tops.unscale(f, coset.T, scale), u.carrier_dim)
-    witness = (
-        tops.ternary_morphism_witness if arity == 3 else tops.binary_morphism_witness
-    )
-    wit = witness(u.extension_algebra.tensor(), et, _matrix_tensor(mat))
+    wit = _morphism_witness(u.extension_algebra, e.algebra, mat)
     if wit is not None:
         raise InternalAssertionFailed(
             "universal-map-not-a-morphism", f"basis tuple {wit}"

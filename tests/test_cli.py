@@ -233,12 +233,11 @@ def test_dimension_guard_and_force(capsys):
     assert "--force" in err
     code, _, err = run(capsys, "theorem", "catalog:sl4")
     assert code == 3
-    # --force prints the estimate, then the build proceeds; abelian(30) is
-    # past the binary guard but fails perfection right after the estimate
+    # --force lets the build proceed; abelian(30) is past the binary guard
+    # but fails perfection right after it
     code, _, err = run(capsys, "uce", "catalog:abelian(30)", "--category",
                        "leibniz", "--force")
     assert code == 4
-    assert "rough peak memory" in err
 
 
 def test_verdict_failure_maps_to_exit_1(capsys, monkeypatch):
@@ -291,3 +290,29 @@ def test_theorem_json_identical_under_optimize_flag():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[1])["ok"] is True
+
+
+def test_selftest_fails_under_optimize_flag():
+    # python -O strips assert statements; a broken check must still fail
+    import os
+    import subprocess
+    import sys
+
+    import uce3
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(uce3.__file__))
+    code = (
+        "import sys\n"
+        "import uce3.selftest as st\n"
+        "from uce3.linalg import Subspace\n"
+        "st._CHECKS = [c for c in st._CHECKS if c[0] == 'linear algebra']\n"
+        "st.kernel = lambda m: Subspace.from_vectors(m.field, m.ncols, [])\n"
+        "sys.exit(0 if st.run_selftest() else 1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "selftest FAIL: linear algebra: rank-nullity" in proc.stdout

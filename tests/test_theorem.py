@@ -227,3 +227,21 @@ def test_doubling_holds_for_sl4(spec):
     if spec != "Q":
         rank = naive_leibniz_relation_rank(char_of(f), tolists2(g))
         assert g.dim**2 - rank == carrier
+
+
+def test_theorem_checks_each_triple_system_once(monkeypatch):
+    import uce3.tensorops as tops
+
+    # a ternary algebra builds its tensor once, so the tensor object names
+    # the algebra; holding it keeps ids from being reused
+    seen = []
+    witness = tops.lts_derivation_witness
+
+    def counted(t):
+        seen.append(t)
+        return witness(t)
+
+    monkeypatch.setattr(tops, "lts_derivation_witness", counted)
+    assert verify_main_theorem(catalog("sl3", field_of("GF(3)"))).ok
+    assert seen
+    assert len({id(t) for t in seen}) == len(seen)

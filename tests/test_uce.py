@@ -17,6 +17,7 @@ from uce3 import (
     NotOverSameBase,
     NotPerfect,
     Subspace,
+    TernaryAlgebra,
     UceResult,
     WellDefinednessFailed,
     WrongCategory,
@@ -190,6 +191,24 @@ def test_extension_verify_catches_noncentral_kernel():
         ext.verify()
 
 
+def test_extension_verify_catches_carrier_outside_its_category():
+    # projection onto a 1-dim base with zero bracket; only the carrier's
+    # own axioms are at fault
+    proj = Matrix(QQ, [[1, 0]])
+    sect = Matrix(QQ, [[1], [0]])
+    not_leibniz = BinaryAlgebra(QQ, 2, [[[0, 1], [0, 0]], [[1, 0], [0, 0]]])
+    ext = CentralExtension(
+        "leibniz", catalog("abelian(1)", QQ), not_leibniz, proj, sect
+    )
+    with pytest.raises(NotCentral, match="category's axioms"):
+        ext.verify()
+    # {e_0, e_0, e_0} = e_1 breaks vanishing in the last two slots
+    not_lts = TernaryAlgebra.from_sparse(QQ, 2, [(0, 0, 0, [(1, 1)])])
+    ext = CentralExtension("lts", TernaryAlgebra.zero(QQ, 1), not_lts, proj, sect)
+    with pytest.raises(NotCentral, match="category's axioms"):
+        ext.verify()
+
+
 def test_extension_verify_catches_unsplit_section():
     g = catalog("sl2", QQ)
     ident = Matrix.identity(QQ, 3)
@@ -293,3 +312,23 @@ def test_universal_map_rejects_source_killing_too_much():
     )
     with pytest.raises(WellDefinednessFailed, match="pivot column"):
         universal_map(fake, u.as_extension())
+
+
+@pytest.mark.parametrize("build", [
+    leibniz_uce,
+    lambda g: lts_tensor_cube(derived_lts(g)),
+])
+def test_construction_checks_the_quotient_bracket(monkeypatch, build):
+    import uce3.uce as uce_mod
+
+    slotwise = uce_mod._slotwise
+
+    def corrupted(t, m, arity, p):
+        out = slotwise(t, m, arity, p).copy()
+        out.flat[0] += 1
+        return out
+
+    monkeypatch.setattr(uce_mod, "_slotwise", corrupted)
+    with pytest.raises(InternalAssertionFailed) as exc:
+        build(catalog("sl2", QQ))
+    assert exc.value.fact == "quotient-not-a-central-extension"
