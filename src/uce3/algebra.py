@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import (
     AxiomPrecondition,
     DimensionMismatch,
@@ -47,6 +49,7 @@ __all__ = [
     "verify_action",
     "equivariant_leibniz",
     "wedge_index_pairs",
+    "wedge_map",
 ]
 
 
@@ -97,25 +100,6 @@ class BinaryAlgebra:
             self._tensor_cache = tops.exact_tensor(self.field, self.c)
         return self._tensor_cache
 
-    def bracket_basis(self, i, j):
-        return self.c[i][j]
-
-    def bracket(self, x, y):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            ci = self.c[i]
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                s = f.mul(xi, yj)
-                for k, cij in enumerate(ci[j]):
-                    if not f.is_zero(cij):
-                        out[k] = f.add(out[k], f.mul(s, cij))
-        return out
-
     def __repr__(self):
         label = self.name or "binary"
         return f"<BinaryAlgebra {label} dim {self.dim} over {self.field.spec_str()}>"
@@ -157,30 +141,6 @@ class TernaryAlgebra:
         if self._tensor_cache is None:
             self._tensor_cache = tops.exact_tensor(self.field, self.t)
         return self._tensor_cache
-
-    def bracket_basis(self, i, j, k):
-        return self.t[i][j][k]
-
-    def bracket(self, x, y, z):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            ti = self.t[i]
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                sij = f.mul(xi, yj)
-                tij = ti[j]
-                for k, zk in enumerate(z):
-                    if f.is_zero(zk):
-                        continue
-                    s = f.mul(sij, zk)
-                    for l, tl in enumerate(tij[k]):
-                        if not f.is_zero(tl):
-                            out[l] = f.add(out[l], f.mul(s, tl))
-        return out
 
     def __repr__(self):
         label = self.name or "ternary"
@@ -269,28 +229,9 @@ def check_ternary(a):
     return a._flags
 
 
-def _left_compose(g):
-    """d[i][a][b] = coordinate vector of [e_i, [e_a, e_b]]."""
-    f = g.field
-    n = g.dim
-    c = g.c
-    d = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            inner = [(m, cm) for m, cm in enumerate(c[a][b]) if not f.is_zero(cm)]
-            for i in range(n):
-                vec = [f.zero] * n
-                ci = c[i]
-                for m, cm in inner:
-                    for k, v in enumerate(ci[m]):
-                        if not f.is_zero(v):
-                            vec[k] = f.add(vec[k], f.mul(cm, v))
-                d[i][a][b] = vec
-    return d
-
-
 def derived_lts(g):
-    """The ternary algebra {x,y,z} = [x,[y,z]].
+    """The ternary algebra {x,y,z} = [x,[y,z]], one exact contraction of the
+    structure tensor with itself.
 
     Needs the Jacobi identity (that is exactly what makes the cyclic axiom
     hold) and a Lie or Leibniz bracket for the remaining two axioms.
@@ -305,7 +246,9 @@ def derived_lts(g):
             "derived ternary bracket needs a Lie or Leibniz input; "
             f"Leibniz identity fails at {flags.witnesses.get('leibniz')}"
         )
-    out = TernaryAlgebra(g.field, g.dim, _left_compose(g), name=f"derived({g.name})")
+    t = g.tensor()
+    table = tops.unscale(g.field, tops.left_nested(t), t.scale**2)
+    out = TernaryAlgebra(g.field, g.dim, table, name=f"derived({g.name})")
     bad = check_ternary(out)
     if not bad.is_lts:
         raise InternalAssertionFailed(
@@ -315,87 +258,80 @@ def derived_lts(g):
 
 
 def wedge_index_pairs(n):
-    """Lex-ordered (i, j) with i < j, and the index map for both orders."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {p: r for r, p in enumerate(pairs)}
-    return pairs, index
+    """Index arrays (i, j) of the wedge basis e_i ^ e_j, i < j, in lex order."""
+    return np.triu_indices(n, 1)
 
 
-def _slot_derivation(a):
-    """D[x][u][v] = [e_x, [e_u, e_v]] or {e_x, e_u, e_v}, by input arity."""
-    if isinstance(a, TernaryAlgebra):
-        return a.t
-    return _left_compose(a)
+def wedge_map(n):
+    """The n*n x n(n-1)/2 integer matrix of e_k (x) e_l -> e_k ^ e_l in the
+    wedge basis: row k*n + l is +1 in the column of (k, l) when k < l, -1 in
+    the column of (l, k) when k > l, and zero when k == l."""
+    i, j = wedge_index_pairs(n)
+    cols = np.arange(len(i))
+    w = np.zeros((n * n, len(i)), dtype=np.int64)
+    w[i * n + j, cols] = 1
+    w[j * n + i, cols] = -1
+    return w
 
 
 def tensor_leibniz(a, variant="tensor"):
-    """Leibniz bracket on the tensor or wedge square of the carrier of a.
+    """Leibniz bracket on the tensor or wedge square of the carrier of a:
 
-    For binary input:  [x (x) y, u (x) v] = [x,[u,v]] (x) y + x (x) [y,[u,v]].
-    For ternary input: [x (x) y, u (x) v] = {x,u,v} (x) y + x (x) {y,u,v}.
-    The wedge variant is the same formula on e_i ^ e_j representatives.
+        [x (x) y, u (x) v] = D(x,u,v) (x) y + x (x) D(y,u,v),
+
+    with D(x,u,v) = [x,[u,v]] for binary input and {x,u,v} for ternary
+    input. The wedge variant takes the e_i ^ e_j (i < j) representatives
+    and maps the result into the wedge square by wedge_map.
     """
     if variant not in ("tensor", "wedge"):
         raise ValueError(f"variant must be tensor or wedge, not {variant!r}")
     f = a.field
     n = a.dim
+    t = a.tensor()
     if isinstance(a, TernaryAlgebra):
         flags = check_ternary(a)
         if not flags.is_lts:
             raise NotLts(f"input fails LTS axioms: {flags.witnesses}")
+        d, scale = t.arr, t.scale
     else:
         flags = check_binary(a)
         if not flags.is_leibniz:
             raise NotLeibniz(
                 f"input fails the Leibniz identity at {flags.witnesses.get('leibniz')}"
             )
-    d = _slot_derivation(a)
-    z = f.zero
+        d, scale = tops.left_nested(t), t.scale**2
+    big = n * n if variant == "tensor" else n * (n - 1) // 2
+    # the raw table is a temporary: nothing keeps it alive into the copy
+    # the constructor makes of the nested lists
+    table = tops.unscale(f, _square_table(d, variant, t.p), scale)
+    return BinaryAlgebra(f, big, table, name=f"{variant}2({a.name})")
+
+
+def _square_table(d, variant, p):
+    """Raw table of [x_r (x) y_r, x_s (x) y_s] = D(x_r, x_s, y_s) (x) y_r +
+    x_r (x) D(y_r, x_s, y_s) over the basis representatives of the tensor
+    square (all pairs) or the wedge square (i < j), the result mapped into
+    that square. d is the raw tensor D[w, u, v, k]; the result is reduced
+    mod p when p is given."""
+    n = d.shape[0]
     if variant == "tensor":
-        big = n * n
-        table = [[None] * big for _ in range(big)]
-        for i in range(n):
-            for j in range(n):
-                r = i * n + j
-                for u in range(n):
-                    for v in range(n):
-                        s = u * n + v
-                        vec = [z] * big
-                        for k, coeff in enumerate(d[i][u][v]):
-                            if not f.is_zero(coeff):
-                                vec[k * n + j] = f.add(vec[k * n + j], coeff)
-                        for k, coeff in enumerate(d[j][u][v]):
-                            if not f.is_zero(coeff):
-                                vec[i * n + k] = f.add(vec[i * n + k], coeff)
-                        table[r][s] = vec
-        return BinaryAlgebra(f, big, table, name=f"tensor2({a.name})")
-    pairs, index = wedge_index_pairs(n)
-    big = len(pairs)
-    table = [[None] * big for _ in range(big)]
-    for r, (i, j) in enumerate(pairs):
-        for s, (u, v) in enumerate(pairs):
-            vec = [z] * big
-            for k, coeff in enumerate(d[i][u][v]):
-                # term coeff * (e_k ^ e_j), folded into the i<j basis
-                if f.is_zero(coeff) or k == j:
-                    continue
-                if k < j:
-                    t = index[(k, j)]
-                    vec[t] = f.add(vec[t], coeff)
-                else:
-                    t = index[(j, k)]
-                    vec[t] = f.sub(vec[t], coeff)
-            for k, coeff in enumerate(d[j][u][v]):
-                if f.is_zero(coeff) or k == i:
-                    continue
-                if i < k:
-                    t = index[(i, k)]
-                    vec[t] = f.add(vec[t], coeff)
-                else:
-                    t = index[(k, i)]
-                    vec[t] = f.sub(vec[t], coeff)
-            table[r][s] = vec
-    return BinaryAlgebra(f, big, table, name=f"wedge2({a.name})")
+        x, y = np.divmod(np.arange(n * n), n)
+    else:
+        x, y = wedge_index_pairs(n)
+    m = len(x)
+    dr = d[:, x, y, :]  # dr[w, s] = D(e_w, x_s, y_s)
+    # sq[r, s, k, l]: coefficient of e_k (x) e_l in [x_r (x) y_r, x_s (x) y_s]
+    sq = np.zeros((m, m, n, n), dtype=d.dtype)
+    r = np.arange(m)
+    sq[r, :, :, y] += dr[x]
+    sq[r, :, x, :] += dr[y]
+    sq = sq.reshape(m, m, n * n)
+    if variant == "wedge":
+        return tops.exact_tensordot(sq, wedge_map(n), ([2], [0]), p)
+    if p is not None:
+        # reduced in place, so unscale hands the table on without a copy
+        np.remainder(sq, p, out=sq)
+    return sq
 
 
 class ModuleAction:
@@ -419,9 +355,6 @@ class ModuleAction:
         if self._tensor_cache is None:
             self._tensor_cache = tops.exact_tensor(self.field, self.a)
         return self._tensor_cache
-
-    def act_basis(self, u, x):
-        return self.a[u][x]
 
     def act(self, mvec, gvec):
         f = self.field
@@ -450,10 +383,9 @@ def canonical_wedge_action(lts):
     """The wedge square of an LTS acting on it by x * (y ^ z) = {x,y,z};
     tensor_leibniz rejects an input that fails the LTS axioms."""
     acting = tensor_leibniz(lts, "wedge")
-    pairs, _ = wedge_index_pairs(lts.dim)
-    table = [
-        [lts.t[x][i][j] for (i, j) in pairs] for x in range(lts.dim)
-    ]
+    i, j = wedge_index_pairs(lts.dim)
+    t = lts.tensor()
+    table = tops.unscale(lts.field, t.arr[:, i, j], t.scale)
     return ModuleAction(lts.dim, acting, table)
 
 
@@ -501,19 +433,9 @@ def equivariant_leibniz(act, fmap):
         )
     f = act.field
     m = act.carrier_dim
-    table = [[None] * m for _ in range(m)]
-    for u in range(m):
-        au = act.a[u]
-        for v in range(m):
-            vec = [f.zero] * m
-            for k in range(g.dim):
-                coeff = fmap.rows[k][v]
-                if f.is_zero(coeff):
-                    continue
-                for w, c in enumerate(au[k]):
-                    if not f.is_zero(c):
-                        vec[w] = f.add(vec[w], f.mul(coeff, c))
-            table[u][v] = vec
+    # [e_u, e_v] = e_u * f(e_v): table[u, v, w] = sum_k at[u, k, w] ft[k, v]
+    raw = tops.exact_tensordot(at.arr, ft.arr, ([1], [0]), at.p)
+    table = tops.unscale(f, raw.transpose(0, 2, 1), at.scale * ft.scale)
     out = BinaryAlgebra(f, m, table, name=f"leibniz[{g.name or 'g'}-action]")
     flags = check_binary(out)
     if not flags.is_leibniz:

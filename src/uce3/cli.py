@@ -124,6 +124,7 @@ def cmd_check(args):
 def _build_uce(args):
     alg = _load_input(args)
     category = args.category
+    dimension_guard(alg.dim, category, args.force)
     if category == "lts":
         if isinstance(alg, BinaryAlgebra):
             alg = derived_lts(alg)
@@ -132,7 +133,6 @@ def _build_uce(args):
         raise WrongCategory(
             f"category {category} needs a binary algebra; the input is ternary"
         )
-    dimension_guard(alg.dim, category, args.force)
     return leibniz_uce(alg) if category == "leibniz" else lie_uce(alg)
 
 

@@ -21,6 +21,7 @@ back-eliminate once when the canonical form is first needed.
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -49,7 +50,7 @@ __all__ = [
     "quotient",
     "solve_columns",
     "right_inverse",
-    "set_gf2_packed_default",
+    "generic_gf2",
 ]
 
 
@@ -405,18 +406,24 @@ class _EchelonGF2:
         return out
 
 
-# Packed bitset rows are the default over GF(2); flipping this routes every
-# packed=None construction through the generic modular backend instead, so a
-# whole pipeline can be replayed on the second implementation and compared.
+# Packed bitset rows are the default over GF(2); generic_gf2 switches it off
+# for the length of a block.
 _GF2_PACKED_DEFAULT = True
 
 
-def set_gf2_packed_default(flag):
-    """Set the default GF(2) row representation; returns the previous value."""
+@contextmanager
+def generic_gf2():
+    """Within the block, every packed=None construction over GF(2) runs on
+    the generic modular backend, so a whole pipeline can be replayed on the
+    second implementation and compared. The previous default is restored
+    on exit, also when the block raises."""
     global _GF2_PACKED_DEFAULT
     prev = _GF2_PACKED_DEFAULT
-    _GF2_PACKED_DEFAULT = bool(flag)
-    return prev
+    _GF2_PACKED_DEFAULT = False
+    try:
+        yield
+    finally:
+        _GF2_PACKED_DEFAULT = prev
 
 
 def _make_echelon(field, ambient, packed):
@@ -665,12 +672,6 @@ class QuotientSpace:
         )
         w = _witness(res, k.p)
         return None if w is None else w[0]
-
-    def project_pairs(self, pairs):
-        v = [self.field.zero] * self.ambient
-        for i, c in pairs:
-            v[i] = self.field.add(v[i], c)
-        return self.project(v)
 
     def section(self, x):
         if len(x) != self.dim:

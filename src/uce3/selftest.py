@@ -21,7 +21,7 @@ from .algebra import (
 from .catalog import catalog
 from .errors import Uce3Error
 from .fields import QQ, field_of
-from .linalg import Matrix, Subspace, kernel, set_gf2_packed_default
+from .linalg import Matrix, Subspace, generic_gf2, kernel
 from .serialize import algebra_from_dict, algebra_to_dict, dumps_algebra
 from .uce import CentralExtension, leibniz_uce, lie_uce, lts_tensor_cube, universal_map
 from .theorem import verify_main_theorem
@@ -197,11 +197,8 @@ def _check_basis_permutation(rng):
 def _check_packed_vs_generic(rng):
     g = catalog("sl3", field_of("GF(2)"))
     ref = verify_main_theorem(g).to_dict()
-    prev = set_gf2_packed_default(False)
-    try:
+    with generic_gf2():
         alt = verify_main_theorem(g).to_dict()
-    finally:
-        set_gf2_packed_default(prev)
     ref["base"] = alt["base"] = ""
     _require(ref == alt, "packed and generic GF(2) reports")
 

@@ -166,12 +166,10 @@ def induced_leibniz_structure(ext, g):
     gt = g.tensor()
     b1 = tops.exact_tensordot(pt.arr, gt.arr, ([0], [0]), gt.p)
     b2 = tops.exact_tensordot(pt.arr, b1, ([0], [1]), gt.p)
-    pairs, _ = wedge_index_pairs(m)
-    rows_i = [i for (i, j) in pairs]
-    rows_j = [j for (i, j) in pairs]
+    rows_i, rows_j = wedge_index_pairs(m)
     den = pt.scale**2 * gt.scale
     # b2[j, i] is [pi e_i, pi e_j]: one column of zmap per wedge pair
-    zmap = Matrix(f, tops.unscale(f, b2[rows_j, rows_i].T, den), len(pairs))
+    zmap = Matrix(f, tops.unscale(f, b2[rows_j, rows_i].T, den), len(rows_i))
     z = kernel(zmap)
 
     t = ext.algebra.tensor()

@@ -3,10 +3,14 @@ quotients of tensor powers.
 
 All three constructions follow one recipe. Pick the ambient space (g (x) g,
 the wedge square, or the triple tensor power), stream in the relation
-generators, and quotient:
+generators, and quotient. Generators are streams of (coordinate, value)
+terms read off the structure tensor; repeated coordinates are summed by the
+fold:
 
   * Leibniz:  relations [x,y] (x) z - [x,z] (x) y - x (x) [y,z];
-  * Lie:      relations [x,y] ^ z + [y,z] ^ x + [z,x] ^ y on the wedge;
+  * Lie:      relations [x,y] ^ z + [y,z] ^ x + [z,x] ^ y on the wedge,
+              folded as the wedge image of the Leibniz relations (on a Lie
+              algebra the two generators agree);
   * LTS:      the three relation families on L (x) L (x) L: the polarized
               squares, the cyclic sums, and the five-variable family
               {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
@@ -45,6 +49,7 @@ from .algebra import (
     check_binary,
     check_ternary,
     wedge_index_pairs,
+    wedge_map,
 )
 from .errors import (
     DimensionGuard,
@@ -111,8 +116,14 @@ def dimension_guard(dim, category, force):
         )
 
 
-def _nonzero(field, vec):
-    return [(i, x) for i, x in enumerate(vec) if not field.is_zero(x)]
+def _sparse_rows(t):
+    """The nonzero (coordinate, raw value) pairs of each row of an
+    ExactTensor along its last axis, indexed by the flattened leading axes.
+    Raw values carry t.scale; every relation generator is linear in the
+    structure constants, so a common positive scale leaves the relation
+    span unchanged."""
+    flat = t.arr.reshape(-1, t.arr.shape[-1]).tolist()
+    return [[(k, v) for k, v in enumerate(row) if v] for row in flat]
 
 
 def _same_base(a, b):
@@ -324,12 +335,6 @@ def _fold_relations(field, ambient, streams, stop_dim, rng=None):
     return acc.to_subspace()
 
 
-def _wedge_rows(n):
-    """Index arrays (i, j) of the wedge basis e_i ^ e_j, i < j, in order."""
-    pairs, _ = wedge_index_pairs(n)
-    return np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
-
-
 def _slotwise(t, m, arity, p):
     """out[r_1..r_a, w] = sum over i of m[r_1, i_1]..m[r_a, i_a] t[i_1..i_a, w]."""
     for _ in range(arity):
@@ -366,12 +371,10 @@ def _finish_extension(category, base, relations, ev):
     k = q.projection
     arity = 3 if category == "lts" else 2
     if category == "lie":
-        # lift K to an antisymmetric n x n x dim tensor, so that
-        # class(u ^ v) = sum u_a v_b K[a, b] like the Leibniz case
-        i, j = _wedge_rows(n)
-        kt = np.zeros((n, n, q.dim), dtype=k.arr.dtype)
-        kt[i, j] = k.arr
-        kt[j, i] = -k.arr
+        # lift K through the wedge map to an antisymmetric n x n x dim
+        # tensor, so that class(u ^ v) = sum u_a v_b K[a, b] like Leibniz
+        kt = tops.exact_tensordot(wedge_map(n), k.arr, ([1], [0]), k.p)
+        kt = kt.reshape(n, n, q.dim)
     else:
         kt = k.arr.reshape((n,) * arity + (q.dim,))
     # no local keeps the raw or nested table alive past the constructor:
@@ -409,6 +412,23 @@ def _finish_extension(category, base, relations, ev):
     )
 
 
+def _leibniz_relations(g):
+    """The generators [x,y] (x) z - [x,z] (x) y - x (x) [y,z] of the
+    Leibniz relations, one per basis triple, as (tensor-square coordinate,
+    raw value) terms; the fold sums repeated coordinates."""
+    n = g.dim
+    rows = _sparse_rows(g.tensor())
+    for x in range(n):
+        for y in range(n):
+            cxy = rows[x * n + y]
+            for z in range(n):
+                yield (
+                    [(k * n + z, c) for k, c in cxy]
+                    + [(k * n + y, -c) for k, c in rows[x * n + z]]
+                    + [(x * n + k, -c) for k, c in rows[y * n + z]]
+                )
+
+
 def leibniz_uce(g, rng=None):
     """The Leibniz universal central extension: g (x) g modulo the lifted
     Leibniz identity, with bracket [A,B] = class of ev(A) (x) ev(B)."""
@@ -419,28 +439,11 @@ def leibniz_uce(g, rng=None):
         )
     if not flags.is_perfect:
         raise NotPerfect(f"{g.name or 'input'} is not perfect")
-    f = g.field
     n = g.dim
     ambient = n * n
-
-    def gens():
-        for x in range(n):
-            for y in range(n):
-                cxy = _nonzero(f, g.c[x][y])
-                for z in range(n):
-                    acc = {}
-                    for k, c in cxy:
-                        key = k * n + z
-                        acc[key] = f.add(acc.get(key, f.zero), c)
-                    for k, c in _nonzero(f, g.c[x][z]):
-                        key = k * n + y
-                        acc[key] = f.sub(acc.get(key, f.zero), c)
-                    for k, c in _nonzero(f, g.c[y][z]):
-                        key = x * n + k
-                        acc[key] = f.sub(acc.get(key, f.zero), c)
-                    yield [(k, v) for k, v in acc.items() if not f.is_zero(v)]
-
-    relations = _fold_relations(f, ambient, [gens()], ambient - n, rng)
+    relations = _fold_relations(
+        g.field, ambient, [_leibniz_relations(g)], ambient - n, rng
+    )
     t = g.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
     return _finish_extension("leibniz", g, relations, ev)
@@ -448,45 +451,28 @@ def leibniz_uce(g, rng=None):
 
 def lie_uce(g, rng=None):
     """The Lie universal central extension: the wedge square modulo the
-    lifted Jacobi identity."""
+    lifted Jacobi identity, generated by the wedge image of the Leibniz
+    relations."""
     flags = check_binary(g)
     if not flags.is_lie:
         raise NotLie(f"input is not a Lie algebra: {flags.witnesses}")
     if not flags.is_perfect:
         raise NotPerfect(f"{g.name or 'input'} is not perfect")
-    f = g.field
     n = g.dim
-    pairs, index = wedge_index_pairs(n)
-    ambient = len(pairs)
-
-    def wedge_into(acc, vec, other, sign):
-        # fold sign * (vec ^ e_other) into the accumulator dict
-        for k, c in _nonzero(f, vec):
-            if k == other:
-                continue
-            if k < other:
-                key, val = index[(k, other)], c
-            else:
-                key, val = index[(other, k)], f.neg(c)
-            if sign < 0:
-                val = f.neg(val)
-            acc[key] = f.add(acc.get(key, f.zero), val)
+    w = wedge_map(n)
+    # each row of the wedge map has at most one nonzero, a sign
+    col, sign = np.abs(w).argmax(1).tolist(), w.sum(1).tolist()
 
     def gens():
-        # the generator is trilinear and alternating, but enumerating all
-        # triples is cheap at these sizes and needs no polarization argument
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    acc = {}
-                    wedge_into(acc, g.c[x][y], z, +1)
-                    wedge_into(acc, g.c[y][z], x, +1)
-                    wedge_into(acc, g.c[z][x], y, +1)
-                    yield [(k, v) for k, v in acc.items() if not f.is_zero(v)]
+        # on a Lie algebra [x,y]^z - [x,z]^y - x^[y,z] is the Jacobi
+        # generator [x,y]^z + [y,z]^x + [z,x]^y
+        for terms in _leibniz_relations(g):
+            yield [(col[kl], sign[kl] * c) for kl, c in terms if sign[kl]]
 
-    relations = _fold_relations(f, ambient, [gens()], ambient - n, rng)
+    ambient = w.shape[1]
+    relations = _fold_relations(g.field, ambient, [gens()], ambient - n, rng)
     t = g.tensor()
-    i, j = _wedge_rows(n)
+    i, j = wedge_index_pairs(n)
     ev = tops.ExactTensor(t.arr[i, j], t.scale, t.p)
     return _finish_extension("lie", g, relations, ev)
 
@@ -502,11 +488,9 @@ def lts_tensor_cube(lts, force=False, rng=None):
         raise NotLts(f"input fails LTS axioms: {flags.witnesses}")
     if not flags.is_perfect:
         raise NotPerfect(f"{lts.name or 'input'} is not perfect")
-    f = lts.field
     ambient = n**3
-    t = lts.t
-    one = f.one
-    neg_one = f.neg(one)
+    t = lts.tensor()
+    rows = _sparse_rows(t)
 
     def idx(i, j, k):
         return (i * n + j) * n + k
@@ -515,9 +499,9 @@ def lts_tensor_cube(lts, force=False, rng=None):
         # e_i (x) e_j (x) e_j plus its polarization, sound in char 2
         for i in range(n):
             for j in range(n):
-                yield [(idx(i, j, j), one)]
+                yield [(idx(i, j, j), 1)]
                 for k in range(j + 1, n):
-                    yield [(idx(i, j, k), one), (idx(i, k, j), one)]
+                    yield [(idx(i, j, k), 1), (idx(i, k, j), 1)]
 
     def cycles():
         # the cyclic sum is rotation-invariant, so lex-minimal rotations
@@ -526,51 +510,31 @@ def lts_tensor_cube(lts, force=False, rng=None):
             for j in range(n):
                 for k in range(n):
                     if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
-                        acc = {}
-                        for key in (idx(i, j, k), idx(j, k, i), idx(k, i, j)):
-                            acc[key] = f.add(acc.get(key, f.zero), one)
                         yield [
-                            (k2, v) for k2, v in acc.items() if not f.is_zero(v)
+                            (idx(i, j, k), 1), (idx(j, k, i), 1), (idx(k, i, j), 1)
                         ]
 
     def fundamentals():
-        rng = range(n)
-        for a in rng:
-            ta = t
-            for b in rng:
-                # cache the n x n slice {*, a, b} for this (a, b)
-                slab = [
-                    _nonzero(f, ta[x][a][b]) for x in rng
-                ]
-                for x in rng:
-                    sx = slab[x]
-                    for y in rng:
-                        sy = slab[y]
-                        for z in rng:
-                            acc = {}
-                            for k, c in sx:
-                                key = idx(k, y, z)
-                                acc[key] = f.add(acc.get(key, f.zero), c)
-                            for k, c in sy:
-                                key = idx(x, k, z)
-                                acc[key] = f.add(acc.get(key, f.zero), c)
-                            for k, c in slab[z]:
-                                key = idx(x, y, k)
-                                acc[key] = f.add(acc.get(key, f.zero), c)
-                            for k, c in _nonzero(f, t[x][y][z]):
-                                key = idx(k, a, b)
-                                acc[key] = f.sub(acc.get(key, f.zero), c)
-                            yield [
-                                (k2, v)
-                                for k2, v in acc.items()
-                                if not f.is_zero(v)
-                            ]
+        # {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
+        # - {x,y,z} (x) a (x) b
+        for a in range(n):
+            for b in range(n):
+                slab = [rows[idx(x, a, b)] for x in range(n)]
+                for x in range(n):
+                    for y in range(n):
+                        for z in range(n):
+                            yield (
+                                [(idx(k, y, z), c) for k, c in slab[x]]
+                                + [(idx(x, k, z), c) for k, c in slab[y]]
+                                + [(idx(x, y, k), c) for k, c in slab[z]]
+                                + [(idx(k, a, b), -c)
+                                   for k, c in rows[idx(x, y, z)]]
+                            )
 
     relations = _fold_relations(
-        f, ambient, [squares(), cycles(), fundamentals()], ambient - n, rng
+        lts.field, ambient, [squares(), cycles(), fundamentals()], ambient - n, rng
     )
-    tt = lts.tensor()
-    ev = tops.ExactTensor(tt.arr.reshape(ambient, n), tt.scale, tt.p)
+    ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
     return _finish_extension("lts", lts, relations, ev)
 
 
@@ -594,7 +558,7 @@ def universal_map(u, e):
     grid = _slotwise(et.arr, st.arr.T, arity, et.p)
     scale = st.scale**arity * et.scale
     if u.category == "lie":
-        i, j = _wedge_rows(u.base.dim)
+        i, j = wedge_index_pairs(u.base.dim)
         rows = grid[i, j]
     else:
         rows = grid.reshape(-1, e.carrier_dim)

@@ -31,11 +31,11 @@ from uce3 import (
     check_ternary,
     derived_lts,
     field_of,
+    generic_gf2,
     induced_leibniz_structure,
     leibniz_uce,
     lie_uce,
     lts_tensor_cube,
-    set_gf2_packed_default,
     tensor_leibniz,
     verify_action,
     verify_jacobiator_doubling,
@@ -343,11 +343,8 @@ def test_criterion_9_determinism():
     # pipeline, not only on single eliminations
     g2 = catalog("sl3", field_of("GF(2)"))
     packed_doc = verify_main_theorem(g2).to_dict()
-    prev = set_gf2_packed_default(False)
-    try:
+    with generic_gf2():
         generic_doc = verify_main_theorem(g2).to_dict()
-    finally:
-        set_gf2_packed_default(prev)
     assert packed_doc == generic_doc
     elapsed = time.monotonic() - t0
     print(f"\nACCEPTANCE 9 PASS: 20 seeded shuffles, 2 basis permutations, "

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import char_of, tolists2, tolists3
@@ -82,6 +84,91 @@ def test_derived_lts_matches_naive(spec, name):
     flags = check_ternary(dl)
     assert flags.is_lts == ref["lts"] is True
     assert flags.is_perfect == ref["perfect"]
+
+
+def _halved_sl2():
+    """sl2 over Q in the basis e/2, f, h: the constant 1/2 appears, so the
+    structure tensor carries a scale above 1."""
+    g = catalog("sl2", QQ)
+    s = [Fraction(1, 2), 1, 1]
+    n = g.dim
+    table = [
+        [[s[i] * s[j] * g.c[i][j][k] / s[k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    return BinaryAlgebra(QQ, n, table, name="sl2-halved")
+
+
+def _square_reference(p, d, n, variant):
+    """[x (x) y, u (x) v] = D(x,u,v) (x) y + x (x) D(y,u,v) tuple by tuple,
+    for a nested table d[x][u][v] of vectors; the wedge variant works on
+    the i < j representatives and folds e_k ^ e_l into that basis."""
+    if variant == "tensor":
+        basis = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        basis = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {b: r for r, b in enumerate(basis)}
+
+    def put(row, k, l, coeff):
+        if variant == "tensor":
+            row[index[(k, l)]] += coeff
+        elif k < l:
+            row[index[(k, l)]] += coeff
+        elif k > l:
+            row[index[(l, k)]] -= coeff
+
+    table = []
+    for x, y in basis:
+        out = []
+        for u, v in basis:
+            row = [0] * len(basis)
+            for k, coeff in enumerate(d[x][u][v]):
+                put(row, k, y, coeff)
+            for k, coeff in enumerate(d[y][u][v]):
+                put(row, x, k, coeff)
+            out.append([e % p if p else e for e in row])
+        table.append(out)
+    return table
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("sl3", "GF(2)"), ("sl3", "GF(3)"), ("sl2-halved", "Q"),
+])
+def test_contraction_tables_match_per_tuple_formulas(name, spec):
+    from naive_checks import vadd, vscale
+
+    from uce3 import ModuleAction
+
+    f = field_of(spec)
+    g = _halved_sl2() if name == "sl2-halved" else catalog(name, f)
+    if spec == "Q":
+        assert g.tensor().scale > 1
+    p = char_of(f)
+    n = g.dim
+    d = naive_derived_table(p, tolists2(g))
+    dl = derived_lts(g)
+    assert tolists3(dl) == d
+    # D(x,u,v) is [x,[u,v]] for g and {x,u,v} for its derived LTS: the same
+    # vectors, reached through different scales over Q
+    for variant in ("tensor", "wedge"):
+        ref = _square_reference(p, d, n, variant)
+        assert tensor_leibniz(g, variant).c == ref, variant
+        assert tensor_leibniz(dl, variant).c == ref, variant
+    # adjoint action with f = c * identity: [e_u, e_v] = sum_k f[k][v] e_u * e_k
+    c = {"GF(2)": 1, "GF(3)": 2, "Q": Fraction(1, 3)}[spec]
+    act_table = [[list(g.c[u][x]) for x in range(n)] for u in range(n)]
+    fmap = [[c if k == v else 0 for v in range(n)] for k in range(n)]
+    br = equivariant_leibniz(ModuleAction(n, g, act_table), Matrix(f, fmap))
+    ref = []
+    for u in range(n):
+        row = []
+        for v in range(n):
+            vec = [0] * n
+            for k in range(n):
+                vec = vadd(p, vec, vscale(p, fmap[k][v], act_table[u][k]))
+            row.append(vec)
+        ref.append(row)
+    assert br.c == ref
 
 
 def test_derived_lts_rejects_non_jacobi(sl2_dual):

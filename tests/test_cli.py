@@ -240,6 +240,19 @@ def test_dimension_guard_and_force(capsys):
     assert code == 4
 
 
+def test_lts_guard_runs_before_the_derived_table(capsys, monkeypatch):
+    import uce3.cli as climod
+
+    def unreachable(g):
+        raise AssertionError("derived_lts ran before the dimension guard")
+
+    monkeypatch.setattr(climod, "derived_lts", unreachable)
+    code, _, err = run(capsys, "uce", "catalog:sl4", "--category", "lts",
+                       "--field", "GF(2)")
+    assert code == 3
+    assert "--force" in err
+
+
 def test_verdict_failure_maps_to_exit_1(capsys, monkeypatch):
     import uce3.cli as climod
 

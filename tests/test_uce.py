@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import build_sl2_dual
+from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2
+from naive_checks import naive_leibniz_relation_rank, naive_lie_relation_rank
 
 from uce3 import (
     QQ,
@@ -68,6 +69,17 @@ def test_relation_space_dims_sl3_gf2():
     assert leibniz_uce(g).relations.dim == 56
     assert lie_uce(g).relations.dim == 20
     assert lts_tensor_cube(derived_lts(g)).relations.dim == 504
+
+
+@pytest.mark.parametrize("name,spec", THEOREM_CASES)
+def test_relation_ranks_match_naive(name, spec):
+    # the Lie relations are folded as the wedge image of the Leibniz
+    # generators; the oracle spans the Jacobi generators themselves
+    f = field_of(spec)
+    g = catalog(name, f)
+    p, c = char_of(f), tolists2(g)
+    assert lie_uce(g).relations.dim == naive_lie_relation_rank(p, c)
+    assert leibniz_uce(g).relations.dim == naive_leibniz_relation_rank(p, c)
 
 
 def test_extension_verifies_and_is_perfect():
