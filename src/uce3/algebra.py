@@ -31,7 +31,7 @@ from .errors import (
     NotLts,
 )
 from .fields import ensure_same_field
-from .linalg import Matrix, SpanAccumulator
+from .linalg import SpanAccumulator
 from . import tensorops as tops
 
 __all__ = [

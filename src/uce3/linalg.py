@@ -7,15 +7,21 @@ contract:
   * rationals: primitive integer rows (fraction-free steps, content gcd'd
     out, pivot entries positive); the textbook RREF with pivot entries 1 is
     recovered on export;
-  * GF(p): dense numpy int64 rows reduced mod p, pivots normalized to 1;
-    exact because every intermediate product stays below 2**62;
+  * GF(p): the projection K, filtered by blocks. The span is held as the
+    matrix K that sends a vector to its residual on the free columns (only
+    the pivot rows are stored, as numpy int64 residues); a whole block of
+    sparse generators is filtered with one gather-sum against K, and each
+    new pivot is a rank-1 update of K, so K stays the RREF throughout.
+    Exact because every product of two residues is below p**2 < 2**62 and
+    is reduced mod p before it is summed;
   * GF(2): rows packed into python ints, one bit per column.
 
 Over GF(2) the packed backend is the default; ``packed=False`` forces the
 generic numpy path so the two implementations can be cross-checked.
 
-Accumulators keep only a forward echelon while vectors stream in and
-back-eliminate once when the canonical form is first needed.
+The rational and packed accumulators keep only a forward echelon while
+vectors stream in and back-eliminate once when the canonical form is first
+needed; the GF(p) one only sorts its pivot rows.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, InternalAssertionFailed
-from .fields import Field, PrimeField, Rationals, ensure_same_field
+from .fields import PrimeField, Rationals, ensure_same_field
 from .tensorops import (
     _I64_LIMIT,
     ExactTensor,
@@ -90,6 +97,13 @@ def _int_vector(v):
         else:
             out.append(int(x) * den)
     return out
+
+
+# Every temporary of a GF(p) block filter (the residual block, each gathered
+# slice of K) stays below this many bytes, under glibc's default mmap
+# threshold of 128 KiB: freeing a larger, mmapped block raises that
+# threshold, after which freed heap memory is kept instead of returned.
+_BLOCK_BYTES = 1 << 16
 
 
 def _projection_tensor(n, pivots, cols, block, scale, p):
@@ -233,16 +247,38 @@ class _EchelonQ:
 
 
 class _EchelonGFp:
-    """Forward echelon over GF(p) on dense numpy int64 rows."""
+    """A span over GF(p) held as its quotient projection K, filtered by
+    blocks.
 
-    __slots__ = ("n", "p", "rows", "pivots", "_col", "_final")
+    K sends an ambient vector to its residual modulo the span, read on the
+    free (non-pivot) columns F. The row of a free column is its unit vector
+    and is not stored; the row of pivot column q is -R_q[F], R_q the RREF
+    row with pivot q. So the residual of v is v[F] + sum over pivots q of
+    v[q] K_q, and v lies in the span exactly when that is zero.
+
+    ``_k`` holds the pivot rows in the order ``pivots`` found them
+    (``finalize`` sorts them) over the working columns ``_cols``, ascending
+    in the ambient order, so the leading nonzero of a residual is its
+    leading free column. A column that becomes a pivot stays in place as
+    zeros until half the width is dead, and row capacity grows
+    geometrically, so a new pivot reallocates nothing.
+    """
+
+    __slots__ = ("n", "p", "pivots", "_k", "_cols", "_pos", "_row", "_final")
 
     def __init__(self, n, p):
         self.n = n
         self.p = p
-        self.rows = []
         self.pivots = []
-        self._col = {}
+        # room for the first pivots within one block temporary
+        rows = min(n, max(1, _BLOCK_BYTES // (8 * max(1, n))))
+        self._k = np.zeros((rows, n), dtype=np.int64)
+        self._cols = np.arange(n)
+        # K column of each free ambient column and K row of each pivot
+        # ambient column, -1 elsewhere
+        self._pos = np.arange(n)
+        self._row = np.full(n, -1)
+        # canonical once the spare rows are trimmed
         self._final = False
 
     def _coerce(self, v):
@@ -252,70 +288,184 @@ class _EchelonGFp:
         return w
 
     def add_dense(self, v):
-        return self._add_arr(self._coerce(v))
+        w = self._coerce(v)
+        if not w.any():
+            return False
+        self._reserve(1, self.n)
+        res = self._residual(w)
+        if not res.any():
+            return False
+        self._eliminate(res[None], self.n)
+        return True
 
-    def _add_arr(self, w):
+    def add_terms(self, cols, vals, lens, limit=None):
+        """Fold generators given as flat (column, value) terms, lens[g] of
+        them for generator g, summing repeated columns. Returns the number
+        of new pivots; stops the moment there are limit pivots."""
+        n = self.n
+        if len(cols) and (cols.min() < 0 or cols.max() >= n):
+            raise DimensionMismatch(f"coordinate outside the ambient {n}")
+        vals = np.remainder(vals, self.p)
+        lens = np.asarray(lens)
+        ends = np.cumsum(lens)
+        limit = n if limit is None else min(limit, n)
+        start = len(self.pivots)
+        g = t = 0
+        while g < len(ends) and len(self.pivots) < limit:
+            # each generator is a row of the residual block, each term of
+            # a pivot column one gathered row of K
+            room = max(1, _BLOCK_BYTES // (8 * self._k.shape[1]))
+            e = int(np.searchsorted(ends, t + room, "right"))
+            e = min(max(e, g + 1), g + room)
+            self._reserve(e - g, limit)
+            te = int(ends[e - 1])
+            res = self._residuals(cols[t:te], vals[t:te], lens[g:e], room)
+            self._eliminate(res, limit)
+            g, t = e, te
+        return len(self.pivots) - start
+
+    def _reserve(self, b, limit):
+        """Make room for b more pivot rows, limit in all. Dead columns are
+        dropped before growing, and once they are half the width."""
+        free = self.n - len(self.pivots)
+        need = min(limit, len(self.pivots) + b)
+        width = self._k.shape[1]
+        if need > self._k.shape[0]:
+            self._resize(min(limit, max(need, 2 * self._k.shape[0])))
+        elif free < width and 2 * free <= width:
+            self._resize(self._k.shape[0])
+
+    def _resize(self, capacity):
+        """Reallocate K with room for capacity pivot rows, keeping only the
+        columns that are still free."""
+        live = (self._pos[self._cols] >= 0).nonzero()[0]
+        r = len(self.pivots)
+        k = np.zeros((capacity, len(live)), dtype=np.int64)
+        np.take(self._k[:r], live, axis=1, out=k[:r])
+        self._k = k
+        self._cols = self._cols[live]
+        self._pos[self._cols] = np.arange(len(live))
+        # spare rows: the canonical form trims them
+        self._final = False
+
+    def _residual(self, w):
+        """The residual of the dense vector w over the working columns,
+        w[F] + w[pivots] K; zeroes w on the pivot columns."""
         p = self.p
-        while True:
-            nz = np.nonzero(w)[0]
-            if len(nz) == 0:
-                return False
-            j = int(nz[0])
-            k = self._col.get(j)
-            if k is None:
-                w = (w * pow(int(w[j]), -1, p)) % p
-                pos = bisect_left(self.pivots, j)
-                self.rows.insert(pos, w)
-                self.pivots.insert(pos, j)
-                self._col = {q: i for i, q in enumerate(self.pivots)}
-                self._final = False
-                return True
-            w = (w - int(w[j]) * self.rows[k]) % p
+        at_pivots = w[self.pivots]
+        w[self.pivots] = 0
+        res = w[self._cols]
+        rows = at_pivots.nonzero()[0]
+        room = max(1, _BLOCK_BYTES // (8 * max(1, self._k.shape[1])))
+        for a in range(0, len(rows), room):
+            sel = rows[a : a + room]
+            part = self._k[sel] * at_pivots[sel, None]
+            part %= p
+            res += part.sum(axis=0)
+        return res % p
+
+    def _residuals(self, cols, vals, lens, room):
+        """One residual row per generator over the working columns: the sum
+        of value * K[column] over its terms, gathered room rows of K at a
+        time."""
+        p = self.p
+        gen = np.repeat(np.arange(len(lens)), lens)
+        row = self._row[cols]
+        out = np.zeros((len(lens), self._k.shape[1]), dtype=np.int64)
+        free = row < 0
+        np.add.at(out, (gen[free], self._pos[cols[free]]), vals[free])
+        piv = (~free).nonzero()[0]
+        for a in range(0, len(piv), room):
+            sel = piv[a : a + room]
+            part = self._k[row[sel]]
+            # products of residues stay below p**2 < 2**62; reduce each one
+            # before the sum
+            part *= vals[sel, None]
+            part %= p
+            g = gen[sel]
+            head = np.ones(len(g), dtype=bool)
+            np.not_equal(g[1:], g[:-1], out=head[1:])
+            heads = head.nonzero()[0]
+            out[g[heads]] += np.add.reduceat(part, heads, axis=0)
+        out %= p
+        return out
+
+    def _eliminate(self, res, limit):
+        """Turn the nonzero residual rows into pivots in order, each one a
+        rank-1 update of the rows after it and of K."""
+        p = self.p
+        for i in res.any(axis=1).nonzero()[0]:
+            nz = res[i].nonzero()[0]
+            if not len(nz):
+                continue
+            j = nz[0]
+            r = res[i] * pow(int(res[i, j]), -1, p) % p
+            rank = len(self.pivots)
+            _clear_column(res[i + 1 :], j, r, p)
+            _clear_column(self._k[:rank], j, r, p)
+            kr = self._k[rank]
+            np.subtract(p, r, out=kr)
+            kr %= p
+            kr[j] = 0
+            q = int(self._cols[j])
+            self._pos[q] = -1
+            self._row[q] = rank
+            self.pivots.append(q)
+            self._final = False
+            if rank + 1 >= limit:
+                return
 
     def finalize(self):
         if self._final:
             return
-        p_mod = self.p
-        for i in range(len(self.rows) - 1, 0, -1):
-            p = self.pivots[i]
-            low = self.rows[i]
-            for k in range(i):
-                c = int(self.rows[k][p])
-                if c:
-                    self.rows[k] = (self.rows[k] - c * low) % p_mod
+        order = np.argsort(self.pivots)
+        live = (self._pos[self._cols] >= 0).nonzero()[0]
+        self._k = self._k[np.ix_(order, live)]
+        self.pivots = [self.pivots[i] for i in order]
+        self._row[self.pivots] = np.arange(len(order))
+        self._cols = self._cols[live]
+        self._pos[self._cols] = np.arange(len(live))
         self._final = True
 
     def canonical_rows(self):
         self.finalize()
-        return [[int(x) for x in row] for row in self.rows]
+        rows = np.zeros((len(self.pivots), self.n), dtype=np.int64)
+        rows[:, self._cols] = -self._k % self.p
+        rows[np.arange(len(self.pivots)), self.pivots] = 1
+        return rows.tolist()
 
     def reduce_exact(self, v):
         self.finalize()
-        w = self._coerce(v)
-        for i, p in enumerate(self.pivots):
-            c = int(w[p])
-            if c:
-                w = (w - c * self.rows[i]) % self.p
-        return [int(x) for x in w]
+        out = np.zeros(self.n, dtype=np.int64)
+        out[self._cols] = self._residual(self._coerce(v))
+        return out.tolist()
 
     def projection(self, cols):
         self.finalize()
-        c = list(cols)
-        block = np.array([row[c] for row in self.rows], dtype=np.int64)
-        block = (-block.reshape(len(self.rows), len(c))) % self.p
-        return _projection_tensor(self.n, self.pivots, cols, block, 1, self.p)
+        return _projection_tensor(self.n, self.pivots, cols, self._k, 1, self.p)
 
     def key(self):
         self.finalize()
-        return tuple(tuple(int(x) for x in row) for row in self.rows)
+        return tuple(self.pivots), self._k.tobytes()
 
     def snapshot(self):
         out = _EchelonGFp(self.n, self.p)
-        out.rows = [row.copy() for row in self.rows]
         out.pivots = self.pivots[:]
-        out._col = dict(self._col)
+        out._k = self._k[: len(self.pivots)].copy()
+        out._cols = self._cols.copy()
+        out._pos = self._pos.copy()
+        out._row = self._row.copy()
         out._final = self._final
         return out
+
+
+def _clear_column(block, j, r, p):
+    """Subtract from each row of block its entry in column j times r, whose
+    entry there is 1, reducing mod p in place."""
+    c = block[:, j]
+    hit = c.nonzero()[0]
+    if len(hit):
+        block[hit] = (block[hit] - c[hit, None] * r) % p
 
 
 class _EchelonGF2:
@@ -444,8 +594,10 @@ class SpanAccumulator:
     """Stream vectors into a growing canonical span.
 
     Memory scales with dim * ambient regardless of how many generators are
-    folded. ``dim`` and ``pivots`` are valid mid-stream; the canonical RREF
-    is produced lazily by ``to_subspace``.
+    folded; over GF(p) the span is the projection K, filtered by blocks
+    (``add_pairs``), which holds dim * (ambient - dim) residues. ``dim``
+    and ``pivots`` are valid mid-stream; the canonical RREF is produced
+    lazily by ``to_subspace``.
     """
 
     def __init__(self, field, ambient, packed=None):
@@ -459,28 +611,44 @@ class SpanAccumulator:
 
     @property
     def pivots(self):
-        return tuple(self._ech.pivots)
+        return tuple(sorted(self._ech.pivots))
 
     def add_dense(self, v):
         return self._ech.add_dense(v)
 
-    def add_pairs(self, pairs):
+    def add_pairs(self, gens, limit=None):
+        """Fold a block of generators, each a sequence of (coordinate,
+        value) terms whose repeated coordinates are summed. Stops the moment
+        the span has dimension limit; returns the number of new pivots.
+
+        Over GF(p) the whole block is filtered against the projection K at
+        once; the Q and packed GF(2) backends fold it generator by
+        generator."""
         ech = self._ech
-        if isinstance(ech, _EchelonGF2):
-            m = 0
-            for i, c in pairs:
-                if int(c) & 1:
-                    m ^= 1 << i
-            return ech.add_mask(m)
+        start = len(ech.pivots)
         if isinstance(ech, _EchelonGFp):
-            w = np.zeros(self.ambient, dtype=np.int64)
-            for i, c in pairs:
-                w[i] = (w[i] + int(c)) % ech.p
-            return ech._add_arr(w)
-        v = [0] * self.ambient
-        for i, c in pairs:
-            v[i] = v[i] + c if v[i] else c
-        return ech.add_dense(v)
+            lens = np.fromiter(map(len, gens), dtype=np.intp, count=len(gens))
+            flat = np.fromiter(
+                chain.from_iterable(chain.from_iterable(gens)),
+                dtype=np.int64,
+                count=2 * int(lens.sum()),
+            )
+            return ech.add_terms(flat[0::2], flat[1::2], lens, limit)
+        for pairs in gens:
+            if limit is not None and len(ech.pivots) >= limit:
+                break
+            if isinstance(ech, _EchelonGF2):
+                m = 0
+                for i, c in pairs:
+                    if int(c) & 1:
+                        m ^= 1 << i
+                ech.add_mask(m)
+            else:
+                v = [0] * self.ambient
+                for i, c in pairs:
+                    v[i] = v[i] + c if v[i] else c
+                ech.add_dense(v)
+        return len(ech.pivots) - start
 
     def to_subspace(self):
         # snapshot so a later add/finalize on this accumulator cannot mutate
@@ -632,7 +800,9 @@ class QuotientSpace:
     Projection is one exact matrix K (``projection``, an ExactTensor of
     shape ambient x dim) read off the RREF of the killed subspace: row c_j
     of K is scale * e_j, and for RREF row i with pivot column p_i and pivot
-    entry a_i, row p_i of K is -R[i, C] * scale / a_i. Then
+    entry a_i, row p_i of K is -R[i, C] * scale / a_i. Over GF(p) the
+    killed subspace is already held as the projection K, filtered by
+    blocks, so its pivot rows are returned as they are. Then
     project(v) = v K / scale exactly, and a map F (one row per ambient
     coordinate) kills the killed subspace exactly when
     scale * F == K F[C], which ``kill_witness`` checks as one product.

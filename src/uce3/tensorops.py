@@ -101,19 +101,26 @@ def _maxabs(a):
     return int(np.abs(a).max())
 
 
+def _contraction_dtype(k, a, b):
+    """The exact route for sums of k products of an entry of a and an entry
+    of b: float64 while k*max|a|*max|b| < 2**52, int64 below 2**62, python
+    ints beyond."""
+    plain = a.dtype != object and b.dtype != object
+    bound = k * _maxabs(a) * _maxabs(b)
+    if plain and bound < _F64_LIMIT:
+        return np.float64
+    if plain and bound < _I64_LIMIT:
+        return np.int64
+    return object
+
+
 def exact_tensordot(a, b, axes, p=None):
     """np.tensordot with the result guaranteed exact (reduced mod p if given)."""
     k = prod(a.shape[ax] for ax in axes[0]) if axes[0] else 1
-    ma, mb = _maxabs(a), _maxabs(b)
-    bound = k * ma * mb
-    plain = a.dtype != object and b.dtype != object
-    if plain and bound < _F64_LIMIT:
-        c = np.tensordot(a.astype(np.float64), b.astype(np.float64), axes)
+    dtype = _contraction_dtype(k, a, b)
+    c = np.tensordot(a.astype(dtype, copy=False), b.astype(dtype, copy=False), axes)
+    if dtype is np.float64:
         c = np.rint(c, out=c).astype(np.int64)
-    elif plain and bound < _I64_LIMIT:
-        c = np.tensordot(a, b, axes)
-    else:
-        c = np.tensordot(a.astype(object), b.astype(object), axes)
     if p is not None:
         if c.dtype == object:
             c = (c % p).astype(np.int64)
@@ -231,20 +238,28 @@ def lts_derivation_witness(t):
         {{x,y,z},a,b} = {{x,a,b},y,z} + {x,{y,a,b},z} + {x,y,{z,a,b}}
 
     as (x, y, z, a, b); None when it holds. Runs blocked over (a, b) so
-    memory stays at d^4 instead of d^6."""
+    memory stays at d^4 instead of d^6. Each defect entry is a sum of 4d
+    products of two tensor entries, so the exact route is chosen, and the
+    tensor converted to it, once per call; the four contractions are
+    matmuls on reshaped views and accumulate into one array."""
     a4 = t.arr
-    p = t.p
     d = a4.shape[0]
+    av = a4.astype(_contraction_dtype(4 * d, a4, a4), copy=False)
+    shape = (d, d, d, d)
+    by_first = av.reshape(d, d**3)
+    by_second = av.reshape(d, d, d * d)
+    by_third = av.reshape(d * d, d, d)
+    by_last = av.reshape(d**3, d)
     for a in range(d):
         for b in range(d):
-            m = a4[:, a, b, :]
-            if not m.any():
+            if not a4[:, a, b, :].any():
                 continue
-            lhs = exact_tensordot(a4, m, ([3], [0]), p)
-            r1 = exact_tensordot(m, a4, ([1], [0]), p)
-            r2 = exact_tensordot(m, a4, ([1], [1]), p).transpose(1, 0, 2, 3)
-            r3 = exact_tensordot(m, a4, ([1], [2]), p).transpose(1, 2, 0, 3)
-            w = _witness(lhs - r1 - r2 - r3, p)
+            m = av[:, a, b, :]
+            res = (by_last @ m).reshape(shape)
+            res -= (m @ by_first).reshape(shape)
+            res -= (m @ by_second).reshape(shape)
+            res -= (m @ by_third).reshape(shape)
+            w = _witness(res, t.p)
             if w is not None:
                 return (w[0], w[1], w[2], a, b)
     return None

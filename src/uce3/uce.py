@@ -39,6 +39,7 @@ universal_map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -93,6 +94,9 @@ __all__ = [
 # dim**2
 LTS_DIM_GUARD = 12
 BINARY_DIM_GUARD = 25
+
+# relation generators handed to the echelon per add_pairs call
+FOLD_BLOCK = 256
 
 _CATEGORIES = ("lie", "leibniz", "lts")
 
@@ -311,11 +315,12 @@ def homology(u):
 
 
 def _fold_relations(field, ambient, streams, stop_dim, rng=None):
-    """Echelonize the relation generators.
+    """Echelonize the relation generators, FOLD_BLOCK at a time.
 
     stop_dim is the dimension of the kernel of the evaluation map; the
     relation span is contained in that kernel (asserted afterwards on the
-    echelon basis), so the fold can stop the moment it reaches stop_dim.
+    echelon basis), so the fold stops the moment it reaches stop_dim, also
+    in the middle of a block.
 
     rng, when given, shuffles the generator order before folding; the
     resulting subspace is order-independent by construction, and the
@@ -327,11 +332,12 @@ def _fold_relations(field, ambient, streams, stop_dim, rng=None):
         rng.shuffle(gens)
         streams = [gens]
     for stream in streams:
-        for pairs in stream:
-            if pairs:
-                acc.add_pairs(pairs)
-                if acc.dim >= stop_dim:
-                    return acc.to_subspace()
+        it = iter(stream)
+        while acc.dim < stop_dim:
+            block = list(islice(it, FOLD_BLOCK))
+            if not block:
+                break
+            acc.add_pairs(block, stop_dim)
     return acc.to_subspace()
 
 

@@ -24,7 +24,6 @@ from naive_checks import (
 
 from uce3 import (
     QQ,
-    Matrix,
     canonical_wedge_action,
     catalog,
     check_binary,

@@ -14,7 +14,6 @@ from uce3 import (
     Matrix,
     NotEquivariant,
     NotLeibniz,
-    NotLie,
     TernaryAlgebra,
     canonical_wedge_action,
     catalog,

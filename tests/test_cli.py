@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from conftest import build_sl2_dual
 
 from uce3 import dumps_algebra, catalog, field_of

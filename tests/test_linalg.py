@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from naive_checks import naive_rank
+
 from uce3 import (
     QQ,
     DimensionMismatch,
@@ -225,6 +227,37 @@ def test_quotient_round_trip(spec):
         assert killed.contains(diff)
 
 
+def _sparse_generators(rng, ambient, count, bases, p):
+    """count generators of rank at most bases: each is a random combination
+    of one to four sparse base vectors, written as raw (coordinate, value)
+    terms, so coordinates repeat and values range over [-p**2, p**2)."""
+    base = [
+        [(rng.randrange(ambient), rng.randrange(1, p)) for _ in range(rng.randint(1, 6))]
+        for _ in range(bases)
+    ]
+    gens = []
+    for _ in range(count):
+        terms = []
+        for b in rng.sample(base, rng.randint(1, min(4, bases))):
+            s = rng.randrange(-p + 1, p)
+            terms += [(c, s * v) for c, v in b]
+        gens.append(terms)
+    return gens
+
+
+def _fold_in_blocks(acc, gens, block, limit=None):
+    for i in range(0, len(gens), block):
+        acc.add_pairs(gens[i : i + block], limit)
+    return acc
+
+
+def _dense(ambient, terms):
+    v = [0] * ambient
+    for c, x in terms:
+        v[c] += x
+    return v
+
+
 @pytest.mark.parametrize("size", [9, 40, 128, 512])
 def test_packed_and_generic_gf2_agree_randomized(size):
     f = field_of("GF(2)")
@@ -239,6 +272,14 @@ def test_packed_and_generic_gf2_agree_randomized(size):
         r_pack, p_pack = rref(m)
         assert p_gen == p_pack
         assert r_gen.rows == r_pack.rows
+        # sparse generator blocks through add_pairs: the packed per-generator
+        # fold against the generic block filter
+        gens = _sparse_generators(rng, size, 2 * size, size - size // 4, 2)
+        block = rng.choice([1, 7, 64])
+        packed = _fold_in_blocks(SpanAccumulator(f, size, True), gens, block)
+        generic = _fold_in_blocks(SpanAccumulator(f, size, False), gens, block)
+        assert packed.dim == generic.dim
+        assert packed.to_subspace() == generic.to_subspace()
 
 
 def _dot(f, xs, ys):
@@ -310,3 +351,54 @@ def test_projection_matrix_against_reduce(spec, packed, seed, ambient, nrows):
         assert (wit is None) == (not bad)
         if wit is not None:
             assert wit in bad
+
+
+def test_block_fold_keeps_its_canonical_form_after_a_dependent_block():
+    f = field_of("GF(5)")
+    acc = SpanAccumulator(f, 6)
+    acc.add_pairs([[(0, 1), (3, 2)], [(1, 1)]])
+    first = acc.to_subspace()
+    # in-span generators (one of them sums to zero) make room for pivots
+    # that never come
+    acc.add_pairs([[(0, 2), (3, 4)], [(1, 3), (1, 2)], [(0, 1), (3, 2), (1, 4)]] * 10)
+    again = acc.to_subspace()
+    assert again == first
+    assert again.basis_vectors() == first.basis_vectors()
+    assert quotient(6, again).projection.shape == (6, 4)
+
+
+# up to the modulus limit: products of two residues approach 2**62
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(65521)", "GF(2147483647)"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    ambient=st.integers(1, 16),
+    count=st.integers(0, 40),
+    block=st.integers(1, 9),
+)
+def test_block_fold_exact_to_the_modulus_limit(spec, seed, ambient, count, block):
+    f = field_of(spec)
+    p = f.p
+    rng = random.Random(seed)
+    gens = _sparse_generators(rng, ambient, count, rng.randint(1, ambient), p)
+    dense = [_dense(ambient, g) for g in gens]
+    rank = naive_rank(p, dense)
+    acc = _fold_in_blocks(SpanAccumulator(f, ambient), gens, block)
+    assert acc.dim == rank
+    sub = acc.to_subspace()
+    for v in dense:
+        assert not any(sub.reduce(v))
+    # the canonical rows are the RREF: increasing pivots, each a 1 with
+    # zeros before it and in every other row's pivot column
+    rows, piv = sub.basis_vectors(), sub.pivots
+    assert list(piv) == sorted(set(piv)) and len(rows) == rank
+    for i, (row, q) in enumerate(zip(rows, piv)):
+        assert row[q] == 1 and not any(row[:q])
+        assert all(0 <= x < p for x in row)
+        assert all(rows[k][q] == 0 for k in range(len(rows)) if k != i)
+    # a limit stops the fold mid-block on a subspace of the full span
+    limit = rng.randint(0, rank)
+    part = _fold_in_blocks(SpanAccumulator(f, ambient), gens, block, limit)
+    assert part.dim == limit
+    for v in part.to_subspace().basis_vectors():
+        assert sub.contains(v)

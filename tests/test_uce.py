@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2
-from naive_checks import naive_leibniz_relation_rank, naive_lie_relation_rank
+from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2, tolists3
+from naive_checks import (
+    naive_cube_relation_rank,
+    naive_leibniz_relation_rank,
+    naive_lie_relation_rank,
+)
 
 from uce3 import (
     QQ,
@@ -80,6 +84,15 @@ def test_relation_ranks_match_naive(name, spec):
     p, c = char_of(f), tolists2(g)
     assert lie_uce(g).relations.dim == naive_lie_relation_rank(p, c)
     assert leibniz_uce(g).relations.dim == naive_leibniz_relation_rank(p, c)
+
+
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(5)", "GF(2147483647)"])
+def test_cube_relation_rank_matches_naive_over_gfp(spec):
+    # the GF(p) fold filters whole blocks of generators at once; at the
+    # modulus limit each product of residues is near 2**62
+    d = derived_lts(catalog("sl2", field_of(spec)))
+    rank = naive_cube_relation_rank(d.field.p, tolists3(d))
+    assert lts_tensor_cube(d).relations.dim == rank
 
 
 def test_extension_verifies_and_is_perfect():
