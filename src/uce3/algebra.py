@@ -167,15 +167,9 @@ class TernaryFlags:
 def bracket_span_dim(a):
     """Dimension of the span of all basis brackets of a binary or ternary
     algebra; stops early once the span is the whole algebra."""
-    if isinstance(a, TernaryAlgebra):
-        vectors = (v for plane in a.t for row in plane for v in row)
-    else:
-        vectors = (v for row in a.c for v in row)
+    # the raw tensor is a positive multiple of the brackets: same span
     acc = SpanAccumulator(a.field, a.dim)
-    for vec in vectors:
-        if acc.dim == a.dim:
-            break
-        acc.add_dense(vec)
+    acc.add_vectors(a.tensor().arr.reshape(-1, a.dim), a.dim)
     return acc.dim
 
 

@@ -1,35 +1,28 @@
 """Exact dense linear algebra over the package's ground fields.
 
 Subspaces are canonicalized to reduced row echelon form, which turns subspace
-equality into literal row comparison. Three elimination backends share that
+equality into literal row comparison. Two elimination backends share that
 contract:
 
   * rationals: primitive integer rows (fraction-free steps, content gcd'd
     out, pivot entries positive); the textbook RREF with pivot entries 1 is
-    recovered on export;
-  * GF(p): the projection K, filtered by blocks. The span is held as the
-    matrix K that sends a vector to its residual on the free columns (only
-    the pivot rows are stored, as numpy int64 residues); a whole block of
-    sparse generators is filtered with one gather-sum against K, and each
-    new pivot is a rank-1 update of K, so K stays the RREF throughout.
+    recovered on export. The accumulator keeps only a forward echelon while
+    vectors stream in and back-eliminates once when the canonical form is
+    first needed;
+  * GF(p), GF(2) included: the projection K, filtered by blocks. The span
+    is held as the matrix K that sends a vector to its residual on the free
+    columns (only the pivot rows are stored, as numpy residues: int64, or
+    uint8 bits over GF(2)); a whole block of vectors or sparse generators
+    is filtered with one gather-sum against K, and each new pivot is a
+    rank-1 update of K, so K stays the RREF up to the order of its rows.
     Exact because every product of two residues is below p**2 < 2**62 and
-    is reduced mod p before it is summed;
-  * GF(2): rows packed into python ints, one bit per column.
-
-Over GF(2) the packed backend is the default; ``packed=False`` forces the
-generic numpy path so the two implementations can be cross-checked.
-
-The rational and packed accumulators keep only a forward echelon while
-vectors stream in and back-eliminate once when the canonical form is first
-needed; the GF(p) one only sorts its pivot rows.
+    is reduced mod p before it is summed; over GF(2) the sum is an XOR.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -57,7 +50,6 @@ __all__ = [
     "quotient",
     "solve_columns",
     "right_inverse",
-    "generic_gf2",
 ]
 
 
@@ -169,6 +161,31 @@ class _EchelonQ:
         self._final = False
         return True
 
+    def add_vectors(self, vectors, limit=None):
+        start = len(self.pivots)
+        for v in vectors:
+            if limit is not None and len(self.pivots) >= limit:
+                break
+            self.add_dense(v)
+        return len(self.pivots) - start
+
+    def add_terms(self, cols, vals, lens, limit=None):
+        """Fold the generators one at a time, each summed into a dense
+        integer vector."""
+        cols, vals = cols.tolist(), vals.tolist()
+        ends = np.cumsum(lens).tolist()
+
+        def dense():
+            t = 0
+            for e in ends:
+                v = [0] * self.n
+                for c, x in zip(cols[t:e], vals[t:e]):
+                    v[c] += x
+                t = e
+                yield v
+
+        return self.add_vectors(dense(), limit)
+
     def finalize(self):
         if self._final:
             return
@@ -262,6 +279,10 @@ class _EchelonGFp:
     leading free column. A column that becomes a pivot stays in place as
     zeros until half the width is dead, and row capacity grows
     geometrically, so a new pivot reallocates nothing.
+
+    Over GF(2) the residues are bits: K is uint8, a gather-sum is an XOR
+    and a pivot update needs no inverse. Sums that wrap past 255 keep
+    their parity, since 256 is even.
     """
 
     __slots__ = ("n", "p", "pivots", "_k", "_cols", "_pos", "_row", "_final")
@@ -270,9 +291,10 @@ class _EchelonGFp:
         self.n = n
         self.p = p
         self.pivots = []
+        dtype = np.uint8 if p == 2 else np.int64
         # room for the first pivots within one block temporary
-        rows = min(n, max(1, _BLOCK_BYTES // (8 * max(1, n))))
-        self._k = np.zeros((rows, n), dtype=np.int64)
+        rows = min(n, max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize * max(1, n))))
+        self._k = np.zeros((rows, n), dtype=dtype)
         self._cols = np.arange(n)
         # K column of each free ambient column and K row of each pivot
         # ambient column, -1 elsewhere
@@ -281,32 +303,49 @@ class _EchelonGFp:
         # canonical once the spare rows are trimmed
         self._final = False
 
-    def _coerce(self, v):
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector length {len(v)} != ambient {self.n}")
-        w = np.array([int(x) % self.p for x in v], dtype=np.int64)
-        return w
+    def _room(self):
+        """Rows of K, and int64 term indices, that fit one block temporary."""
+        return max(1, _BLOCK_BYTES // max(8, self._k.itemsize * self._k.shape[1]))
 
-    def add_dense(self, v):
-        w = self._coerce(v)
-        if not w.any():
-            return False
-        self._reserve(1, self.n)
-        res = self._residual(w)
-        if not res.any():
-            return False
-        self._eliminate(res[None], self.n)
-        return True
+    def _dense(self, vectors):
+        """The dense vectors as one 2-d array, each checked for length."""
+        if not isinstance(vectors, np.ndarray):
+            vectors = list(vectors)
+            if any(len(v) != self.n for v in vectors):
+                raise DimensionMismatch(f"a vector's length is not {self.n}")
+            vectors = np.array(vectors).reshape(len(vectors), self.n)
+        elif vectors.ndim != 2 or vectors.shape[1] != self.n:
+            raise DimensionMismatch(f"vectors {vectors.shape}, ambient {self.n}")
+        return vectors
+
+    def add_vectors(self, vectors, limit=None):
+        """Fold dense vectors, each run of them that fits a block temporary
+        as one block of sparse generators."""
+        vectors = self._dense(vectors)
+        limit = self.n if limit is None else limit
+        step = max(1, _BLOCK_BYTES // (8 * max(1, self.n)))
+        start = len(self.pivots)
+        for a in range(0, len(vectors), step):
+            if len(self.pivots) >= limit:
+                break
+            w = vectors[a : a + step]
+            g, c = w.nonzero()
+            self.add_terms(c, w[g, c], np.bincount(g, minlength=len(w)), limit)
+        return len(self.pivots) - start
 
     def add_terms(self, cols, vals, lens, limit=None):
         """Fold generators given as flat (column, value) terms, lens[g] of
         them for generator g, summing repeated columns. Returns the number
         of new pivots; stops the moment there are limit pivots."""
         n = self.n
-        if len(cols) and (cols.min() < 0 or cols.max() >= n):
-            raise DimensionMismatch(f"coordinate outside the ambient {n}")
-        vals = np.remainder(vals, self.p)
-        lens = np.asarray(lens)
+        vals = np.remainder(vals, self.p).astype(self._k.dtype)
+        # terms that vanish mod p add nothing; over GF(2) every term left
+        # has value 1
+        keep = vals.nonzero()[0]
+        if len(keep) < len(vals):
+            gen = np.repeat(np.arange(len(lens)), lens)
+            lens = np.bincount(gen[keep], minlength=len(lens))
+            cols, vals = cols[keep], vals[keep]
         ends = np.cumsum(lens)
         limit = n if limit is None else min(limit, n)
         start = len(self.pivots)
@@ -314,12 +353,12 @@ class _EchelonGFp:
         while g < len(ends) and len(self.pivots) < limit:
             # each generator is a row of the residual block, each term of
             # a pivot column one gathered row of K
-            room = max(1, _BLOCK_BYTES // (8 * self._k.shape[1]))
+            room = self._room()
             e = int(np.searchsorted(ends, t + room, "right"))
             e = min(max(e, g + 1), g + room)
             self._reserve(e - g, limit)
             te = int(ends[e - 1])
-            res = self._residuals(cols[t:te], vals[t:te], lens[g:e], room)
+            res = self._residuals(cols[t:te], vals[t:te], lens[g:e], self._room())
             self._eliminate(res, limit)
             g, t = e, te
         return len(self.pivots) - start
@@ -340,29 +379,13 @@ class _EchelonGFp:
         columns that are still free."""
         live = (self._pos[self._cols] >= 0).nonzero()[0]
         r = len(self.pivots)
-        k = np.zeros((capacity, len(live)), dtype=np.int64)
+        k = np.zeros((capacity, len(live)), dtype=self._k.dtype)
         np.take(self._k[:r], live, axis=1, out=k[:r])
         self._k = k
         self._cols = self._cols[live]
         self._pos[self._cols] = np.arange(len(live))
         # spare rows: the canonical form trims them
         self._final = False
-
-    def _residual(self, w):
-        """The residual of the dense vector w over the working columns,
-        w[F] + w[pivots] K; zeroes w on the pivot columns."""
-        p = self.p
-        at_pivots = w[self.pivots]
-        w[self.pivots] = 0
-        res = w[self._cols]
-        rows = at_pivots.nonzero()[0]
-        room = max(1, _BLOCK_BYTES // (8 * max(1, self._k.shape[1])))
-        for a in range(0, len(rows), room):
-            sel = rows[a : a + room]
-            part = self._k[sel] * at_pivots[sel, None]
-            part %= p
-            res += part.sum(axis=0)
-        return res % p
 
     def _residuals(self, cols, vals, lens, room):
         """One residual row per generator over the working columns: the sum
@@ -371,23 +394,29 @@ class _EchelonGFp:
         p = self.p
         gen = np.repeat(np.arange(len(lens)), lens)
         row = self._row[cols]
-        out = np.zeros((len(lens), self._k.shape[1]), dtype=np.int64)
+        out = np.zeros((len(lens), self._k.shape[1]), dtype=self._k.dtype)
         free = row < 0
         np.add.at(out, (gen[free], self._pos[cols[free]]), vals[free])
         piv = (~free).nonzero()[0]
         for a in range(0, len(piv), room):
             sel = piv[a : a + room]
             part = self._k[row[sel]]
-            # products of residues stay below p**2 < 2**62; reduce each one
-            # before the sum
-            part *= vals[sel, None]
-            part %= p
             g = gen[sel]
             head = np.ones(len(g), dtype=bool)
             np.not_equal(g[1:], g[:-1], out=head[1:])
             heads = head.nonzero()[0]
+            if p == 2:
+                out[g[heads]] ^= np.bitwise_xor.reduceat(part, heads, axis=0)
+                continue
+            # products of residues stay below p**2 < 2**62; reduce each one
+            # before the sum
+            part *= vals[sel, None]
+            part %= p
             out[g[heads]] += np.add.reduceat(part, heads, axis=0)
-        out %= p
+        if p == 2:
+            out &= 1
+        else:
+            out %= p
         return out
 
     def _eliminate(self, res, limit):
@@ -399,7 +428,7 @@ class _EchelonGFp:
             if not len(nz):
                 continue
             j = nz[0]
-            r = res[i] * pow(int(res[i, j]), -1, p) % p
+            r = res[i] if p == 2 else res[i] * pow(int(res[i, j]), -1, p) % p
             rank = len(self.pivots)
             _clear_column(res[i + 1 :], j, r, p)
             _clear_column(self._k[:rank], j, r, p)
@@ -430,19 +459,23 @@ class _EchelonGFp:
     def canonical_rows(self):
         self.finalize()
         rows = np.zeros((len(self.pivots), self.n), dtype=np.int64)
-        rows[:, self._cols] = -self._k % self.p
+        rows[:, self._cols] = np.negative(self._k, dtype=np.int64) % self.p
         rows[np.arange(len(self.pivots)), self.pivots] = 1
         return rows.tolist()
 
     def reduce_exact(self, v):
         self.finalize()
+        w = np.remainder(self._dense([v])[0], self.p).astype(self._k.dtype)
+        c = w.nonzero()[0]
+        res = self._residuals(c, w[c], [len(c)], self._room())
         out = np.zeros(self.n, dtype=np.int64)
-        out[self._cols] = self._residual(self._coerce(v))
+        out[self._cols] = res[0]
         return out.tolist()
 
     def projection(self, cols):
         self.finalize()
-        return _projection_tensor(self.n, self.pivots, cols, self._k, 1, self.p)
+        k = self._k.astype(np.int64, copy=False)
+        return _projection_tensor(self.n, self.pivots, cols, k, 1, self.p)
 
     def key(self):
         self.finalize()
@@ -464,129 +497,19 @@ def _clear_column(block, j, r, p):
     entry there is 1, reducing mod p in place."""
     c = block[:, j]
     hit = c.nonzero()[0]
-    if len(hit):
+    if not len(hit):
+        return
+    if p == 2:
+        block[hit] ^= r
+    else:
         block[hit] = (block[hit] - c[hit, None] * r) % p
 
 
-class _EchelonGF2:
-    """Forward echelon over GF(2), one python int bitmask per row."""
-
-    __slots__ = ("n", "rows", "pivots", "_col", "_final")
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = []
-        self.pivots = []
-        self._col = {}
-        self._final = False
-
-    def pack(self, v):
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector length {len(v)} != ambient {self.n}")
-        m = 0
-        for i, x in enumerate(v):
-            if int(x) & 1:
-                m |= 1 << i
-        return m
-
-    def add_dense(self, v):
-        return self.add_mask(self.pack(v))
-
-    def add_mask(self, m):
-        while m:
-            j = (m & -m).bit_length() - 1
-            k = self._col.get(j)
-            if k is None:
-                pos = bisect_left(self.pivots, j)
-                self.rows.insert(pos, m)
-                self.pivots.insert(pos, j)
-                self._col = {q: i for i, q in enumerate(self.pivots)}
-                self._final = False
-                return True
-            m ^= self.rows[k]
-        return False
-
-    def finalize(self):
-        if self._final:
-            return
-        for i in range(len(self.rows) - 1, 0, -1):
-            bit = 1 << self.pivots[i]
-            low = self.rows[i]
-            for k in range(i):
-                if self.rows[k] & bit:
-                    self.rows[k] ^= low
-        self._final = True
-
-    def canonical_rows(self):
-        self.finalize()
-        return [[(m >> t) & 1 for t in range(self.n)] for m in self.rows]
-
-    def reduce_mask(self, m):
-        self.finalize()
-        for i, p in enumerate(self.pivots):
-            if (m >> p) & 1:
-                m ^= self.rows[i]
-        return m
-
-    def reduce_exact(self, v):
-        m = self.reduce_mask(self.pack(v))
-        return [(m >> t) & 1 for t in range(self.n)]
-
-    def projection(self, cols):
-        self.finalize()
-        # bit t of a row mask is bit t % 8 of its byte t // 8, little endian
-        width = (self.n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(m.to_bytes(width, "little") for m in self.rows), np.uint8
-        ).reshape(len(self.rows), width)
-        c = np.array(cols, dtype=np.intp)
-        block = ((packed[:, c >> 3] >> (c & 7)) & 1).astype(np.int64)
-        return _projection_tensor(self.n, self.pivots, cols, block, 1, 2)
-
-    def key(self):
-        self.finalize()
-        return tuple(self.rows)
-
-    def snapshot(self):
-        out = _EchelonGF2(self.n)
-        out.rows = self.rows[:]
-        out.pivots = self.pivots[:]
-        out._col = dict(self._col)
-        out._final = self._final
-        return out
-
-
-# Packed bitset rows are the default over GF(2); generic_gf2 switches it off
-# for the length of a block.
-_GF2_PACKED_DEFAULT = True
-
-
-@contextmanager
-def generic_gf2():
-    """Within the block, every packed=None construction over GF(2) runs on
-    the generic modular backend, so a whole pipeline can be replayed on the
-    second implementation and compared. The previous default is restored
-    on exit, also when the block raises."""
-    global _GF2_PACKED_DEFAULT
-    prev = _GF2_PACKED_DEFAULT
-    _GF2_PACKED_DEFAULT = False
-    try:
-        yield
-    finally:
-        _GF2_PACKED_DEFAULT = prev
-
-
-def _make_echelon(field, ambient, packed):
+def _make_echelon(field, ambient):
     if isinstance(field, Rationals):
         return _EchelonQ(ambient)
     if not isinstance(field, PrimeField):
         raise FieldMismatch(f"unsupported field {field!r}")
-    if packed is None:
-        packed = field.p == 2 and _GF2_PACKED_DEFAULT
-    if packed:
-        if field.p != 2:
-            raise FieldMismatch("packed rows exist only over GF(2)")
-        return _EchelonGF2(ambient)
     return _EchelonGFp(ambient, field.p)
 
 
@@ -594,16 +517,16 @@ class SpanAccumulator:
     """Stream vectors into a growing canonical span.
 
     Memory scales with dim * ambient regardless of how many generators are
-    folded; over GF(p) the span is the projection K, filtered by blocks
-    (``add_pairs``), which holds dim * (ambient - dim) residues. ``dim``
+    folded; over GF(p) the span is the projection K, filtered by blocks,
+    which holds dim * (ambient - dim) residues (bytes over GF(2)). ``dim``
     and ``pivots`` are valid mid-stream; the canonical RREF is produced
     lazily by ``to_subspace``.
     """
 
-    def __init__(self, field, ambient, packed=None):
+    def __init__(self, field, ambient):
         self.field = field
         self.ambient = ambient
-        self._ech = _make_echelon(field, ambient, packed)
+        self._ech = _make_echelon(field, ambient)
 
     @property
     def dim(self):
@@ -613,42 +536,28 @@ class SpanAccumulator:
     def pivots(self):
         return tuple(sorted(self._ech.pivots))
 
-    def add_dense(self, v):
-        return self._ech.add_dense(v)
+    def add_vectors(self, vectors, limit=None):
+        """Fold dense vectors (rows of field scalars, or of integers that
+        reduce to them) in one call; stops the moment the span has
+        dimension limit and returns the number of new pivots."""
+        return self._ech.add_vectors(vectors, limit)
 
-    def add_pairs(self, gens, limit=None):
-        """Fold a block of generators, each a sequence of (coordinate,
-        value) terms whose repeated coordinates are summed. Stops the moment
+    def add_pairs(self, cols, vals, lens, limit=None):
+        """Fold a block of sparse generators given as flat arrays: generator
+        g is the next lens[g] (coordinate, value) terms of cols and vals,
+        repeated coordinates summed. vals are integers (object dtype where
+        they exceed int64) that reduce to field scalars. Stops the moment
         the span has dimension limit; returns the number of new pivots.
 
         Over GF(p) the whole block is filtered against the projection K at
-        once; the Q and packed GF(2) backends fold it generator by
-        generator."""
-        ech = self._ech
-        start = len(ech.pivots)
-        if isinstance(ech, _EchelonGFp):
-            lens = np.fromiter(map(len, gens), dtype=np.intp, count=len(gens))
-            flat = np.fromiter(
-                chain.from_iterable(chain.from_iterable(gens)),
-                dtype=np.int64,
-                count=2 * int(lens.sum()),
-            )
-            return ech.add_terms(flat[0::2], flat[1::2], lens, limit)
-        for pairs in gens:
-            if limit is not None and len(ech.pivots) >= limit:
-                break
-            if isinstance(ech, _EchelonGF2):
-                m = 0
-                for i, c in pairs:
-                    if int(c) & 1:
-                        m ^= 1 << i
-                ech.add_mask(m)
-            else:
-                v = [0] * self.ambient
-                for i, c in pairs:
-                    v[i] = v[i] + c if v[i] else c
-                ech.add_dense(v)
-        return len(ech.pivots) - start
+        once; over Q it is folded generator by generator."""
+        cols = np.asarray(cols, dtype=np.int64)
+        lens = np.asarray(lens, dtype=np.int64)
+        if int(lens.sum()) != len(cols) or len(vals) != len(cols):
+            raise DimensionMismatch("term counts do not match the term arrays")
+        if len(cols) and (cols.min() < 0 or cols.max() >= self.ambient):
+            raise DimensionMismatch(f"coordinate outside the ambient {self.ambient}")
+        return self._ech.add_terms(cols, np.asarray(vals), lens, limit)
 
     def to_subspace(self):
         # snapshot so a later add/finalize on this accumulator cannot mutate
@@ -667,14 +576,13 @@ class Subspace:
         self._ech.finalize()
 
     @classmethod
-    def zero(cls, field, ambient, packed=None):
-        return cls(field, ambient, _make_echelon(field, ambient, packed))
+    def zero(cls, field, ambient):
+        return cls(field, ambient, _make_echelon(field, ambient))
 
     @classmethod
-    def from_vectors(cls, field, ambient, vectors, packed=None):
-        acc = SpanAccumulator(field, ambient, packed)
-        for v in vectors:
-            acc.add_dense(v)
+    def from_vectors(cls, field, ambient, vectors):
+        acc = SpanAccumulator(field, ambient)
+        acc.add_vectors(vectors)
         return acc.to_subspace()
 
     @property
@@ -698,22 +606,6 @@ class Subspace:
     def __contains__(self, v):
         return self.contains(v)
 
-    def _key(self):
-        # one canonical key per (field, ambient) so packed and generic
-        # representations over GF(2) compare equal
-        if self.field.characteristic == 2:
-            if isinstance(self._ech, _EchelonGF2):
-                return self._ech.key()
-            masks = []
-            for row in self._ech.canonical_rows():
-                m = 0
-                for i, x in enumerate(row):
-                    if x & 1:
-                        m |= 1 << i
-                masks.append(m)
-            return tuple(masks)
-        return self._ech.key()
-
     def equals(self, other):
         if not isinstance(other, Subspace):
             raise TypeError("subspace comparison needs a Subspace")
@@ -722,31 +614,25 @@ class Subspace:
             raise DimensionMismatch(
                 f"ambient dimensions differ: {self.ambient} vs {other.ambient}"
             )
-        return self.pivots == other.pivots and self._key() == other._key()
+        return self.pivots == other.pivots and self._ech.key() == other._ech.key()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.field != other.field or self.ambient != other.ambient:
             return False
-        return self.pivots == other.pivots and self._key() == other._key()
+        return self.pivots == other.pivots and self._ech.key() == other._ech.key()
 
     def __hash__(self):
         return hash((self.field, self.ambient, self.pivots))
-
-    def _packed_pref(self):
-        return isinstance(self._ech, _EchelonGF2)
 
     def sum_with(self, other):
         ensure_same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise DimensionMismatch("subspace sum needs equal ambient dimensions")
-        acc = SpanAccumulator(self.field, self.ambient, self._packed_pref() or None)
-        for v in self.basis_vectors():
-            acc.add_dense(v)
-        for v in other.basis_vectors():
-            acc.add_dense(v)
-        return acc.to_subspace()
+        return Subspace.from_vectors(
+            self.field, self.ambient, self.basis_vectors() + other.basis_vectors()
+        )
 
     def intersect(self, other):
         """Zassenhaus: echelonize [U|U] stacked on [W|0]; rows with zero left
@@ -755,21 +641,23 @@ class Subspace:
         if self.ambient != other.ambient:
             raise DimensionMismatch("intersection needs equal ambient dimensions")
         n = self.ambient
-        acc = SpanAccumulator(self.field, 2 * n)
-        for v in self.basis_vectors():
-            acc.add_dense(list(v) + list(v))
-        for v in other.basis_vectors():
-            acc.add_dense(list(v) + [self.field.zero] * n)
-        out = SpanAccumulator(self.field, n, self._packed_pref() or None)
-        for row in acc.to_subspace().basis_vectors():
-            if not any(row[:n]):
-                out.add_dense(row[n:])
-        return out.to_subspace()
+        zero = [self.field.zero] * n
+        both = Subspace.from_vectors(
+            self.field,
+            2 * n,
+            [v + v for v in self.basis_vectors()]
+            + [v + zero for v in other.basis_vectors()],
+        )
+        return Subspace.from_vectors(
+            self.field,
+            n,
+            [row[n:] for row in both.basis_vectors() if not any(row[:n])],
+        )
 
     def scaled(self, c):
         c = self.field.coerce(c)
         if self.field.is_zero(c):
-            return Subspace.zero(self.field, self.ambient, self._packed_pref() or None)
+            return Subspace.zero(self.field, self.ambient)
         return self
 
     def image_under(self, m):
@@ -778,10 +666,9 @@ class Subspace:
                 f"map expects {m.ncols} coordinates, subspace has {self.ambient}"
             )
         ensure_same_field(self.field, m.field)
-        acc = SpanAccumulator(self.field, m.nrows, self._packed_pref() or None)
-        for v in self.basis_vectors():
-            acc.add_dense(m.apply(v))
-        return acc.to_subspace()
+        return Subspace.from_vectors(
+            self.field, m.nrows, [m.apply(v) for v in self.basis_vectors()]
+        )
 
     def is_subspace_of(self, other):
         return all(other.contains(v) for v in self.basis_vectors())
@@ -866,11 +753,8 @@ def quotient(ambient, killed):
     return QuotientSpace(killed)
 
 
-def span_incremental(field, ambient, vectors, packed=None):
-    acc = SpanAccumulator(field, ambient, packed)
-    for v in vectors:
-        acc.add_dense(v)
-    return acc.to_subspace()
+def span_incremental(field, ambient, vectors):
+    return Subspace.from_vectors(field, ambient, vectors)
 
 
 class Matrix:
@@ -978,21 +862,17 @@ class Matrix:
     def rank(self):
         if self._rank is None:
             acc = SpanAccumulator(self.field, self.ncols)
-            for r in self.rows:
-                acc.add_dense(r)
+            acc.add_vectors(self.rows)
             self._rank = acc.dim
         return self._rank
 
     def rref(self):
-        acc = SpanAccumulator(self.field, self.ncols)
-        for r in self.rows:
-            acc.add_dense(r)
-        sub = acc.to_subspace()
+        sub = Subspace.from_vectors(self.field, self.ncols, self.rows)
         self._rank = sub.dim
         return Matrix(self.field, sub.basis_vectors(), self.ncols), sub.pivots
 
-    def kernel(self, packed=None):
-        return kernel(self, packed)
+    def kernel(self):
+        return kernel(self)
 
     def __repr__(self):
         return f"<Matrix {self.nrows}x{self.ncols} over {self.field.spec_str()}>"
@@ -1003,7 +883,7 @@ def rref(m):
     return m.rref()
 
 
-def kernel(m, packed=None):
+def kernel(m):
     """Null space of m as a canonical Subspace of F^ncols."""
     f = m.field
     red, piv = m.rref()
@@ -1018,7 +898,7 @@ def kernel(m, packed=None):
             if a:
                 v[p] = f.neg(a)
         vecs.append(v)
-    sub = Subspace.from_vectors(f, m.ncols, vecs, packed)
+    sub = Subspace.from_vectors(f, m.ncols, vecs)
     if sub.dim != m.ncols - len(piv):
         raise InternalAssertionFailed(
             "rank-nullity-violated", f"kernel dim {sub.dim}, rank {len(piv)}"
@@ -1035,10 +915,11 @@ def solve_columns(m, rhs_cols):
     """
     f = m.field
     k = len(rhs_cols)
-    acc = SpanAccumulator(f, m.ncols + k)
-    for i, r in enumerate(m.rows):
-        acc.add_dense(list(r) + [col[i] for col in rhs_cols])
-    red = acc.to_subspace()
+    red = Subspace.from_vectors(
+        f,
+        m.ncols + k,
+        [list(r) + [col[i] for col in rhs_cols] for i, r in enumerate(m.rows)],
+    )
     rows = red.basis_vectors()
     piv = red.pivots
     # a pivot landing inside the augmented block means at least one rhs is

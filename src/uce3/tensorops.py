@@ -154,19 +154,33 @@ def _scaled(a, s):
 
 
 def _witness(res, p):
-    """None when res vanishes (mod p), else the index tuple of a nonzero."""
+    """None when res vanishes (mod p), else the index tuple of a nonzero.
+
+    res must be a temporary of the caller's: over GF(p) it is reduced in
+    place, so a caller holding a view of stored data passes a copy."""
     if p is not None:
-        res = res % p
+        if res.dtype == object:
+            res = res % p
+        else:
+            if res.dtype == np.float64:
+                # the float64 route keeps integers below 2**52; integer
+                # residues are cheaper than float ones
+                res = res.astype(np.int64)
+            if p == 2:
+                # two's complement: the low bit is the residue mod 2
+                res &= 1
+            else:
+                np.remainder(res, p, out=res)
+    # vanishing is the common case, and cheaper to confirm than nonzero
+    if not res.any():
+        return None
     if res.dtype == object:
         flat = res.ravel()
         for pos, x in enumerate(flat):
             if x:
                 return tuple(int(i) for i in np.unravel_index(pos, res.shape))
         return None
-    nz = np.nonzero(res)
-    if len(nz[0]) == 0:
-        return None
-    return tuple(int(ax[0]) for ax in nz)
+    return tuple(int(ax[0]) for ax in np.nonzero(res))
 
 
 def alternating_witness(t):

@@ -49,7 +49,14 @@ from .errors import (
     WrongCategory,
     ZActionNontrivial,
 )
-from .linalg import Matrix, SpanAccumulator, kernel, quotient, right_inverse
+from .linalg import (
+    Matrix,
+    SpanAccumulator,
+    Subspace,
+    kernel,
+    quotient,
+    right_inverse,
+)
 from .uce import (
     CentralExtension,
     UceResult,
@@ -226,14 +233,9 @@ def jacobiator_subspace(u):
     et = u.extension_algebra.tensor()
     lhs = tops.left_nested(et)
     jac = lhs + lhs.transpose(2, 0, 1, 3) + lhs.transpose(1, 2, 0, 3)
-    if et.p:
-        jac = jac % et.p
     q = u.carrier_dim
     acc = SpanAccumulator(u.base.field, q)
-    for row in jac.reshape(q**3, q):
-        acc.add_dense([int(x) for x in row])
-        if acc.dim == q:
-            break
+    acc.add_vectors(jac.reshape(q**3, q), q)
     return acc.to_subspace()
 
 
@@ -243,14 +245,8 @@ def symmetric_subspace(u):
     _require_leibniz_result(u)
     et = u.extension_algebra.tensor()
     sym = et.arr + et.arr.transpose(1, 0, 2)
-    if et.p:
-        sym = sym % et.p
-    q = u.carrier_dim
-    acc = SpanAccumulator(u.base.field, q)
-    for i in range(q):
-        for j in range(i, q):
-            acc.add_dense([int(x) for x in sym[i, j]])
-    return acc.to_subspace()
+    i, j = np.triu_indices(u.carrier_dim)
+    return Subspace.from_vectors(u.base.field, u.carrier_dim, sym[i, j])
 
 
 def verify_jacobiator_doubling(u):

@@ -3,9 +3,9 @@ quotients of tensor powers.
 
 All three constructions follow one recipe. Pick the ambient space (g (x) g,
 the wedge square, or the triple tensor power), stream in the relation
-generators, and quotient. Generators are streams of (coordinate, value)
-terms read off the structure tensor; repeated coordinates are summed by the
-fold:
+generators, and quotient. Generators arrive in blocks of flat numpy
+(coordinate, value) terms, built by index arithmetic on the nonzeros of
+the structure tensor; repeated coordinates are summed by the fold:
 
   * Leibniz:  relations [x,y] (x) z - [x,z] (x) y - x (x) [y,z];
   * Lie:      relations [x,y] ^ z + [y,z] ^ x + [z,x] ^ y on the wedge,
@@ -39,7 +39,7 @@ universal_map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -95,9 +95,6 @@ __all__ = [
 LTS_DIM_GUARD = 12
 BINARY_DIM_GUARD = 25
 
-# relation generators handed to the echelon per add_pairs call
-FOLD_BLOCK = 256
-
 _CATEGORIES = ("lie", "leibniz", "lts")
 
 # the flag witnesses (see check_binary / check_ternary) that decide each
@@ -120,14 +117,35 @@ def dimension_guard(dim, category, force):
         )
 
 
-def _sparse_rows(t):
-    """The nonzero (coordinate, raw value) pairs of each row of an
-    ExactTensor along its last axis, indexed by the flattened leading axes.
-    Raw values carry t.scale; every relation generator is linear in the
-    structure constants, so a common positive scale leaves the relation
-    span unchanged."""
-    flat = t.arr.reshape(-1, t.arr.shape[-1]).tolist()
-    return [[(k, v) for k, v in enumerate(row) if v] for row in flat]
+def _row_nonzeros(m):
+    """The nonzeros of a 2-d array in row-major order: their rows, columns
+    and values, the place of each within its row, and the count per row."""
+    r, k = m.nonzero()
+    counts = np.bincount(r, minlength=m.shape[0])
+    local = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
+    return r, k, m[r, k], local, counts
+
+
+def _terms(families):
+    """Lay relation generators out as the flat (cols, vals, lens) arrays
+    that SpanAccumulator.add_pairs folds. A family is (gen, local, col,
+    val, count), broadcastable arrays: the term (col, val) is the local-th
+    of the count[gen] terms the family gives generator gen. A generator's
+    terms are its families' terms in family order.
+
+    Values are raw structure constants carrying the tensor's scale; every
+    relation generator is linear in them, so a common positive scale
+    leaves the relation span unchanged."""
+    lens = sum(f[4] for f in families)
+    offset = np.cumsum(lens) - lens
+    cols = np.empty(int(lens.sum()), dtype=np.int64)
+    vals = np.empty(len(cols), dtype=families[0][3].dtype)
+    for gen, local, col, val, count in families:
+        pos = offset[gen] + local
+        cols[pos] = col
+        vals[pos] = val
+        offset += count
+    return cols, vals, lens
 
 
 def _same_base(a, b):
@@ -314,31 +332,40 @@ def homology(u):
     )
 
 
-def _fold_relations(field, ambient, streams, stop_dim, rng=None):
-    """Echelonize the relation generators, FOLD_BLOCK at a time.
+def _fold_relations(field, ambient, blocks, stop_dim, rng=None):
+    """Echelonize the relation generators, one (cols, vals, lens) block of
+    them at a time (see SpanAccumulator.add_pairs).
 
     stop_dim is the dimension of the kernel of the evaluation map; the
     relation span is contained in that kernel (asserted afterwards on the
     echelon basis), so the fold stops the moment it reaches stop_dim, also
-    in the middle of a block.
+    in the middle of a block, and later blocks are never built.
 
-    rng, when given, shuffles the generator order before folding; the
-    resulting subspace is order-independent by construction, and the
-    determinism tests exercise exactly that.
+    rng, when given, shuffles the order of all the generators before
+    folding; the resulting subspace is order-independent by construction,
+    and the determinism tests exercise exactly that.
     """
     acc = SpanAccumulator(field, ambient)
     if rng is not None:
-        gens = [pairs for stream in streams for pairs in stream]
-        rng.shuffle(gens)
-        streams = [gens]
-    for stream in streams:
-        it = iter(stream)
-        while acc.dim < stop_dim:
-            block = list(islice(it, FOLD_BLOCK))
-            if not block:
-                break
-            acc.add_pairs(block, stop_dim)
+        blocks = [_shuffled(list(blocks), rng)]
+    for cols, vals, lens in blocks:
+        if acc.dim >= stop_dim:
+            break
+        acc.add_pairs(cols, vals, lens, stop_dim)
     return acc.to_subspace()
+
+
+def _shuffled(blocks, rng):
+    """All the generators of the blocks as one block, permuted by rng."""
+    cols, vals, lens = (np.concatenate(part) for part in zip(*blocks))
+    perm = list(range(len(lens)))
+    rng.shuffle(perm)
+    perm = np.array(perm, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    out_lens = lens[perm]
+    out_starts = np.cumsum(out_lens) - out_lens
+    take = np.repeat(starts[perm] - out_starts, out_lens) + np.arange(len(cols))
+    return cols[take], vals[take], out_lens
 
 
 def _slotwise(t, m, arity, p):
@@ -420,19 +447,24 @@ def _finish_extension(category, base, relations, ev):
 
 def _leibniz_relations(g):
     """The generators [x,y] (x) z - [x,z] (x) y - x (x) [y,z] of the
-    Leibniz relations, one per basis triple, as (tensor-square coordinate,
-    raw value) terms; the fold sums repeated coordinates."""
+    Leibniz relations on the tensor square, one block per x with generator
+    y * n + z; the fold sums repeated coordinates."""
+    c = g.tensor().arr
     n = g.dim
-    rows = _sparse_rows(g.tensor())
+    span = np.arange(n)
+    yz, yz_k, yz_v, yz_local, yz_cnt = _row_nonzeros(c.reshape(n * n, n))
     for x in range(n):
-        for y in range(n):
-            cxy = rows[x * n + y]
-            for z in range(n):
-                yield (
-                    [(k * n + z, c) for k, c in cxy]
-                    + [(k * n + y, -c) for k, c in rows[x * n + z]]
-                    + [(x * n + k, -c) for k, c in rows[y * n + z]]
-                )
+        r, k, v, local, cnt = _row_nonzeros(c[x])
+        yield _terms([
+            # [x,y] (x) z, y the row
+            ((r * n)[:, None] + span, local[:, None], (k * n)[:, None] + span,
+             v[:, None], np.repeat(cnt, n)),
+            # -[x,z] (x) y, z the row
+            (r[:, None] + span * n, local[:, None], (k * n)[:, None] + span,
+             -v[:, None], np.tile(cnt, n)),
+            # -x (x) [y,z]
+            (yz, yz_local, x * n + yz_k, -yz_v, yz_cnt),
+        ])
 
 
 def leibniz_uce(g, rng=None):
@@ -448,7 +480,7 @@ def leibniz_uce(g, rng=None):
     n = g.dim
     ambient = n * n
     relations = _fold_relations(
-        g.field, ambient, [_leibniz_relations(g)], ambient - n, rng
+        g.field, ambient, _leibniz_relations(g), ambient - n, rng
     )
     t = g.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
@@ -467,20 +499,70 @@ def lie_uce(g, rng=None):
     n = g.dim
     w = wedge_map(n)
     # each row of the wedge map has at most one nonzero, a sign
-    col, sign = np.abs(w).argmax(1).tolist(), w.sum(1).tolist()
+    col, sign = np.abs(w).argmax(1), w.sum(1)
 
     def gens():
         # on a Lie algebra [x,y]^z - [x,z]^y - x^[y,z] is the Jacobi
         # generator [x,y]^z + [y,z]^x + [z,x]^y
-        for terms in _leibniz_relations(g):
-            yield [(col[kl], sign[kl] * c) for kl, c in terms if sign[kl]]
+        # (x (x) x has sign 0: its terms stay, with value 0)
+        for cols, vals, lens in _leibniz_relations(g):
+            yield col[cols], sign[cols] * vals, lens
 
     ambient = w.shape[1]
-    relations = _fold_relations(g.field, ambient, [gens()], ambient - n, rng)
+    relations = _fold_relations(g.field, ambient, gens(), ambient - n, rng)
     t = g.tensor()
     i, j = wedge_index_pairs(n)
     ev = tops.ExactTensor(t.arr[i, j], t.scale, t.p)
     return _finish_extension("lie", g, relations, ev)
+
+
+def _cube_squares(n):
+    """e_i (x) e_j (x) e_j and its polarizations e_i (x) (e_j (x) e_k +
+    e_k (x) e_j), j < k: sound in characteristic 2."""
+    i = np.arange(n)[:, None] * n * n
+    j, k = np.triu_indices(n, 1)
+    singles = (i + np.arange(n) * (n + 1)).ravel()
+    pairs = np.stack([i + j * n + k, i + k * n + j], axis=-1).ravel()
+    lens = np.repeat([1, 2], [len(singles), len(pairs) // 2])
+    cols = np.concatenate([singles, pairs])
+    return cols, np.ones(len(cols), dtype=np.int64), lens
+
+
+def _cube_cycles(n):
+    """The cyclic sums e_i (x) e_j (x) e_k + its two rotations."""
+    i, j, k = (a.ravel() for a in np.indices((n, n, n)))
+    rot = np.stack([(i * n + j) * n + k, (j * n + k) * n + i, (k * n + i) * n + j], 1)
+    # the sum is rotation-invariant, so lex-minimal rotations already
+    # produce every distinct generator; coordinates order like the triples
+    rot = rot[(rot[:, 0] <= rot[:, 1]) & (rot[:, 0] <= rot[:, 2])]
+    return rot.ravel(), np.ones(rot.size, dtype=np.int64), np.full(len(rot), 3)
+
+
+def _cube_fundamentals(t):
+    """The five-variable generators {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z
+    + x (x) y (x) {z,a,b} - {x,y,z} (x) a (x) b for the raw n^4 tensor t,
+    one block per (a, b) with generator (x * n + y) * n + z.
+
+    Term family s of a block puts a nonzero t[r, a, b, k] in slot s: the
+    generators with r in slot s, the coordinates with k there instead."""
+    n = t.shape[0]
+    gens = np.arange(n**3)
+    weights = [n * n, n, 1]
+    # the generators with 0 in slot s, and the slot-s index of every one
+    base = [np.take(gens.reshape(n, n, n), 0, axis=s).ravel() for s in range(3)]
+    slot = [gens // w % n for w in weights]
+    whole, wk, wv, wlocal, wcnt = _row_nonzeros(t.reshape(n**3, n))
+    wv = -wv
+    for a in range(n):
+        for b in range(n):
+            r, k, v, local, cnt = _row_nonzeros(t[:, a, b, :])
+            yield _terms([
+                (base[s] + (r * w)[:, None], local[:, None],
+                 base[s] + (k * w)[:, None], v[:, None], cnt[slot[s]])
+                for s, w in enumerate(weights)
+            ] + [
+                (whole, wlocal, wk * n * n + a * n + b, wv, wcnt),
+            ])
 
 
 def lts_tensor_cube(lts, force=False, rng=None):
@@ -496,50 +578,8 @@ def lts_tensor_cube(lts, force=False, rng=None):
         raise NotPerfect(f"{lts.name or 'input'} is not perfect")
     ambient = n**3
     t = lts.tensor()
-    rows = _sparse_rows(t)
-
-    def idx(i, j, k):
-        return (i * n + j) * n + k
-
-    def squares():
-        # e_i (x) e_j (x) e_j plus its polarization, sound in char 2
-        for i in range(n):
-            for j in range(n):
-                yield [(idx(i, j, j), 1)]
-                for k in range(j + 1, n):
-                    yield [(idx(i, j, k), 1), (idx(i, k, j), 1)]
-
-    def cycles():
-        # the cyclic sum is rotation-invariant, so lex-minimal rotations
-        # already produce every distinct generator
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
-                        yield [
-                            (idx(i, j, k), 1), (idx(j, k, i), 1), (idx(k, i, j), 1)
-                        ]
-
-    def fundamentals():
-        # {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
-        # - {x,y,z} (x) a (x) b
-        for a in range(n):
-            for b in range(n):
-                slab = [rows[idx(x, a, b)] for x in range(n)]
-                for x in range(n):
-                    for y in range(n):
-                        for z in range(n):
-                            yield (
-                                [(idx(k, y, z), c) for k, c in slab[x]]
-                                + [(idx(x, k, z), c) for k, c in slab[y]]
-                                + [(idx(x, y, k), c) for k, c in slab[z]]
-                                + [(idx(k, a, b), -c)
-                                   for k, c in rows[idx(x, y, z)]]
-                            )
-
-    relations = _fold_relations(
-        lts.field, ambient, [squares(), cycles(), fundamentals()], ambient - n, rng
-    )
+    blocks = chain([_cube_squares(n), _cube_cycles(n)], _cube_fundamentals(t.arr))
+    relations = _fold_relations(lts.field, ambient, blocks, ambient - n, rng)
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
     return _finish_extension("lts", lts, relations, ev)
 

@@ -17,6 +17,10 @@ def _norm(p, x):
     return x % p if p else x
 
 
+def _norm_row(p, row):
+    return [x % p for x in row] if p else row
+
+
 def vadd(p, u, v):
     return [_norm(p, a + b) for a, b in zip(u, v)]
 
@@ -136,30 +140,37 @@ def naive_lts(p, t):
                 s = vadd(p, t[i][j][k], vadd(p, t[j][k][i], t[k][i][j]))
                 if not is_zero_vec(s):
                     return False
-    # sparse inner sums keep the 5-tuple loop tolerable at dim 8
+    # each tuple's defect is summed into one list and reduced once, which
+    # keeps the 5-tuple loop tolerable at dim 8
     for a in range(n):
         for b in range(n):
             slab = [t[x][a][b] for x in range(n)]
             for x in range(n):
                 for y in range(n):
                     for z in range(n):
-                        lhs = [0] * n
+                        acc = [0] * n
                         for k, coeff in enumerate(t[x][y][z]):
                             if coeff:
-                                lhs = vadd(p, lhs, vscale(p, coeff, t[k][a][b]))
-                        rhs = [0] * n
+                                _axpy(acc, coeff, t[k][a][b])
                         for k, coeff in enumerate(slab[x]):
                             if coeff:
-                                rhs = vadd(p, rhs, vscale(p, coeff, t[k][y][z]))
+                                _axpy(acc, -coeff, t[k][y][z])
                         for k, coeff in enumerate(slab[y]):
                             if coeff:
-                                rhs = vadd(p, rhs, vscale(p, coeff, t[x][k][z]))
+                                _axpy(acc, -coeff, t[x][k][z])
                         for k, coeff in enumerate(slab[z]):
                             if coeff:
-                                rhs = vadd(p, rhs, vscale(p, coeff, t[x][y][k]))
-                        if not is_zero_vec(vsub(p, lhs, rhs)):
+                                _axpy(acc, -coeff, t[x][y][k])
+                        if any(_norm(p, v) for v in acc):
                             return False
     return True
+
+
+def _axpy(acc, c, row):
+    """acc += c * row in place, unreduced."""
+    for w, x in enumerate(row):
+        if x:
+            acc[w] += c * x
 
 
 def naive_rank(p, rows):
@@ -251,10 +262,10 @@ def naive_derived_table(p, c):
     ]
 
 
-def naive_leibniz_relation_rank(p, c):
-    """Rank of the span of [x,y](x)z - [x,z](x)y - x(x)[y,z] in F^(n*n)."""
+def naive_leibniz_relation_rows(p, c):
+    """The generators [x,y](x)z - [x,z](x)y - x(x)[y,z] in F^(n*n), one
+    dense row per basis triple."""
     n = len(c)
-    rows = []
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -265,16 +276,20 @@ def naive_leibniz_relation_rank(p, c):
                     row[k * n + y] -= coeff
                 for k, coeff in enumerate(c[y][z]):
                     row[x * n + k] -= coeff
-                rows.append([_norm(p, v) for v in row])
-    return naive_rank(p, rows)
+                yield _norm_row(p, row)
 
 
-def naive_lie_relation_rank(p, c):
-    """Rank of the span of [x,y]^z + [y,z]^x + [z,x]^y in the wedge square."""
+def naive_leibniz_relation_rank(p, c):
+    """Rank of the span of [x,y](x)z - [x,z](x)y - x(x)[y,z] in F^(n*n)."""
+    return naive_rank(p, list(naive_leibniz_relation_rows(p, c)))
+
+
+def naive_lie_relation_rows(p, c):
+    """The generators [x,y]^z + [y,z]^x + [z,x]^y in the wedge square (basis
+    e_i ^ e_j, i < j, in lex order), one dense row per basis triple."""
     n = len(c)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {pr: t for t, pr in enumerate(pairs)}
-    rows = []
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -292,17 +307,20 @@ def naive_lie_relation_rank(p, c):
                 put(c[x][y], z)
                 put(c[y][z], x)
                 put(c[z][x], y)
-                rows.append([_norm(p, v) for v in row])
-    return naive_rank(p, rows)
+                yield _norm_row(p, row)
 
 
-def naive_cube_relation_rank(p, t):
-    """Rank of the full relation span in F^(n^3): squares with their
-    polarizations, cyclic sums over every triple, and every 5-tuple of the
-    derivation-style family."""
+def naive_lie_relation_rank(p, c):
+    """Rank of the span of [x,y]^z + [y,z]^x + [z,x]^y in the wedge square."""
+    return naive_rank(p, list(naive_lie_relation_rows(p, c)))
+
+
+def naive_cube_relation_rows(p, t):
+    """The relation generators in F^(n^3), one dense row each: squares with
+    their polarizations, cyclic sums over every triple, and every 5-tuple
+    of the derivation-style family."""
     n = len(t)
     nn = n * n
-    rows = []
 
     def idx(i, j, k):
         return i * nn + j * n + k
@@ -311,12 +329,12 @@ def naive_cube_relation_rank(p, t):
         for j in range(n):
             row = [0] * n**3
             row[idx(i, j, j)] = 1
-            rows.append(row)
+            yield row
             for k in range(n):
                 row = [0] * n**3
                 row[idx(i, j, k)] += 1
                 row[idx(i, k, j)] += 1
-                rows.append([_norm(p, v) for v in row])
+                yield _norm_row(p, row)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -324,7 +342,7 @@ def naive_cube_relation_rank(p, t):
                 row[idx(i, j, k)] += 1
                 row[idx(j, k, i)] += 1
                 row[idx(k, i, j)] += 1
-                rows.append([_norm(p, v) for v in row])
+                yield _norm_row(p, row)
     for a in range(n):
         for b in range(n):
             for x in range(n):
@@ -339,8 +357,12 @@ def naive_cube_relation_rank(p, t):
                             row[idx(x, y, k)] += coeff
                         for k, coeff in enumerate(t[x][y][z]):
                             row[idx(k, a, b)] -= coeff
-                        rows.append([_norm(p, v) for v in row])
-    return naive_rank(p, rows)
+                        yield _norm_row(p, row)
+
+
+def naive_cube_relation_rank(p, t):
+    """Rank of the full relation span in F^(n^3)."""
+    return naive_rank(p, list(naive_cube_relation_rows(p, t)))
 
 
 def naive_binary_morphism(p, ext_table, base_table, mat):

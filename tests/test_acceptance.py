@@ -12,6 +12,7 @@ import time
 
 from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2, tolists3
 from naive_checks import (
+    bracket_iv,
     naive_binary_flags,
     naive_cube_relation_rank,
     naive_derived_table,
@@ -20,6 +21,7 @@ from naive_checks import (
     naive_rank,
     naive_ternary_flags,
     naive_ternary_morphism,
+    vadd,
 )
 
 from uce3 import (
@@ -30,7 +32,6 @@ from uce3 import (
     check_ternary,
     derived_lts,
     field_of,
-    generic_gf2,
     induced_leibniz_structure,
     leibniz_uce,
     lie_uce,
@@ -150,6 +151,19 @@ def test_criterion_3_sl2_cube_and_wedge_by_hand():
           f"({elapsed:.2f}s < 5s)")
 
 
+def _naive_i_j_dims(p, c):
+    """Ranks of the symmetric rows [x,y] + [y,x] and of the jacobiator rows
+    [x,[y,z]] + [z,[x,y]] + [y,[z,x]] of a binary table."""
+    n = len(c)
+    sym = [vadd(p, c[x][y], c[y][x]) for x in range(n) for y in range(x, n)]
+    jac = [
+        vadd(p, bracket_iv(p, c, x, c[y][z]),
+             vadd(p, bracket_iv(p, c, z, c[x][y]), bracket_iv(p, c, y, c[z][x])))
+        for x in range(n) for y in range(n) for z in range(n)
+    ]
+    return naive_rank(p, sym), naive_rank(p, jac)
+
+
 def test_criterion_4_jacobiator_doubling():
     lines = []
     for name, spec in (("sl2", "Q"), ("sl2", "GF(3)"), ("sl2", "GF(5)"),
@@ -171,6 +185,10 @@ def test_criterion_4_jacobiator_doubling():
         if name == "sl2-dual":
             assert out["j_dim"] == out["i_dim"] == 1  # a genuinely nonzero J
         assert elapsed < budget, f"{name} {spec}: {elapsed:.2f}s >= {budget}s"
+        # both spans re-derived from the carrier's table by the oracle
+        p = char_of(g.field)
+        c = tolists2(u.extension_algebra)
+        assert (out["i_dim"], out["j_dim"]) == _naive_i_j_dims(p, c), (name, spec)
         lines.append(f"{name}/{spec} J={out['j_dim']} I={out['i_dim']} "
                      f"{elapsed:.2f}s")
     print("\nACCEPTANCE 4 PASS: J = 2I on all eight cases, J = 0 in "
@@ -337,15 +355,6 @@ def test_criterion_9_determinism():
         repp = verify_main_theorem(gp)
         assert repp.dims == rep0.dims, (name, spec, perm)
         assert repp.ok
-
-    # the packed GF(2) kernels and the generic path agree on the whole
-    # pipeline, not only on single eliminations
-    g2 = catalog("sl3", field_of("GF(2)"))
-    packed_doc = verify_main_theorem(g2).to_dict()
-    with generic_gf2():
-        generic_doc = verify_main_theorem(g2).to_dict()
-    assert packed_doc == generic_doc
     elapsed = time.monotonic() - t0
-    print(f"\nACCEPTANCE 9 PASS: 20 seeded shuffles, 2 basis permutations, "
-          f"and packed-vs-generic GF(2) replay leave every dimension fixed "
-          f"({elapsed:.2f}s)")
+    print(f"\nACCEPTANCE 9 PASS: 20 seeded shuffles and 2 basis permutations "
+          f"leave every dimension fixed ({elapsed:.2f}s)")

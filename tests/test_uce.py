@@ -1,12 +1,17 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2, tolists3
 from naive_checks import (
     naive_cube_relation_rank,
+    naive_cube_relation_rows,
     naive_leibniz_relation_rank,
+    naive_leibniz_relation_rows,
     naive_lie_relation_rank,
+    naive_lie_relation_rows,
 )
 
 from uce3 import (
@@ -86,13 +91,105 @@ def test_relation_ranks_match_naive(name, spec):
     assert leibniz_uce(g).relations.dim == naive_leibniz_relation_rank(p, c)
 
 
-@pytest.mark.parametrize("spec", ["GF(3)", "GF(5)", "GF(2147483647)"])
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(5)", "GF(2147483647)"])
 def test_cube_relation_rank_matches_naive_over_gfp(spec):
     # the GF(p) fold filters whole blocks of generators at once; at the
-    # modulus limit each product of residues is near 2**62
-    d = derived_lts(catalog("sl2", field_of(spec)))
+    # modulus limit each product of residues is near 2**62. sl2 is not
+    # perfect in characteristic 2, so GF(2) takes sl3 (rank 504)
+    name = "sl3" if spec == "GF(2)" else "sl2"
+    d = derived_lts(catalog(name, field_of(spec)))
     rank = naive_cube_relation_rank(d.field.p, tolists3(d))
     assert lts_tensor_cube(d).relations.dim == rank
+
+
+def _folded_blocks(monkeypatch, build):
+    """The (cols, vals, lens) blocks a constructor hands to the fold."""
+    import uce3.uce as uce_mod
+
+    fold = uce_mod._fold_relations
+    seen = []
+
+    def recording(field, ambient, blocks, stop_dim, rng=None):
+        seen.extend(blocks)
+        return fold(field, ambient, seen, stop_dim, rng)
+
+    monkeypatch.setattr(uce_mod, "_fold_relations", recording)
+    u = build()
+    monkeypatch.undo()
+    return u, seen
+
+
+def _sparse_generators(blocks, p, scale):
+    """Each generator of the blocks as its sorted nonzero (coordinate,
+    field value) terms, repeated coordinates summed."""
+    out = []
+    for cols, vals, lens in blocks:
+        t = 0
+        for m in lens.tolist():
+            v = Counter()
+            for c, x in zip(cols[t : t + m].tolist(), vals[t : t + m].tolist()):
+                v[c] += x
+            t += m
+            v = {c: x % p if p else Fraction(x, scale) for c, x in v.items()}
+            out.append(tuple(sorted((c, x) for c, x in v.items() if x)))
+    return out
+
+
+def _sparse_rows(rows):
+    return [tuple((c, x) for c, x in enumerate(row) if x) for row in rows]
+
+
+@pytest.mark.parametrize("name,spec", THEOREM_CASES)
+def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
+    # the array streams produce the oracle's generators exactly, so the
+    # spans they fold are the oracle's relation spans
+    f = field_of(spec)
+    g = catalog(name, f)
+    d = derived_lts(g)
+    p, c, t = char_of(f), tolists2(g), tolists3(d)
+    for build, naive in ((leibniz_uce, naive_leibniz_relation_rows),
+                         (lie_uce, naive_lie_relation_rows)):
+        _, blocks = _folded_blocks(monkeypatch, lambda: build(g))
+        got = _sparse_generators(blocks, p, g.tensor().scale)
+        assert Counter(got) == Counter(_sparse_rows(naive(p, c))), build
+    u, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
+    got = _sparse_generators(blocks, p, d.tensor().scale)
+    want = _sparse_rows(naive_cube_relation_rows(p, t))
+    # the fundamentals, one (a, b) block each, are the oracle's last n**5
+    # rows; squares and cycles drop the oracle's duplicates and multiples,
+    # so those two families are compared as sets of lines
+    n = d.dim
+    assert Counter(got[-n**5 :]) == Counter(want[-n**5 :])
+
+    def lines(rows):
+        out = set()
+        for row in filter(None, rows):
+            lead = row[0][1]
+            inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
+            out.add(tuple((col, x * inv % p if p else x * inv) for col, x in row))
+        return out
+
+    assert lines(got[: -n**5]) == lines(want[: -n**5])
+    # the rank oracle takes minutes on the sl3 cube over Q, and
+    # test_cube_relation_rank_matches_naive_over_gfp runs it on sl3/GF(2)
+    if (name, spec) not in (("sl3", "Q"), ("sl3", "GF(2)")):
+        assert u.relations.dim == naive_cube_relation_rank(p, t)
+
+
+def test_relation_streams_carry_object_values_over_q():
+    # sl2 on the basis 2**40 e, 2**40 f, h has [e', f'] = 2**80 h: the
+    # structure tensor needs python ints, and so do the relation streams
+    g = catalog("sl2", QQ)
+    s = [2**40, 2**40, 1]
+    table = [[[Fraction(s[i] * s[j]) * g.c[i][j][k] / s[k] for k in range(3)]
+              for j in range(3)] for i in range(3)]
+    big = BinaryAlgebra(QQ, 3, table, name="sl2-rescaled")
+    assert big.tensor().arr.dtype == object
+    for category, relation_dim in (("lie", 0), ("leibniz", 6), ("lts", 24)):
+        for rng in (None, random.Random(7)):
+            u = build(category, big, rng=rng)
+            assert u.carrier_dim == 3 and u.h2.dim == 0, category
+            assert u.relations.dim == relation_dim, category
 
 
 def test_extension_verifies_and_is_perfect():
