@@ -341,21 +341,40 @@ def _rows_not_killed(f, killed, fmap):
     ]
 
 
-@pytest.mark.parametrize("spec", ["Q", "GF(3)", "GF(2)"])
+def _span_row_by_row(f, ambient, rows):
+    """The span of rows, each folded as its own block, so every row after
+    the first is reduced through the rows of K gathered so far."""
+    acc = SpanAccumulator(f, ambient)
+    for row in rows:
+        acc.add_vectors([row])
+    return acc.to_subspace()
+
+
+# (field, per_row): over GF(2), where a gather through K is an XOR, the
+# span is built both in one block and row by row, and the two K must agree;
+# per_row says which of the two builds is the killed span
+K_BUILDS = [("Q", None), ("GF(3)", None), ("GF(2)", True), ("GF(2)", False)]
+
+
+@pytest.mark.parametrize("spec,per_row", K_BUILDS)
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**31),
     ambient=st.integers(1, 12),
     nrows=st.integers(0, 7),
 )
-def test_projection_matrix_against_reduce(spec, seed, ambient, nrows):
+def test_projection_matrix_against_reduce(spec, per_row, seed, ambient, nrows):
     f = field_of(spec)
     rng = random.Random(seed)
     rows = [[f.random_scalar(rng) for _ in range(ambient)] for _ in range(nrows)]
-    killed = Subspace.from_vectors(f, ambient, rows)
+    builds = (Subspace.from_vectors, _span_row_by_row)
+    killed = builds[bool(per_row)](f, ambient, rows)
     q = quotient(ambient, killed)
     k = q.projection
     assert k.shape == (ambient, q.dim)
+    if per_row is not None:
+        other = builds[not per_row](f, ambient, rows)
+        assert (quotient(ambient, other).projection.arr == k.arr).all()
     for _ in range(4):
         v = [f.random_scalar(rng) for _ in range(ambient)]
         red = killed.reduce(v)
