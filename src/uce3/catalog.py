@@ -7,6 +7,7 @@ import re
 from .algebra import BinaryAlgebra
 from .errors import UnknownAlgebra
 from .fields import QQ, field_of
+from .uce import dimension_guard
 
 __all__ = ["catalog", "catalog_names"]
 
@@ -77,10 +78,13 @@ def _heisenberg(f):
     return BinaryAlgebra(f, 3, table, name="heisenberg")
 
 
-def catalog(name, field=QQ):
+def catalog(name, field=QQ, force=False):
     """A named algebra over the requested field (default Q).
 
-    Names: sl2, sl3, sl4 (also sl(2) style), abelian(n), heisenberg.
+    Names: sl2, sl3, sl4 (also sl(2) style), abelian(n), heisenberg. The
+    n of abelian(n) is held to the binary dimension guard (see
+    uce.dimension_guard; force=True overrides it) before its table is
+    allocated.
     """
     f = field_of(field)
     s = name.strip()
@@ -95,6 +99,7 @@ def catalog(name, field=QQ):
         n = int(m.group(1))
         if n < 1:
             raise UnknownAlgebra("abelian(n) needs n >= 1")
+        dimension_guard(n, "lie", force)
         return BinaryAlgebra.zero(f, n, name=f"abelian({n})")
     if s == "heisenberg":
         return _heisenberg(f)

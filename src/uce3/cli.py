@@ -66,12 +66,12 @@ def _load_input(args):
     src = args.input
     if src.startswith("catalog:"):
         f = field_of(args.field) if args.field else QQ
-        return catalog(src[len("catalog:"):], f)
+        return catalog(src[len("catalog:"):], f, args.force)
     if args.field:
         raise SemanticError(
             "--field cannot override the field fixed by an input file"
         )
-    return load_algebra(src)
+    return load_algebra(src, args.force)
 
 
 def cmd_check(args):

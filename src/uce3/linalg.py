@@ -8,7 +8,13 @@ contract:
     out, pivot entries positive); the textbook RREF with pivot entries 1 is
     recovered on export. The accumulator keeps only a forward echelon while
     vectors stream in and back-eliminates once when the canonical form is
-    first needed;
+    first needed. A block of sparse generators is filtered against the
+    exact projection K in one gather-sum, and only the generators K does
+    not kill are folded, one at a time. Relation streams are instead
+    folded mod a prime by the GF(p) backend, which picks generators that
+    are independent over Q (see uce._fold_relations); the exact span is
+    then read off the evaluation map (``left_kernel``) or built from the
+    picked generators and certified block by block against K;
   * GF(p), GF(2) included: the projection K, filtered by blocks. The span
     is held as the matrix K that sends a vector to its residual on the free
     columns (only the pivot rows are stored, as numpy residues: int64, or
@@ -28,12 +34,14 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, InternalAssertionFailed
-from .fields import PrimeField, Rationals, ensure_same_field
+from .fields import QQ, PrimeField, Rationals, ensure_same_field
 from .tensorops import (
+    _BLOCK_BYTES,
     _I64_LIMIT,
     ExactTensor,
     _scaled,
     _witness,
+    escaping_generators,
     exact_tensor,
     exact_tensordot,
     unscale,
@@ -44,6 +52,8 @@ __all__ = [
     "Subspace",
     "QuotientSpace",
     "SpanAccumulator",
+    "left_kernel",
+    "take_generators",
     "span_incremental",
     "rref",
     "kernel",
@@ -91,13 +101,6 @@ def _int_vector(v):
     return out
 
 
-# Every temporary of a GF(p) block filter (the residual block, each gathered
-# slice of K) stays below this many bytes, under glibc's default mmap
-# threshold of 128 KiB: freeing a larger, mmapped block raises that
-# threshold, after which freed heap memory is kept instead of returned.
-_BLOCK_BYTES = 1 << 16
-
-
 def _projection_tensor(n, pivots, cols, block, scale, p):
     """The ambient x len(cols) projection matrix: scale * e_j in the row of
     the j-th coset column, block (one row per pivot) in the pivot rows."""
@@ -105,6 +108,33 @@ def _projection_tensor(n, pivots, cols, block, scale, p):
     k[list(cols), np.arange(len(cols))] = scale
     k[list(pivots)] = block
     return ExactTensor(k, scale, p)
+
+
+def take_generators(cols, vals, lens, idx):
+    """The generators idx of a (cols, vals, lens) block, in that order, as
+    a block of their own."""
+    idx = np.asarray(idx, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    out_lens = lens[idx]
+    out_starts = np.cumsum(out_lens) - out_lens
+    take = np.repeat(starts[idx] - out_starts, out_lens)
+    take += np.arange(len(take))
+    return cols[take], vals[take], out_lens
+
+
+def _dense_rows(n, cols, vals, lens):
+    """Each generator of a (cols, vals, lens) block as a dense list of
+    python ints, repeated coordinates summed, built a block temporary's
+    worth of rows at a time."""
+    gen = np.repeat(np.arange(len(lens)), lens)
+    ends = np.cumsum(lens)
+    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
+    for a in range(0, len(lens), step):
+        b = min(a + step, len(lens))
+        t, e = int(ends[a] - lens[a]), int(ends[b - 1])
+        rows = np.zeros((b - a, n), dtype=object)
+        np.add.at(rows, (gen[t:e] - a, cols[t:e]), vals[t:e].astype(object))
+        yield from rows.tolist()
 
 
 class _EchelonQ:
@@ -169,22 +199,23 @@ class _EchelonQ:
             self.add_dense(v)
         return len(self.pivots) - start
 
-    def add_terms(self, cols, vals, lens, limit=None):
-        """Fold the generators one at a time, each summed into a dense
-        integer vector."""
-        cols, vals = cols.tolist(), vals.tolist()
-        ends = np.cumsum(lens).tolist()
-
-        def dense():
-            t = 0
-            for e in ends:
-                v = [0] * self.n
-                for c, x in zip(cols[t:e], vals[t:e]):
-                    v[c] += x
-                t = e
-                yield v
-
-        return self.add_vectors(dense(), limit)
+    def add_terms(self, cols, vals, lens, limit=None, picked=None):
+        """Filter the generators against the projection K of the span in
+        one exact gather-sum, and fold only those K does not kill, in
+        order, each reduced exactly against the rows before it."""
+        keep = np.arange(len(lens))
+        if self.pivots:
+            piv = set(self.pivots)
+            k = self.projection([c for c in range(self.n) if c not in piv])
+            keep = escaping_generators(cols, vals, lens, k.arr)
+        start = len(self.pivots)
+        rows = _dense_rows(self.n, *take_generators(cols, vals, lens, keep))
+        for g, v in zip(keep.tolist(), rows):
+            if limit is not None and len(self.pivots) >= limit:
+                break
+            if self.add_dense(v) and picked is not None:
+                picked.append(g)
+        return len(self.pivots) - start
 
     def finalize(self):
         if self._final:
@@ -333,10 +364,11 @@ class _EchelonGFp:
             self.add_terms(c, w[g, c], np.bincount(g, minlength=len(w)), limit)
         return len(self.pivots) - start
 
-    def add_terms(self, cols, vals, lens, limit=None):
+    def add_terms(self, cols, vals, lens, limit=None, picked=None):
         """Fold generators given as flat (column, value) terms, lens[g] of
         them for generator g, summing repeated columns. Returns the number
-        of new pivots; stops the moment there are limit pivots."""
+        of new pivots; stops the moment there are limit pivots. picked,
+        when given, receives the generators that became pivots."""
         n = self.n
         vals = np.remainder(vals, self.p).astype(self._k.dtype)
         # terms that vanish mod p add nothing; over GF(2) every term left
@@ -359,7 +391,9 @@ class _EchelonGFp:
             self._reserve(e - g, limit)
             te = int(ends[e - 1])
             res = self._residuals(cols[t:te], vals[t:te], lens[g:e], self._room())
-            self._eliminate(res, limit)
+            rows = self._eliminate(res, limit)
+            if picked is not None:
+                picked.extend(g + i for i in rows)
             g, t = e, te
         return len(self.pivots) - start
 
@@ -421,9 +455,11 @@ class _EchelonGFp:
 
     def _eliminate(self, res, limit):
         """Turn the nonzero residual rows into pivots in order, each one a
-        rank-1 update of the rows after it and of K."""
+        rank-1 update of the rows after it and of K; returns the rows that
+        became pivots."""
         p = self.p
-        for i in res.any(axis=1).nonzero()[0]:
+        rows = []
+        for i in res.any(axis=1).nonzero()[0].tolist():
             nz = res[i].nonzero()[0]
             if not len(nz):
                 continue
@@ -441,8 +477,10 @@ class _EchelonGFp:
             self._row[q] = rank
             self.pivots.append(q)
             self._final = False
+            rows.append(i)
             if rank + 1 >= limit:
-                return
+                break
+        return rows
 
     def finalize(self):
         if self._final:
@@ -542,22 +580,27 @@ class SpanAccumulator:
         dimension limit and returns the number of new pivots."""
         return self._ech.add_vectors(vectors, limit)
 
-    def add_pairs(self, cols, vals, lens, limit=None):
+    def add_pairs(self, cols, vals, lens, limit=None, picked=None):
         """Fold a block of sparse generators given as flat arrays: generator
         g is the next lens[g] (coordinate, value) terms of cols and vals,
         repeated coordinates summed. vals are integers (object dtype where
         they exceed int64) that reduce to field scalars. Stops the moment
         the span has dimension limit; returns the number of new pivots.
+        picked, when given, is a list that receives the indices in the
+        block of the generators that became pivots, which are linearly
+        independent.
 
         Over GF(p) the whole block is filtered against the projection K at
-        once; over Q it is folded generator by generator."""
+        once. Over Q it is filtered against the exact K in one gather-sum,
+        and the generators K does not kill are folded one at a time, so a
+        long stream is cheap only once the span is nearly complete."""
         cols = np.asarray(cols, dtype=np.int64)
         lens = np.asarray(lens, dtype=np.int64)
         if int(lens.sum()) != len(cols) or len(vals) != len(cols):
             raise DimensionMismatch("term counts do not match the term arrays")
         if len(cols) and (cols.min() < 0 or cols.max() >= self.ambient):
             raise DimensionMismatch(f"coordinate outside the ambient {self.ambient}")
-        return self._ech.add_terms(cols, np.asarray(vals), lens, limit)
+        return self._ech.add_terms(cols, np.asarray(vals), lens, limit, picked)
 
     def to_subspace(self):
         # snapshot so a later add/finalize on this accumulator cannot mutate
@@ -904,6 +947,56 @@ def kernel(m):
             "rank-nullity-violated", f"kernel dim {sub.dim}, rank {len(piv)}"
         )
     return sub
+
+
+def left_kernel(arr, free):
+    """The subspace {x : x arr = 0} of Q^ambient for an integer matrix arr
+    (ambient x r) in canonical form, read off arr, when free (r ascending
+    columns) is its set of non-pivot columns; None when it is not.
+
+    With M = arr[free] invertible and D the lcm of the denominators of
+    M^-1, the row of pivot q is D e_q - Y[q] on the free columns, where
+    Y = arr[pivots] D M^-1: the rows lie in the kernel, which then has
+    dimension ambient - r, and are independent. They are its RREF exactly
+    when no row has a nonzero in a free column left of its pivot; since
+    the RREF is unique, these two exact checks are the whole proof that
+    free is the right set."""
+    n, r = arr.shape
+    free = np.asarray(free, dtype=np.int64)
+    if len(free) != r:
+        return None
+    try:
+        inv = right_inverse(Matrix(QQ, [[Fraction(int(x)) for x in row]
+                                        for row in arr[free]]))
+    except DimensionMismatch:
+        return None
+    inv = exact_tensor(QQ, inv.rows)
+    d = inv.scale
+    piv = np.ones(n, dtype=bool)
+    piv[free] = False
+    piv = piv.nonzero()[0]
+    ech = _EchelonQ(n)
+    step = max(1, _BLOCK_BYTES // (8 * max(1, r)))
+    for a in range(0, len(piv), step):
+        q = piv[a : a + step]
+        y = exact_tensordot(arr[q], inv.arr, ([1], [0]))
+        if (y[free[None, :] < q[:, None]] != 0).any():
+            return None
+        for pivot, ys in zip(q.tolist(), y.tolist()):
+            g = gcd(d, *ys)
+            row = [0] * n
+            row[pivot] = d // g
+            support = [pivot]
+            for c, x in zip(free.tolist(), ys):
+                if x:
+                    row[c] = -x // g
+                    support.append(c)
+            ech.rows.append(row)
+            ech.pivots.append(pivot)
+            ech.supports.append(support)
+    ech._col = {p: i for i, p in enumerate(ech.pivots)}
+    ech._final = True
+    return Subspace(QQ, n, ech)
 
 
 def solve_columns(m, rhs_cols):

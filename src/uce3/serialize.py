@@ -23,6 +23,7 @@ import json
 from .algebra import BinaryAlgebra, TernaryAlgebra
 from .errors import FormatError, SemanticError
 from .fields import field_of
+from .uce import dimension_guard
 
 __all__ = [
     "algebra_from_dict",
@@ -63,7 +64,10 @@ def _read_pairs(field, dim, pairs, what):
     return out
 
 
-def algebra_from_dict(doc):
+def algebra_from_dict(doc, force=False):
+    """The algebra a document describes. Its declared dim is held to the
+    dimension guard of its arity (see uce.dimension_guard; force=True
+    overrides it) before any table of that size is allocated."""
     if not isinstance(doc, dict):
         raise FormatError("algebra document must be a JSON object")
     unknown = set(doc) - _ALLOWED_KEYS
@@ -85,6 +89,7 @@ def algebra_from_dict(doc):
         raise FormatError("'dim' must be an integer")
     if dim < 0:
         raise SemanticError(f"dim must be non-negative, got {dim}")
+    dimension_guard(dim, "lts" if "ternary" in doc else "lie", force)
     if "binary" in doc:
         rows = doc["binary"]
         if not isinstance(rows, list):
@@ -142,19 +147,19 @@ def algebra_to_dict(alg):
     return doc
 
 
-def loads_algebra(text):
+def loads_algebra(text, force=False):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
-    return algebra_from_dict(doc)
+    return algebra_from_dict(doc, force)
 
 
 def dumps_algebra(alg):
     return json.dumps(algebra_to_dict(alg), sort_keys=True, indent=1)
 
 
-def load_algebra(path):
+def load_algebra(path, force=False):
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -162,4 +167,4 @@ def load_algebra(path):
         raise FormatError(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path} is not ASCII text (byte {e.start})")
-    return loads_algebra(text)
+    return loads_algebra(text, force)

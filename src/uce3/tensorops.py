@@ -14,6 +14,8 @@ mix tensors with different scales cross-multiply before comparing.
 Contractions pick the fastest exact route available: float64 BLAS while
 k*max|A|*max|B| stays below 2**52 (integer-valued floats are exact below
 2**53), int64 below 2**62, and object-dtype python integers beyond that.
+The same routes serve the gather-sums of sparse relation generators
+against an integer matrix (escaping_generators).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "ExactTensor",
     "exact_tensor",
     "exact_tensordot",
+    "escaping_generators",
     "unscale",
     "left_nested",
     "alternating_witness",
@@ -48,6 +51,13 @@ __all__ = [
 
 _F64_LIMIT = 2**52
 _I64_LIMIT = 2**62
+
+# Every temporary of a blocked contraction or of a GF(p) block filter (the
+# residual block, each gathered slice of K) stays below this many bytes,
+# under glibc's default mmap threshold of 128 KiB: freeing a larger, mmapped
+# block raises that threshold, after which freed heap memory is kept
+# instead of returned.
+_BLOCK_BYTES = 1 << 16
 
 
 class ExactTensor:
@@ -128,6 +138,40 @@ def exact_tensordot(a, b, axes, p=None):
             # in place: the result can be the largest array of a whole check
             np.remainder(c, p, out=c)
     return c
+
+
+def escaping_generators(cols, vals, lens, m):
+    """The indices of the generators of a (cols, vals, lens) block of
+    sparse (coordinate, value) terms whose product with the integer matrix
+    m (one row per coordinate) is not zero. Each product is the sum of
+    value * m[coordinate] over the generator's terms, a gather-sum taken
+    exactly on the route chosen for sums of that many products, for whole
+    generators at a time within one block temporary."""
+    width = m.shape[1]
+    if not len(cols) or not width:
+        return np.zeros(0, dtype=np.int64)
+    dtype = _contraction_dtype(int(lens.max()), vals, m)
+    m = m.astype(dtype, copy=False)
+    vals = vals.astype(dtype, copy=False)
+    gen = np.repeat(np.arange(len(lens)), lens)
+    ends = np.cumsum(lens)
+    room = max(1, _BLOCK_BYTES // (8 * width))
+    out = []
+    t = 0
+    while t < len(cols):
+        # the generators that end within room terms, at least the first
+        last = max(int(np.searchsorted(ends, t + room, "right")) - 1, int(gen[t]))
+        e = int(ends[last])
+        g = gen[t:e]
+        head = np.ones(len(g), dtype=bool)
+        np.not_equal(g[1:], g[:-1], out=head[1:])
+        heads = head.nonzero()[0]
+        part = m[cols[t:e]]
+        part *= vals[t:e, None]
+        sums = np.add.reduceat(part, heads, axis=0)
+        out.append(g[heads][(sums != 0).any(axis=1)])
+        t = e
+    return np.concatenate(out)
 
 
 def unscale(field, raw, den=1):

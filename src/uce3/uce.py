@@ -39,6 +39,7 @@ universal_map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -65,13 +66,15 @@ from .errors import (
     WellDefinednessFailed,
     WrongCategory,
 )
-from .fields import ensure_same_field
+from .fields import PrimeField, ensure_same_field
 from .linalg import (
     Matrix,
     SpanAccumulator,
     kernel,
+    left_kernel,
     quotient,
     right_inverse,
+    take_generators,
 )
 from . import tensorops as tops
 
@@ -94,6 +97,11 @@ __all__ = [
 # dim**2
 LTS_DIM_GUARD = 12
 BINARY_DIM_GUARD = 25
+
+# the prime of the shadow fold over Q: the largest whose products of two
+# residues stay below 2**62, so the GF(p) block fold runs it exactly and
+# the rank it misses (a minor divisible by it) is least likely
+SHADOW_PRIME = 2**31 - 1
 
 _CATEGORIES = ("lie", "leibniz", "lts")
 
@@ -332,40 +340,107 @@ def homology(u):
     )
 
 
-def _fold_relations(field, ambient, blocks, stop_dim, rng=None):
-    """Echelonize the relation generators, one (cols, vals, lens) block of
-    them at a time (see SpanAccumulator.add_pairs).
+def _fold_relations(field, ambient, blocks, stop_dim, ev, rng=None):
+    """Echelonize the relation generators; blocks() yields them one
+    (cols, vals, lens) block at a time (see SpanAccumulator.add_pairs), and
+    yields them again when called again.
 
-    stop_dim is the dimension of the kernel of the evaluation map; the
-    relation span is contained in that kernel (asserted afterwards on the
-    echelon basis), so the fold stops the moment it reaches stop_dim, also
-    in the middle of a block, and later blocks are never built.
+    ev is the evaluation map (see _finish_extension) and stop_dim the
+    dimension of its kernel; the relation span is contained in that kernel
+    (asserted afterwards on the echelon basis), so the fold stops the moment
+    it reaches stop_dim, also in the middle of a block, and later blocks are
+    never built.
+
+    Over Q the generators are folded mod SHADOW_PRIME by the GF(p) block
+    fold, each block first checked exactly to evaluate to zero. A rank mod
+    p is at most the rank over Q, so the generators that became pivots mod
+    p (the picked ones) are independent over Q:
+      * when they reach stop_dim they span the kernel of ev, and its
+        canonical form is read off ev and the free columns mod p
+        (left_kernel), which checks exactly that those columns are right;
+      * otherwise, or if they are not, the picked generators are folded
+        exactly; short of stop_dim, the stream is replayed through the exact
+        fold, which filters each block against the exact projection K and
+        folds in what K does not kill. The span never depends on the prime.
 
     rng, when given, shuffles the order of all the generators before
     folding; the resulting subspace is order-independent by construction,
     and the determinism tests exercise exactly that.
     """
-    acc = SpanAccumulator(field, ambient)
     if rng is not None:
-        blocks = [_shuffled(list(blocks), rng)]
-    for cols, vals, lens in blocks:
-        if acc.dim >= stop_dim:
+        shuffled = _shuffled(list(blocks()), rng)
+
+        def blocks():
+            return [shuffled]
+
+    if field.characteristic:
+        acc = SpanAccumulator(field, ambient)
+        _fold(acc, blocks(), stop_dim)
+        return acc.to_subspace()
+    shadow = SpanAccumulator(_prime_field(SHADOW_PRIME), ambient)
+    picked = []
+    _fold(shadow, _evaluating_to_zero(blocks(), ev), stop_dim, picked)
+    if shadow.dim == stop_dim:
+        piv = set(shadow.pivots)
+        relations = left_kernel(ev.arr, [c for c in range(ambient) if c not in piv])
+        if relations is not None:
+            return relations
+    exact = SpanAccumulator(field, ambient)
+    if picked:
+        exact.add_pairs(*_concatenated(picked))
+    if exact.dim < stop_dim:
+        _fold(exact, blocks(), stop_dim)
+    return exact.to_subspace()
+
+
+def _fold(acc, blocks, stop_dim, picked=None):
+    """Fold blocks into acc until it reaches stop_dim, building no block
+    past that point; picked, when given, collects the generators of each
+    block that became pivots, as blocks. Returns the number of new
+    pivots."""
+    start = acc.dim
+    blocks = iter(blocks)
+    while acc.dim < stop_dim:
+        block = next(blocks, None)
+        if block is None:
             break
-        acc.add_pairs(cols, vals, lens, stop_dim)
-    return acc.to_subspace()
+        new = None if picked is None else []
+        acc.add_pairs(*block, stop_dim, new)
+        if picked is not None:
+            picked.append(take_generators(*block, new))
+    return acc.dim - start
+
+
+def _evaluating_to_zero(blocks, ev):
+    """The blocks, each checked exactly, as it passes, to evaluate to zero
+    under ev."""
+    for cols, vals, lens in blocks:
+        bad = tops.escaping_generators(cols, vals, lens, ev.arr)
+        if len(bad):
+            raise InternalAssertionFailed(
+                "relations-escape-evaluation-kernel",
+                f"relation generator {int(bad[0])} of a block evaluates to a "
+                "nonzero vector",
+            )
+        yield cols, vals, lens
+
+
+@cache
+def _prime_field(p):
+    return PrimeField(p)
+
+
+def _concatenated(blocks):
+    """The generators of the blocks, in order, as one block."""
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def _shuffled(blocks, rng):
     """All the generators of the blocks as one block, permuted by rng."""
-    cols, vals, lens = (np.concatenate(part) for part in zip(*blocks))
+    cols, vals, lens = _concatenated(blocks)
     perm = list(range(len(lens)))
     rng.shuffle(perm)
-    perm = np.array(perm, dtype=np.int64)
-    starts = np.cumsum(lens) - lens
-    out_lens = lens[perm]
-    out_starts = np.cumsum(out_lens) - out_lens
-    take = np.repeat(starts[perm] - out_starts, out_lens) + np.arange(len(cols))
-    return cols[take], vals[take], out_lens
+    return take_generators(cols, vals, lens, perm)
 
 
 def _slotwise(t, m, arity, p):
@@ -479,11 +554,11 @@ def leibniz_uce(g, rng=None):
         raise NotPerfect(f"{g.name or 'input'} is not perfect")
     n = g.dim
     ambient = n * n
-    relations = _fold_relations(
-        g.field, ambient, _leibniz_relations(g), ambient - n, rng
-    )
     t = g.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
+    relations = _fold_relations(
+        g.field, ambient, lambda: _leibniz_relations(g), ambient - n, ev, rng
+    )
     return _finish_extension("leibniz", g, relations, ev)
 
 
@@ -509,10 +584,10 @@ def lie_uce(g, rng=None):
             yield col[cols], sign[cols] * vals, lens
 
     ambient = w.shape[1]
-    relations = _fold_relations(g.field, ambient, gens(), ambient - n, rng)
     t = g.tensor()
     i, j = wedge_index_pairs(n)
     ev = tops.ExactTensor(t.arr[i, j], t.scale, t.p)
+    relations = _fold_relations(g.field, ambient, gens, ambient - n, ev, rng)
     return _finish_extension("lie", g, relations, ev)
 
 
@@ -578,9 +653,12 @@ def lts_tensor_cube(lts, force=False, rng=None):
         raise NotPerfect(f"{lts.name or 'input'} is not perfect")
     ambient = n**3
     t = lts.tensor()
-    blocks = chain([_cube_squares(n), _cube_cycles(n)], _cube_fundamentals(t.arr))
-    relations = _fold_relations(lts.field, ambient, blocks, ambient - n, rng)
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
+
+    def blocks():
+        return chain([_cube_squares(n), _cube_cycles(n)], _cube_fundamentals(t.arr))
+
+    relations = _fold_relations(lts.field, ambient, blocks, ambient - n, ev, rng)
     return _finish_extension("lts", lts, relations, ev)
 
 

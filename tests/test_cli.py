@@ -238,6 +238,38 @@ def test_dimension_guard_and_force(capsys):
     assert code == 4
 
 
+def test_declared_dimension_is_guarded_before_allocation(capsys, tmp_path):
+    # only declared sizes: a table of any of these would not fit in memory,
+    # so reaching exit 3 at all shows the guard ran before the allocation
+    binary = tmp_path / "binary.json"
+    binary.write_text(json.dumps({"field": "Q", "dim": 10**6, "binary": []}),
+                      encoding="ascii")
+    ternary = tmp_path / "ternary.json"
+    ternary.write_text(
+        json.dumps({"field": "GF(3)", "dim": 10**6, "ternary": []}),
+        encoding="ascii",
+    )
+    for argv in (("check", "catalog:abelian(100000)"),
+                 ("check", str(binary)),
+                 ("check", str(ternary)),
+                 ("uce", str(binary), "--category", "lie"),
+                 ("theorem", "catalog:abelian(100000)")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error [DimensionGuard]")
+        assert "--force" in lines[0]
+    # a ternary input is held to the cube's guard, and check takes --force
+    small = tmp_path / "t13.json"
+    small.write_text(json.dumps({"field": "GF(3)", "dim": 13, "ternary": []}),
+                     encoding="ascii")
+    code, _, err = run(capsys, "check", str(small))
+    assert code == 3 and "--force" in err
+    code, out, _ = run(capsys, "check", str(small), "--force")
+    assert code == 0 and "perfect: no, dim 13" in out
+
+
 def test_lts_guard_runs_before_the_derived_table(capsys, monkeypatch):
     import uce3.cli as climod
 

@@ -1,0 +1,183 @@
+"""Every exact contraction route against the object route.
+
+tensorops picks float64 BLAS while a contraction's bound stays below 2**52,
+int64 below 2**62 and python ints beyond. Here each route that its bound
+allows is forced in turn and compared entry by entry with the python-int
+route, which is exact by construction.
+"""
+
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uce3 import QQ, catalog, derived_lts, field_of
+from uce3 import tensorops
+from uce3.tensorops import (
+    _F64_LIMIT,
+    _I64_LIMIT,
+    ExactTensor,
+    escaping_generators,
+    exact_tensordot,
+    lts_derivation_witness,
+)
+
+# (modulus or None, bits of the largest entry): residues of small, medium
+# and the largest supported prime, and integers over Q whose products pass
+# 2**52 (the int64 route), 2**62 (python ints) and int64 storage itself
+CASES = [
+    (3, None), (65521, None), (2**31 - 1, None),
+    (None, 27), (None, 32), (None, 70),
+]
+
+
+def _entries(rng, shape, p, bits):
+    n = int(np.prod(shape))
+    if p is not None:
+        vals = [rng.randrange(p) for _ in range(n)]
+    else:
+        vals = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+    # a third of the entries zero, as in structure constants
+    vals = [0 if rng.random() < 0.33 else v for v in vals]
+    dtype = object if max(map(abs, vals), default=0) >= 2**62 else np.int64
+    return np.array(vals, dtype=dtype).reshape(shape)
+
+
+def _allowed(k, a, b):
+    """The routes exact for sums of k products of entries of a and b."""
+    bound = k * tensorops._maxabs(a) * tensorops._maxabs(b)
+    plain = a.dtype != object and b.dtype != object
+    routes = [dt for dt, limit in ((np.float64, _F64_LIMIT), (np.int64, _I64_LIMIT))
+              if plain and bound < limit]
+    return routes + [object]
+
+
+def _forced(dtype):
+    return mock.patch.object(tensorops, "_contraction_dtype",
+                             lambda k, a, b: dtype)
+
+
+def _same(x, y):
+    return x.shape == y.shape and (
+        np.asarray(x, dtype=object) == np.asarray(y, dtype=object)).all()
+
+
+@pytest.mark.parametrize("p,bits", CASES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4),
+                   st.integers(1, 3)),
+    two_axes=st.booleans(),
+    reduce=st.booleans(),
+)
+def test_exact_tensordot_routes_match_the_object_route(p, bits, seed, dims,
+                                                       two_axes, reduce):
+    rng = random.Random(seed)
+    m, k, w, k2 = dims
+    if two_axes:
+        a = _entries(rng, (m, k, k2), p, bits)
+        b = _entries(rng, (k, k2, w), p, bits)
+        axes, terms = ([1, 2], [0, 1]), k * k2
+    else:
+        a = _entries(rng, (m, k), p, bits)
+        b = _entries(rng, (k, w), p, bits)
+        axes, terms = ([1], [0]), k
+    mod = p if reduce else None
+    with _forced(object):
+        want = exact_tensordot(a, b, axes, mod)
+    if mod is not None:
+        assert (want >= 0).all() and (want < mod).all()
+    for dtype in _allowed(terms, a, b):
+        with _forced(dtype):
+            assert _same(exact_tensordot(a, b, axes, mod), want), dtype
+    assert _same(exact_tensordot(a, b, axes, mod), want)
+
+
+@pytest.mark.parametrize("p,bits", CASES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), count=st.integers(0, 40),
+       ambient=st.integers(1, 9), width=st.integers(0, 4))
+def test_escaping_generators_routes_match_python_sums(p, bits, seed, count,
+                                                      ambient, width):
+    # the gather-sum behind the ev check and the certificate over Q: the
+    # generators whose product with m is not zero, summed in python ints
+    rng = random.Random(seed)
+    m = _entries(rng, (ambient, width), p, bits)
+    lens = np.array([rng.randrange(6) for _ in range(count)], dtype=np.int64)
+    cols = np.array([rng.randrange(ambient) for _ in range(int(lens.sum()))],
+                    dtype=np.int64)
+    vals = _entries(rng, (len(cols),), p, bits)
+    # a last generator whose two terms cancel: its product is zero
+    if len(cols):
+        cols = np.concatenate([cols, cols[:1], cols[:1]])
+        vals = np.concatenate([vals, vals[:1], -vals[:1]])
+        lens = np.concatenate([lens, [2]])
+    want, t = [], 0
+    for g, n in enumerate(lens.tolist()):
+        row = [sum(int(vals[i]) * int(m[cols[i], j]) for i in range(t, t + n))
+               for j in range(width)]
+        if any(row):
+            want.append(g)
+        t += n
+    k = int(lens.max()) if len(lens) else 1
+    for dtype in _allowed(k, vals, m):
+        with _forced(dtype):
+            assert escaping_generators(cols, vals, lens, m).tolist() == want
+    assert escaping_generators(cols, vals, lens, m).tolist() == want
+
+
+def test_the_bound_reaches_every_route():
+    # the cases above cover each route: residues of 3 fit float64, 2**27
+    # entries only int64, 2**32 entries and p = 2**31 - 1 only python ints
+    small = np.full((2, 2), 2, dtype=np.int64)
+    assert _allowed(2, small, small)[0] is np.float64
+    mid = np.full((2, 2), 2**27, dtype=np.int64)
+    assert _allowed(2, mid, mid) == [np.int64, object]
+    for big in (np.full((2, 2), 2**32, dtype=np.int64),
+                np.full((2, 2), 2**31 - 2, dtype=np.int64)):
+        assert _allowed(2, big, big) == [object]
+
+
+def _witness_on_every_route(t):
+    d = t.arr.shape[0]
+    with _forced(object):
+        want = lts_derivation_witness(t)
+    for dtype in _allowed(4 * d, t.arr, t.arr):
+        with _forced(dtype):
+            assert lts_derivation_witness(t) == want, dtype
+    assert lts_derivation_witness(t) == want
+    return want
+
+
+@pytest.mark.parametrize("p,bits", CASES)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), d=st.integers(2, 3),
+       density=st.sampled_from([0.05, 0.3, 1.0]))
+def test_derivation_witness_is_the_same_on_every_route(p, bits, seed, d,
+                                                       density):
+    rng = random.Random(seed)
+    arr = _entries(rng, (d, d, d, d), p, bits)
+    # sparse tensors move the first defect away from (0, 0, 0, 0, 0)
+    arr[np.array([rng.random() > density for _ in range(d**4)]).reshape(arr.shape)] = 0
+    _witness_on_every_route(ExactTensor(arr, 1, p))
+
+
+@pytest.mark.parametrize("p,bits", CASES)
+def test_derivation_witness_of_an_lts_and_of_a_defect(p, bits):
+    f = QQ if p is None else field_of(f"GF({p})")
+    arr = derived_lts(catalog("sl2", f)).tensor().arr
+    if p is None:
+        # the same LTS, its entries (at most 4) scaled to about 2**bits
+        arr = arr.astype(object) * 2 ** (bits - 2)
+        if bits < 62:
+            arr = arr.astype(np.int64)
+    assert _witness_on_every_route(ExactTensor(arr, 1, p)) is None
+    bad = arr.copy()
+    bad[1, 2, 0, 1] += 1
+    if p is not None:
+        bad %= p
+    assert _witness_on_every_route(ExactTensor(bad, 1, p)) is not None

@@ -1,7 +1,9 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
+import numpy as np
 import pytest
 
 from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2, tolists3
@@ -54,6 +56,9 @@ FROZEN = {
     ("sl3", "GF(3)"): {"lie": (14, 6), "leibniz": (14, 6), "lts": (14, 6)},
     ("sl3", "GF(5)"): {"lie": (8, 0), "leibniz": (8, 0), "lts": (8, 0)},
 }
+
+
+CATEGORIES = ("lie", "leibniz", "lts")
 
 
 def build(category, g, **kw):
@@ -109,9 +114,9 @@ def _folded_blocks(monkeypatch, build):
     fold = uce_mod._fold_relations
     seen = []
 
-    def recording(field, ambient, blocks, stop_dim, rng=None):
-        seen.extend(blocks)
-        return fold(field, ambient, seen, stop_dim, rng)
+    def recording(field, ambient, blocks, stop_dim, ev, rng=None):
+        seen.extend(blocks())
+        return fold(field, ambient, lambda: seen, stop_dim, ev, rng)
 
     monkeypatch.setattr(uce_mod, "_fold_relations", recording)
     u = build()
@@ -410,8 +415,8 @@ def test_construction_rejects_relations_outside_evaluation_kernel(monkeypatch):
     assert any(g.c[0][1])
     fold = uce_mod._fold_relations
 
-    def fold_plus_bad_vector(field, ambient, streams, stop_dim, rng=None):
-        rel = fold(field, ambient, streams, stop_dim, rng)
+    def fold_plus_bad_vector(field, ambient, blocks, stop_dim, ev, rng=None):
+        rel = fold(field, ambient, blocks, stop_dim, ev, rng)
         return rel.sum_with(Subspace.from_vectors(field, ambient, [_e0_e1(3)]))
 
     monkeypatch.setattr(uce_mod, "_fold_relations", fold_plus_bad_vector)
@@ -419,6 +424,118 @@ def test_construction_rejects_relations_outside_evaluation_kernel(monkeypatch):
         leibniz_uce(g)
     assert exc.value.fact == "relations-escape-evaluation-kernel"
     assert "pivot column" in str(exc.value)
+
+
+Q_CASES = {
+    "sl2": lambda: catalog("sl2", QQ),
+    "sl3": lambda: catalog("sl3", QQ),
+    "takiff": build_sl2_dual,
+}
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_relation_spans_over_q_do_not_depend_on_the_shadow_prime(
+        monkeypatch, prime):
+    # a small shadow prime loses rank on every case: route A's check
+    # refuses the free columns it picks, or the stream runs out below
+    # stop_dim and the exact certificate must fold in what it missed
+    import uce3.uce as uce_mod
+
+    want = {(name, cat): build(cat, make()).relations
+            for name, make in Q_CASES.items() for cat in CATEGORIES}
+    fold = uce_mod._fold
+    folded_in = []
+
+    def recording(acc, blocks, stop_dim, picked=None):
+        new = fold(acc, blocks, stop_dim, picked)
+        if acc.field == QQ:
+            folded_in.append(new)
+        return new
+
+    monkeypatch.setattr(uce_mod, "_fold", recording)
+    monkeypatch.setattr(uce_mod, "SHADOW_PRIME", prime)
+    for name, make in Q_CASES.items():
+        for cat in CATEGORIES:
+            got = build(cat, make()).relations
+            assert got == want[name, cat], (name, cat)
+            assert got.basis_vectors() == want[name, cat].basis_vectors()
+    assert sum(folded_in) >= 1
+
+
+def _free_columns(relations):
+    piv = set(relations.pivots)
+    return [c for c in range(relations.ambient) if c not in piv]
+
+
+def test_left_kernel_accepts_only_the_canonical_free_columns():
+    from itertools import combinations
+
+    from uce3.linalg import left_kernel
+
+    g = catalog("sl2", QQ)
+    u = leibniz_uce(g)
+    ev = g.tensor().arr.reshape(9, 3)
+    canonical = _free_columns(u.relations)
+    invertible = 0
+    for free in combinations(range(9), 3):
+        got = left_kernel(ev, free)
+        if list(free) == canonical:
+            assert got == u.relations
+            assert got.basis_vectors() == u.relations.basis_vectors()
+            continue
+        assert got is None, free
+        invertible += Matrix(QQ, ev[list(free)].tolist()).rank() == 3
+    # the RREF check, not only the inverse, refuses some of them
+    assert invertible > 0
+
+
+def test_route_a_falls_back_on_wrong_free_columns(monkeypatch):
+    import uce3.uce as uce_mod
+    from uce3.linalg import left_kernel
+
+    g = catalog("sl3", QQ)
+    want = {cat: build(cat, g).relations for cat in CATEGORIES}
+    refused = []
+
+    def swapped(arr, free):
+        # trade one free column for the first column that keeps the
+        # evaluation block invertible, so only the RREF check can refuse
+        for c in sorted(set(range(arr.shape[0])) - set(free)):
+            wrong = sorted(free[1:] + [c])
+            if Matrix(QQ, arr[wrong].tolist()).rank() == len(free):
+                break
+        got = left_kernel(arr, wrong)
+        refused.append(got is None)
+        return got
+
+    monkeypatch.setattr(uce_mod, "left_kernel", swapped)
+    for cat in CATEGORIES:
+        got = build(cat, g).relations
+        assert got == want[cat]
+        assert got.basis_vectors() == want[cat].basis_vectors()
+    assert refused == [True] * len(CATEGORIES)
+
+
+@pytest.mark.parametrize("name", ["sl2", "takiff"])
+def test_a_generator_outside_the_evaluation_kernel_is_caught(monkeypatch, name):
+    # leibniz: sl2/Q reaches stop_dim (route A), takiff/Q has H2 = 1 and
+    # runs out below it (route B); the bad generator comes first in both
+    import uce3.uce as uce_mod
+
+    fold = uce_mod._fold_relations
+
+    def bad_first(field, ambient, blocks, stop_dim, ev, rng=None):
+        c = int(ev.arr.any(axis=1).nonzero()[0][0])
+        bad = (np.array([c]), np.array([1]), np.array([1]))
+        return fold(field, ambient, lambda: chain([bad], blocks()), stop_dim,
+                    ev, rng)
+
+    g = Q_CASES[name]()
+    assert leibniz_uce(g).h2.dim == (name == "takiff")
+    monkeypatch.setattr(uce_mod, "_fold_relations", bad_first)
+    with pytest.raises(InternalAssertionFailed) as exc:
+        leibniz_uce(g)
+    assert exc.value.fact == "relations-escape-evaluation-kernel"
 
 
 def test_universal_map_rejects_source_killing_too_much():
