@@ -3,6 +3,12 @@ checkers, and the constructions that move between them: the derived ternary
 bracket, Leibniz brackets on tensor and wedge squares, the canonical action
 of the wedge square, and the Leibniz bracket induced by an equivariant map.
 
+An algebra or action holds its structure constants only as one exact
+integer tensor (tensorops.ExactTensor, in the canonical form of
+tensorops.rescaled). Nested tables of field scalars are read once, by the
+constructors; every derived structure is built from an exact contraction
+of tensors, handed to from_raw without a pass through field scalars.
+
 Conventions fixed here and relied on everywhere downstream:
 
   * tensor square basis e_i (x) e_j at index i*n + j (lex order);
@@ -16,6 +22,7 @@ symmetric sums zero) so the verdicts are sound in characteristic 2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,98 +60,100 @@ __all__ = [
 ]
 
 
-def _coerce_table(f, table, shape):
-    """Dense nested list with every scalar pushed through the field."""
-    if len(shape) == 1:
-        if len(table) != shape[0]:
-            raise DimensionMismatch(f"expected {shape[0]} entries, got {len(table)}")
-        return [f.coerce(x) for x in table]
-    if len(table) != shape[0]:
-        raise DimensionMismatch(f"expected {shape[0]} entries, got {len(table)}")
-    return [_coerce_table(f, row, shape[1:]) for row in table]
+def _nested_tensor(field, table, shape):
+    """The exact tensor of a dense nested table of field scalars, once its
+    nesting is checked to have exactly the given shape."""
+    a = np.array(table, dtype=object)
+    # an empty table is only as deep as its first empty level
+    if a.shape != shape and (a.size or a.shape != shape[: a.ndim]):
+        raise DimensionMismatch(f"expected a table of shape {shape}, got {a.shape}")
+    return tops.exact_tensor(field, np.frompyfunc(field.coerce, 1, 1)(a).reshape(shape))
 
 
-class BinaryAlgebra:
-    """An algebra with a bilinear bracket, presented by structure constants.
+class _Algebra:
+    """Structure constants held as one exact tensor, and nothing else.
 
-    c[i][j] is the coordinate vector of [e_i, e_j]. No axiom is assumed:
-    flavor flags (Lie, Leibniz, perfect) are computed by check_binary, once
-    per instance, so the table must not be edited after construction.
+    The tensor has shape (dim,) * (arity + 1) and is canonical (see
+    tensorops.rescaled), so two algebras are equal exactly when their
+    fields, dimensions, scales and integer arrays are. Axiom flags are
+    computed once per instance by check_binary / check_ternary, so an
+    algebra is never edited after construction.
     """
 
+    arity = None
+
     def __init__(self, field, dim, table, name=""):
+        self._init(field, _nested_tensor(field, table, (dim,) * (self.arity + 1)), name)
+
+    def _init(self, field, t, name):
         self.field = field
-        self.dim = dim
+        self.dim = t.shape[0]
         self.name = name
-        self.c = _coerce_table(field, table, (dim, dim, dim))
-        self._tensor_cache = None
+        self._tensor = t
         self._flags = None
+        return self
+
+    @classmethod
+    def from_raw(cls, field, raw, den=1, name=""):
+        """The algebra whose structure tensor is raw / den, for an exact
+        integer contraction raw of shape (dim,) * (arity + 1)."""
+        return cls.__new__(cls)._init(field, tops.rescaled(field, raw, den), name)
 
     @classmethod
     def zero(cls, field, dim, name=""):
-        z = field.zero
-        return cls(field, dim, [[[z] * dim for _ in range(dim)] for _ in range(dim)], name)
+        return cls.from_raw(field, np.zeros((dim,) * (cls.arity + 1), np.int64), 1, name)
 
     @classmethod
     def from_sparse(cls, field, dim, entries, name=""):
-        """entries: iterable of (i, j, [(k, coeff), ...]) with absent pairs zero."""
-        z = field.zero
-        table = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, pairs in entries:
+        """entries: iterable of (i, j, [(k, coeff), ...]) for a binary
+        algebra, (i, j, k, [(l, coeff), ...]) for a ternary one; absent
+        entries are zero and repeated ones add up. Every index is checked to
+        lie in [0, dim) before the tensor is allocated."""
+        shape = (dim,) * (cls.arity + 1)
+        index, coeffs = [], []
+        for *head, pairs in entries:
             for k, coeff in pairs:
-                table[i][j][k] = field.add(table[i][j][k], field.coerce(coeff))
-        return cls(field, dim, table, name)
+                ix = tuple(map(operator.index, (*head, k)))
+                if len(ix) != len(shape) or not all(0 <= i < dim for i in ix):
+                    raise DimensionMismatch(f"entry index {ix} out of range for dim {dim}")
+                index.append(ix)
+                coeffs.append(field.coerce(coeff))
+        # exact scalars add up exactly; exact_tensor reduces the sums
+        table = np.full(shape, field.zero, dtype=object)
+        ix = tuple(np.array(index, dtype=np.int64).reshape(-1, len(shape)).T)
+        np.add.at(table, ix, np.array(coeffs, dtype=object))
+        return cls.__new__(cls)._init(field, tops.exact_tensor(field, table), name)
 
     def tensor(self):
-        if self._tensor_cache is None:
-            self._tensor_cache = tops.exact_tensor(self.field, self.c)
-        return self._tensor_cache
+        return self._tensor
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._tensor, other._tensor
+        same = (self.field, self.dim, a.scale) == (other.field, other.dim, b.scale)
+        return same and np.array_equal(a.arr, b.arr)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self._tensor.scale))
 
     def __repr__(self):
-        label = self.name or "binary"
-        return f"<BinaryAlgebra {label} dim {self.dim} over {self.field.spec_str()}>"
+        label = self.name or type(self).__name__.removesuffix("Algebra").lower()
+        return f"<{type(self).__name__} {label} dim {self.dim} over {self.field.spec_str()}>"
 
 
-class TernaryAlgebra:
-    """An algebra with a trilinear bracket; t[i][j][k] = {e_i, e_j, e_k}."""
+class BinaryAlgebra(_Algebra):
+    """An algebra with a bilinear bracket, presented by structure constants:
+    table[i][j] is the coordinate vector of [e_i, e_j]. No axiom is
+    assumed; check_binary computes the Lie, Leibniz and perfect flags."""
 
-    def __init__(self, field, dim, table, name=""):
-        self.field = field
-        self.dim = dim
-        self.name = name
-        self.t = _coerce_table(field, table, (dim, dim, dim, dim))
-        self._tensor_cache = None
-        self._flags = None
+    arity = 2
 
-    @classmethod
-    def zero(cls, field, dim, name=""):
-        z = field.zero
-        return cls(
-            field,
-            dim,
-            [[[[z] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)],
-            name,
-        )
 
-    @classmethod
-    def from_sparse(cls, field, dim, entries, name=""):
-        z = field.zero
-        table = [
-            [[[z] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)
-        ]
-        for i, j, k, pairs in entries:
-            for l, coeff in pairs:
-                table[i][j][k][l] = field.add(table[i][j][k][l], field.coerce(coeff))
-        return cls(field, dim, table, name)
+class TernaryAlgebra(_Algebra):
+    """An algebra with a trilinear bracket; table[i][j][k] = {e_i, e_j, e_k}."""
 
-    def tensor(self):
-        if self._tensor_cache is None:
-            self._tensor_cache = tops.exact_tensor(self.field, self.t)
-        return self._tensor_cache
-
-    def __repr__(self):
-        label = self.name or "ternary"
-        return f"<TernaryAlgebra {label} dim {self.dim} over {self.field.spec_str()}>"
+    arity = 3
 
 
 @dataclass(frozen=True)
@@ -241,8 +250,9 @@ def derived_lts(g):
             f"Leibniz identity fails at {flags.witnesses.get('leibniz')}"
         )
     t = g.tensor()
-    table = tops.unscale(g.field, tops.left_nested(t), t.scale**2)
-    out = TernaryAlgebra(g.field, g.dim, table, name=f"derived({g.name})")
+    out = TernaryAlgebra.from_raw(
+        g.field, tops.left_nested(t), t.scale**2, name=f"derived({g.name})"
+    )
     bad = check_ternary(out)
     if not bad.is_lts:
         raise InternalAssertionFailed(
@@ -279,8 +289,6 @@ def tensor_leibniz(a, variant="tensor"):
     """
     if variant not in ("tensor", "wedge"):
         raise ValueError(f"variant must be tensor or wedge, not {variant!r}")
-    f = a.field
-    n = a.dim
     t = a.tensor()
     if isinstance(a, TernaryAlgebra):
         flags = check_ternary(a)
@@ -294,19 +302,17 @@ def tensor_leibniz(a, variant="tensor"):
                 f"input fails the Leibniz identity at {flags.witnesses.get('leibniz')}"
             )
         d, scale = tops.left_nested(t), t.scale**2
-    big = n * n if variant == "tensor" else n * (n - 1) // 2
-    # the raw table is a temporary: nothing keeps it alive into the copy
-    # the constructor makes of the nested lists
-    table = tops.unscale(f, _square_table(d, variant, t.p), scale)
-    return BinaryAlgebra(f, big, table, name=f"{variant}2({a.name})")
+    return BinaryAlgebra.from_raw(
+        a.field, _square_table(d, variant, t.p), scale, name=f"{variant}2({a.name})"
+    )
 
 
 def _square_table(d, variant, p):
     """Raw table of [x_r (x) y_r, x_s (x) y_s] = D(x_r, x_s, y_s) (x) y_r +
     x_r (x) D(y_r, x_s, y_s) over the basis representatives of the tensor
     square (all pairs) or the wedge square (i < j), the result mapped into
-    that square. d is the raw tensor D[w, u, v, k]; the result is reduced
-    mod p when p is given."""
+    that square. d is the raw tensor D[w, u, v, k]; p, when given, is the
+    modulus of the wedge map's contraction."""
     n = d.shape[0]
     if variant == "tensor":
         x, y = np.divmod(np.arange(n * n), n)
@@ -322,49 +328,37 @@ def _square_table(d, variant, p):
     sq = sq.reshape(m, m, n * n)
     if variant == "wedge":
         return tops.exact_tensordot(sq, wedge_map(n), ([2], [0]), p)
-    if p is not None:
-        # reduced in place, so unscale hands the table on without a copy
-        np.remainder(sq, p, out=sq)
     return sq
 
 
 class ModuleAction:
     """A right action of a binary algebra on F^carrier_dim.
 
-    a[u][x] is the coordinate vector of e_u * e_x (u in the module, x in the
-    algebra). Bilinear by construction; the action laws are what
-    verify_action checks, never an input assumption.
+    table[u][x] is the coordinate vector of e_u * e_x (u in the module, x
+    in the algebra), held as one exact tensor like an algebra's. Bilinear
+    by construction; the action laws are what verify_action checks, never
+    an input assumption.
     """
 
     def __init__(self, carrier_dim, algebra, table):
+        shape = (carrier_dim, algebra.dim, carrier_dim)
+        self._init(algebra, _nested_tensor(algebra.field, table, shape))
+
+    def _init(self, algebra, t):
         self.field = algebra.field
-        self.carrier_dim = carrier_dim
+        self.carrier_dim = t.shape[0]
         self.algebra = algebra
-        self.a = _coerce_table(
-            self.field, table, (carrier_dim, algebra.dim, carrier_dim)
-        )
-        self._tensor_cache = None
+        self._tensor = t
+        return self
+
+    @classmethod
+    def from_raw(cls, algebra, raw, den=1):
+        """The action whose tensor is raw / den, for an exact integer
+        contraction raw of shape (carrier_dim, algebra.dim, carrier_dim)."""
+        return cls.__new__(cls)._init(algebra, tops.rescaled(algebra.field, raw, den))
 
     def tensor(self):
-        if self._tensor_cache is None:
-            self._tensor_cache = tops.exact_tensor(self.field, self.a)
-        return self._tensor_cache
-
-    def act(self, mvec, gvec):
-        f = self.field
-        out = [f.zero] * self.carrier_dim
-        for u, mu in enumerate(mvec):
-            if f.is_zero(mu):
-                continue
-            au = self.a[u]
-            for x, gx in enumerate(gvec):
-                if f.is_zero(gx):
-                    continue
-                s = f.mul(mu, gx)
-                for v, c in enumerate(au[x]):
-                    if not f.is_zero(c):
-                        out[v] = f.add(out[v], f.mul(s, c))
-        return out
+        return self._tensor
 
     def __repr__(self):
         return (
@@ -379,8 +373,7 @@ def canonical_wedge_action(lts):
     acting = tensor_leibniz(lts, "wedge")
     i, j = wedge_index_pairs(lts.dim)
     t = lts.tensor()
-    table = tops.unscale(lts.field, t.arr[:, i, j], t.scale)
-    return ModuleAction(lts.dim, acting, table)
+    return ModuleAction.from_raw(acting, t.arr[:, i, j], t.scale)
 
 
 def verify_action(act, target=None):
@@ -425,12 +418,14 @@ def equivariant_leibniz(act, fmap):
         raise NotEquivariant(
             f"f(m * x) != [f(m), x] at basis pair {eq}", witness=eq
         )
-    f = act.field
-    m = act.carrier_dim
     # [e_u, e_v] = e_u * f(e_v): table[u, v, w] = sum_k at[u, k, w] ft[k, v]
     raw = tops.exact_tensordot(at.arr, ft.arr, ([1], [0]), at.p)
-    table = tops.unscale(f, raw.transpose(0, 2, 1), at.scale * ft.scale)
-    out = BinaryAlgebra(f, m, table, name=f"leibniz[{g.name or 'g'}-action]")
+    out = BinaryAlgebra.from_raw(
+        act.field,
+        raw.transpose(0, 2, 1),
+        at.scale * ft.scale,
+        name=f"leibniz[{g.name or 'g'}-action]",
+    )
     flags = check_binary(out)
     if not flags.is_leibniz:
         raise InternalAssertionFailed(

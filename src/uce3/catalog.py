@@ -71,11 +71,8 @@ def _sl(n, f, name):
 
 def _heisenberg(f):
     # [x, y] = z and nothing else; one-dimensional center spanned by z
-    z = f.zero
-    table = [[[z] * 3 for _ in range(3)] for _ in range(3)]
-    table[0][1][2] = f.one
-    table[1][0][2] = f.neg(f.one)
-    return BinaryAlgebra(f, 3, table, name="heisenberg")
+    entries = [(0, 1, [(2, 1)]), (1, 0, [(2, -1)])]
+    return BinaryAlgebra.from_sparse(f, 3, entries, name="heisenberg")
 
 
 def catalog(name, field=QQ, force=False):

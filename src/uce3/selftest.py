@@ -10,7 +10,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import (
+    BinaryAlgebra,
     check_binary,
     check_ternary,
     canonical_wedge_action,
@@ -105,10 +108,7 @@ def _check_serialize(rng):
         d["binary" if arity == 2 else "ternary"] = rows
         alg = algebra_from_dict(d)
         again = algebra_from_dict(algebra_to_dict(alg))
-        if arity == 2:
-            _require(alg.c == again.c, "binary table round trip")
-        else:
-            _require(alg.t == again.t, "ternary table round trip")
+        _require(alg == again, "structure tensor round trip")
         _require(
             dumps_algebra(alg) == dumps_algebra(again),
             "canonical dump round trip",
@@ -158,30 +158,17 @@ def _check_shuffles(rng):
                 a.relations.equals(b.relations),
                 "relation span under shuffle",
             )
-            if a.category == "lts":
-                _require(
-                    a.extension_algebra.t == b.extension_algebra.t,
-                    "LTS bracket under shuffle",
-                )
-            else:
-                _require(
-                    a.extension_algebra.c == b.extension_algebra.c,
-                    "bracket under shuffle",
-                )
+            _require(
+                a.extension_algebra == b.extension_algebra,
+                f"{a.category} bracket under shuffle",
+            )
 
 
 def _permuted(g, perm):
-    from .algebra import BinaryAlgebra
-
-    n = g.dim
-    table = [
-        [
-            [g.c[perm[i]][perm[j]][perm[k]] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return BinaryAlgebra(g.field, n, table, name=f"{g.name}-permuted")
+    t = g.tensor()
+    return BinaryAlgebra.from_raw(
+        g.field, t.arr[np.ix_(perm, perm, perm)], t.scale, name=f"{g.name}-permuted"
+    )
 
 
 def _check_basis_permutation(rng):
@@ -239,14 +226,10 @@ def _check_map_into_padded_extension(rng):
     u = leibniz_uce(g)
     n = g.dim
     f = g.field
-    from .algebra import BinaryAlgebra
-
-    table = [
-        [list(g.c[i][j]) + [f.zero] if i < n and j < n else [f.zero] * (n + 1)
-         for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-    padded = BinaryAlgebra(f, n + 1, table, name="sl2+center")
+    t = g.tensor()
+    padded = BinaryAlgebra.from_raw(
+        f, np.pad(t.arr, ((0, 1),) * 3), t.scale, name="sl2+center"
+    )
     proj = Matrix(f, [[f.one if i == j else f.zero for j in range(n + 1)]
                       for i in range(n)], n + 1)
     sect = Matrix(f, [[f.one if i == j else f.zero for j in range(n)]

@@ -19,6 +19,9 @@ of range, unparsable coefficient).
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+
+import numpy as np
 
 from .algebra import BinaryAlgebra, TernaryAlgebra
 from .errors import FormatError, SemanticError
@@ -117,34 +120,19 @@ def algebra_from_dict(doc, force=False):
 
 
 def algebra_to_dict(alg):
+    """The document of an algebra: one row per nonzero bracket of basis
+    vectors, rows and their coefficients in lexicographic order."""
     f = alg.field
-    doc = {"name": alg.name, "field": f.spec_str(), "dim": alg.dim}
-    if isinstance(alg, BinaryAlgebra):
-        rows = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                pairs = [
-                    [k, f.scalar_str(x)]
-                    for k, x in enumerate(alg.c[i][j])
-                    if not f.is_zero(x)
-                ]
-                if pairs:
-                    rows.append([i, j, pairs])
-        doc["binary"] = rows
-    else:
-        rows = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                for k in range(alg.dim):
-                    pairs = [
-                        [l, f.scalar_str(x)]
-                        for l, x in enumerate(alg.t[i][j][k])
-                        if not f.is_zero(x)
-                    ]
-                    if pairs:
-                        rows.append([i, j, k, pairs])
-        doc["ternary"] = rows
-    return doc
+    t = alg.tensor()
+    nz = np.nonzero(t.arr)
+    rows = []
+    for *head, k, x in zip(*(ax.tolist() for ax in nz), t.arr[nz].tolist()):
+        if not rows or rows[-1][:-1] != head:
+            rows.append(head + [[]])
+        scalar = x if t.p is not None else Fraction(x, t.scale)
+        rows[-1][-1].append([k, f.scalar_str(scalar)])
+    kind = "binary" if isinstance(alg, BinaryAlgebra) else "ternary"
+    return {"name": alg.name, "field": f.spec_str(), "dim": alg.dim, kind: rows}
 
 
 def loads_algebra(text, force=False):

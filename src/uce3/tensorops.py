@@ -7,6 +7,10 @@ arithmetic is exact but slow, so tensors are first put into integer form:
   * over GF(p) entries are canonical residues;
   * over Q the whole tensor is scaled by the lcm of its denominators.
 
+Algebras store their structure constants in this form (ExactTensor), built
+by exact_tensor from field scalars or by rescaled from a raw contraction;
+unscale reads field scalars back only for Matrix rows and vectors.
+
 Every identity checked here is homogeneous in each input tensor, so a
 positive integer rescale never changes a zero/nonzero verdict; checks that
 mix tensors with different scales cross-multiply before comparing.
@@ -21,7 +25,7 @@ against an integer matrix (escaping_generators).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -32,6 +36,7 @@ __all__ = [
     "exact_tensor",
     "exact_tensordot",
     "escaping_generators",
+    "rescaled",
     "unscale",
     "left_nested",
     "alternating_witness",
@@ -79,28 +84,20 @@ class ExactTensor:
 
 
 def exact_tensor(field, nested):
-    """Build an ExactTensor from nested lists of canonical field scalars."""
+    """The canonical ExactTensor (see rescaled) of nested lists, or an
+    object array, of field scalars."""
     if isinstance(field, PrimeField):
         # moduli are below 2**31, so residues fit int64 without an object pass
-        arr = np.array(nested, dtype=np.int64)
-        return ExactTensor(np.remainder(arr, field.p, out=arr), 1, field.p)
-    a = np.array(nested, dtype=object)
+        return rescaled(field, np.array(nested, dtype=np.int64))
     if not isinstance(field, Rationals):
         raise TypeError(f"unsupported field {field!r}")
-    den = 1
-    for x in a.flat:
-        if type(x) is Fraction:
-            den = lcm(den, x.denominator)
-    ints = []
-    for x in a.flat:
-        if type(x) is Fraction:
-            ints.append(int(x.numerator) * (den // x.denominator))
-        else:
-            ints.append(int(x) * den)
-    maxabs = max(map(abs, ints), default=0)
-    dtype = np.int64 if maxabs < _I64_LIMIT else object
-    arr = np.array(ints, dtype=dtype).reshape(a.shape)
-    return ExactTensor(arr, den, None)
+    a = np.array(nested, dtype=object)
+    den = lcm(1, *(x.denominator for x in a.flat if type(x) is Fraction))
+    ints = [
+        x.numerator * (den // x.denominator) if type(x) is Fraction else int(x) * den
+        for x in a.flat
+    ]
+    return rescaled(field, np.array(ints, dtype=object).reshape(a.shape), den)
 
 
 def _maxabs(a):
@@ -174,10 +171,34 @@ def escaping_generators(cols, vals, lens, m):
     return np.concatenate(out)
 
 
+def rescaled(field, raw, den=1):
+    """The canonical ExactTensor of raw / den, for raw an integer array (an
+    exact contraction whose inputs carried the total scale den).
+
+    Canonical means: over GF(p), int64 residues in [0, p) with scale 1;
+    over Q, scale the lcm of the reduced denominators of the entries, which
+    is den / gcd(den, *raw), with int64 entries below 2**62 and python ints
+    beyond. exact_tensor gives the same form, so two tensors of equal
+    entries are equal arrays with equal scales. raw is the caller's
+    temporary: it may be reduced in place and kept."""
+    if field.characteristic:
+        p = field.characteristic
+        if raw.dtype == object:
+            raw = raw % p
+        arr = np.ascontiguousarray(raw, dtype=np.int64)
+        return ExactTensor(np.remainder(arr, p, out=arr), 1, p)
+    g = gcd(den, int(np.gcd.reduce(raw, axis=None)))
+    if g > 1:
+        raw = raw // g
+    dtype = np.int64 if _maxabs(raw) < _I64_LIMIT else object
+    return ExactTensor(np.ascontiguousarray(raw, dtype=dtype), den // g, None)
+
+
 def unscale(field, raw, den=1):
     """Canonical field scalars raw / den as nested python lists: python int
     over GF(p) (where den is 1), Fraction over Q, never numpy scalars. raw
-    is an exact contraction whose inputs carried the total scale den."""
+    is an exact contraction whose inputs carried the total scale den. Only
+    Matrix rows and vectors are read this way; algebras keep rescaled."""
     a = np.asarray(raw)
     if field.characteristic:
         p = field.characteristic

@@ -94,8 +94,10 @@ def _bracket_splitting(g):
     """A right inverse sigma of the evaluation g (x) g -> g, plus the
     evaluation matrix itself. Exists exactly because g is perfect."""
     n = g.dim
-    cols = [g.c[a][b] for a in range(n) for b in range(n)]
-    mu = Matrix.from_columns(g.field, cols, n)
+    t = g.tensor()
+    # column a*n + b of mu is [e_a, e_b]
+    rows = tops.unscale(g.field, t.arr.reshape(n * n, n).T, t.scale)
+    mu = Matrix(g.field, rows, n * n)
     return mu, right_inverse(mu)
 
 
@@ -104,7 +106,6 @@ def _action_from_splitting(ext, g, sigma):
     sigma(v) = sum a_i (x) b_i of {x, s(a_i), s(b_i)}."""
     f = g.field
     n = g.dim
-    m = ext.carrier_dim
     t = ext.algebra.tensor()
     st = tops.exact_tensor(f, ext.section.rows)
     sg = tops.exact_tensor(f, sigma.rows)
@@ -114,8 +115,8 @@ def _action_from_splitting(ext, g, sigma):
     sr = sg.arr.reshape(n, n, n)
     acted = tops.exact_tensordot(sr, u2, ([0, 1], [1, 0]), t.p)
     den = sg.scale * st.scale**2 * t.scale
-    # acted[v, x] is the vector e_x * e_v; the action table is indexed [x][v]
-    return ModuleAction(m, g, tops.unscale(f, acted.transpose(1, 0, 2), den))
+    # acted[v, x] is the vector e_x * e_v; the action tensor is indexed [x, v]
+    return ModuleAction.from_raw(g, acted.transpose(1, 0, 2), den)
 
 
 def _reversed_right_inverse(mu):
@@ -207,7 +208,7 @@ def induced_leibniz_structure(ext, g):
     if sigma2.rows != sigma.rows:
         act2 = _action_from_splitting(ext, g, sigma2)
         bracket2 = equivariant_leibniz(act2, ext.projection)
-        if bracket2.c != bracket.c:
+        if bracket2 != bracket:
             raise InternalAssertionFailed(
                 "bracket-depends-on-splitting-choice",
                 "two right inverses of the evaluation map disagree",
@@ -346,11 +347,8 @@ def _quotient_as_lts_extension(u_leib, j, base_lts):
     c = list(qj.coset_coords)
     nested = tops.left_nested(et)[np.ix_(c, c, c)]
     raw = tops.exact_tensordot(nested, k.arr, ([3], [0]), k.p)
-    alg = TernaryAlgebra(
-        f,
-        qj.dim,
-        tops.unscale(f, raw, et.scale**2 * k.scale),
-        name=f"{u_leib.extension_algebra.name}/J",
+    alg = TernaryAlgebra.from_raw(
+        f, raw, et.scale**2 * k.scale, name=f"{u_leib.extension_algebra.name}/J"
     )
     proj = _factor_through(u_leib.projection_b, qj)
     st = tops.exact_tensor(f, u_leib.section_s.rows)

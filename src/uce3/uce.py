@@ -39,7 +39,6 @@ universal_map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -162,9 +161,7 @@ def _same_base(a, b):
     ensure_same_field(a.field, b.field)
     if a.dim != b.dim:
         raise NotOverSameBase(f"base dimensions differ: {a.dim} vs {b.dim}")
-    ta = a.c if isinstance(a, BinaryAlgebra) else a.t
-    tb = b.c if isinstance(b, BinaryAlgebra) else b.t
-    if ta != tb:
+    if a != b:
         raise NotOverSameBase("base structure constants differ")
 
 
@@ -377,7 +374,7 @@ def _fold_relations(field, ambient, blocks, stop_dim, ev, rng=None):
         acc = SpanAccumulator(field, ambient)
         _fold(acc, blocks(), stop_dim)
         return acc.to_subspace()
-    shadow = SpanAccumulator(_prime_field(SHADOW_PRIME), ambient)
+    shadow = SpanAccumulator(PrimeField(SHADOW_PRIME), ambient)
     picked = []
     _fold(shadow, _evaluating_to_zero(blocks(), ev), stop_dim, picked)
     if shadow.dim == stop_dim:
@@ -423,11 +420,6 @@ def _evaluating_to_zero(blocks, ev):
                 "nonzero vector",
             )
         yield cols, vals, lens
-
-
-@cache
-def _prime_field(p):
-    return PrimeField(p)
 
 
 def _concatenated(blocks):
@@ -485,13 +477,13 @@ def _finish_extension(category, base, relations, ev):
         kt = kt.reshape(n, n, q.dim)
     else:
         kt = k.arr.reshape((n,) * arity + (q.dim,))
-    # no local keeps the raw or nested table alive past the constructor:
-    # they would sit on top of the axiom checks' peak memory
+    # no local keeps the raw table alive past the constructor: it would
+    # sit on top of the axiom checks' peak memory
     algebra = TernaryAlgebra if category == "lts" else BinaryAlgebra
-    ext = algebra(
+    ext = algebra.from_raw(
         f,
-        q.dim,
-        tops.unscale(f, _slotwise(kt, images, arity, k.p), ev.scale**arity * k.scale),
+        _slotwise(kt, images, arity, k.p),
+        ev.scale**arity * k.scale,
         name=f"uce-{category}({base.name})",
     )
 

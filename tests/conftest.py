@@ -1,20 +1,21 @@
 import pytest
 
 from uce3 import BinaryAlgebra, QQ, catalog, field_of, verify_main_theorem
+from uce3 import tensorops as tops
 
 
 def char_of(field):
     return getattr(field, "p", 0) or 0
 
 
-def tolists2(g):
-    return [[list(g.c[i][j]) for j in range(g.dim)] for i in range(g.dim)]
+def tolists2(a):
+    """The structure constants of a binary (or ternary) algebra as nested
+    field scalars: the one place tests read them that way."""
+    t = a.tensor()
+    return tops.unscale(a.field, t.arr, t.scale)
 
 
-def tolists3(a):
-    n = a.dim
-    return [[[list(a.t[i][j][k]) for k in range(n)] for j in range(n)]
-            for i in range(n)]
+tolists3 = tolists2
 
 
 def build_sl2_dual(field=QQ):

@@ -415,3 +415,31 @@ def naive_ternary_morphism(p, ext_table, base_table, mat):
                 if not is_zero_vec(vsub(p, img, rhs)):
                     return False
     return True
+
+
+def _scalar_str(p, x):
+    if p:
+        return str(x % p)
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def naive_algebra_dict(p, name, field, table, arity):
+    """The JSON document of an algebra by walking its nested table: every
+    basis pair (or triple) in lexicographic order, with one row for each
+    that has a nonzero bracket, listing the nonzero coordinates."""
+    dim = len(table)
+    rows = []
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim) if arity == 3 else [None]:
+                vec = table[i][j] if k is None else table[i][j][k]
+                pairs = [
+                    [l, _scalar_str(p, x)]
+                    for l, x in enumerate(vec)
+                    if _norm(p, x) != 0
+                ]
+                if pairs:
+                    rows.append([i, j, pairs] if k is None else [i, j, k, pairs])
+    key = "binary" if arity == 2 else "ternary"
+    return {"name": name, "field": field, "dim": dim, key: rows}

@@ -260,20 +260,19 @@ def test_criterion_7_induced_leibniz_structure():
         br = cert.leibniz_bracket
         flags = check_binary(br)
         assert flags.is_leibniz and flags.satisfies_jacobi, (name, spec)
-        assert derived_lts(br).t == cube.extension_algebra.t, (name, spec)
+        assert derived_lts(br) == cube.extension_algebra, (name, spec)
         # Z = ker(carrier ^ carrier -> g); its expected size is dim of the
         # wedge square minus dim g since the bracket map is onto
         assert len(cert.z_basis) == z_expected, (name, spec)
         n = g.dim
-        wedge_rows = [
-            list(g.c[i][j]) for i in range(n) for j in range(i + 1, n)
-        ]
+        c = tolists2(g)
+        wedge_rows = [c[i][j] for i in range(n) for j in range(i + 1, n)]
         p = char_of(g.field)
         assert len(wedge_rows) - naive_rank(p, wedge_rows) == z_expected
         # splitting independence is asserted inside the construction; a
         # second run reproduces the same bracket on the nose
         cert2 = induced_leibniz_structure(cube.as_extension(), g)
-        assert cert2.leibniz_bracket.c == br.c
+        assert cert2.leibniz_bracket == br
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"budget blown: {elapsed:.2f}s"
     print(f"\nACCEPTANCE 7 PASS: cube carriers over sl2(Q) and sl3(GF(2)) "
@@ -344,9 +343,10 @@ def test_criterion_9_determinism():
         inv = [0] * n
         for i, pi in enumerate(perm):
             inv[pi] = i
+        c = tolists2(g)
         for i in range(n):
             for j in range(n):
-                src = g.c[perm[i]][perm[j]]
+                src = c[perm[i]][perm[j]]
                 for k in range(n):
                     table[i][j][inv[k]] = src[k]
         from uce3 import BinaryAlgebra

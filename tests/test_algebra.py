@@ -12,6 +12,7 @@ from uce3 import (
     DimensionMismatch,
     JacobiFails,
     Matrix,
+    ModuleAction,
     NotEquivariant,
     NotLeibniz,
     TernaryAlgebra,
@@ -91,8 +92,9 @@ def _halved_sl2():
     g = catalog("sl2", QQ)
     s = [Fraction(1, 2), 1, 1]
     n = g.dim
+    c = tolists2(g)
     table = [
-        [[s[i] * s[j] * g.c[i][j][k] / s[k] for k in range(n)] for j in range(n)]
+        [[s[i] * s[j] * c[i][j][k] / s[k] for k in range(n)] for j in range(n)]
         for i in range(n)
     ]
     return BinaryAlgebra(QQ, n, table, name="sl2-halved")
@@ -136,8 +138,6 @@ def _square_reference(p, d, n, variant):
 def test_contraction_tables_match_per_tuple_formulas(name, spec):
     from naive_checks import vadd, vscale
 
-    from uce3 import ModuleAction
-
     f = field_of(spec)
     g = _halved_sl2() if name == "sl2-halved" else catalog(name, f)
     if spec == "Q":
@@ -151,11 +151,11 @@ def test_contraction_tables_match_per_tuple_formulas(name, spec):
     # vectors, reached through different scales over Q
     for variant in ("tensor", "wedge"):
         ref = _square_reference(p, d, n, variant)
-        assert tensor_leibniz(g, variant).c == ref, variant
-        assert tensor_leibniz(dl, variant).c == ref, variant
+        assert tolists2(tensor_leibniz(g, variant)) == ref, variant
+        assert tolists2(tensor_leibniz(dl, variant)) == ref, variant
     # adjoint action with f = c * identity: [e_u, e_v] = sum_k f[k][v] e_u * e_k
     c = {"GF(2)": 1, "GF(3)": 2, "Q": Fraction(1, 3)}[spec]
-    act_table = [[list(g.c[u][x]) for x in range(n)] for u in range(n)]
+    act_table = tolists2(g)
     fmap = [[c if k == v else 0 for v in range(n)] for k in range(n)]
     br = equivariant_leibniz(ModuleAction(n, g, act_table), Matrix(f, fmap))
     ref = []
@@ -167,7 +167,7 @@ def test_contraction_tables_match_per_tuple_formulas(name, spec):
                 vec = vadd(p, vec, vscale(p, fmap[k][v], act_table[u][k]))
             row.append(vec)
         ref.append(row)
-    assert br.c == ref
+    assert tolists2(br) == ref
 
 
 def test_derived_lts_rejects_non_jacobi(sl2_dual):
@@ -228,29 +228,23 @@ def test_wedge_action(name):
 def test_wedge_action_apply_matches_table():
     dl = derived_lts(catalog("sl2", QQ))
     act = canonical_wedge_action(dl)
-    # x * (e0 ^ e1) = {x, e0, e1}
-    m = [QQ.one, QQ.zero, QQ.zero]
-    gvec = [QQ.zero] * act.algebra.dim
-    gvec[0] = QQ.one  # first wedge basis vector is e0 ^ e1
-    assert act.act(m, gvec) == list(dl.t[0][0][1])
+    # x * (e0 ^ e1) = {x, e0, e1}, read off the action tensor at x = e0 and
+    # the first wedge basis vector e0 ^ e1
+    assert tolists2(act)[0][0] == tolists3(dl)[0][0][1]
 
 
 def test_equivariant_leibniz_adjoint_recovers_bracket():
     g = catalog("sl2", QQ)
     # right adjoint action m * x = [m, x] with f = identity gives back g
-    act_table = [[list(g.c[u][x]) for x in range(g.dim)] for u in range(g.dim)]
-    from uce3 import ModuleAction
-
+    act_table = tolists2(g)
     act = ModuleAction(g.dim, g, act_table)
     br = equivariant_leibniz(act, Matrix.identity(QQ, g.dim))
-    assert br.c == g.c
+    assert br == g
 
 
 def test_equivariant_leibniz_error_paths():
     g = catalog("sl2", QQ)
-    from uce3 import ModuleAction
-
-    act_table = [[list(g.c[u][x]) for x in range(g.dim)] for u in range(g.dim)]
+    act_table = tolists2(g)
     act = ModuleAction(g.dim, g, act_table)
     with pytest.raises(DimensionMismatch):
         equivariant_leibniz(act, Matrix.identity(QQ, g.dim + 1))
@@ -267,14 +261,12 @@ def test_equivariant_leibniz_error_paths():
 
 def test_equivariant_leibniz_zero_map_gives_zero_bracket():
     g = catalog("sl2", QQ)
-    act_table = [[list(g.c[u][x]) for x in range(g.dim)] for u in range(g.dim)]
-    from uce3 import ModuleAction
-
+    act_table = tolists2(g)
     act = ModuleAction(g.dim, g, act_table)
     zero = Matrix(QQ, [[0] * g.dim for _ in range(g.dim)], g.dim)
     br = equivariant_leibniz(act, zero)
     z = QQ.zero
-    assert all(c == z for row in br.c for vec in row for c in vec)
+    assert all(c == z for row in tolists2(br) for vec in row for c in vec)
 
 
 def _bracket_vv(p, c, u, v):
@@ -332,3 +324,61 @@ def test_random_multilinear_tuples_agree_with_basis_verdict(case):
     assert flags.is_alternating == (not any(alt_bad))
     assert flags.is_leibniz == (not any(lei_bad))
     assert flags.satisfies_jacobi == (not any(jac_bad))
+
+
+def test_nested_tables_must_have_the_declared_shape():
+    g = catalog("sl2", QQ)
+    c = tolists2(g)
+    ragged = [list(row) for row in c]
+    ragged[1] = ragged[1][:2]
+    short_vector = [[list(vec) for vec in row] for row in c]
+    short_vector[2][0] = short_vector[2][0][:2]
+    for bad in (c[:2], c + [c[0]], ragged, short_vector, []):
+        with pytest.raises(DimensionMismatch):
+            BinaryAlgebra(QQ, 3, bad)
+    t = tolists3(derived_lts(g))
+    ragged3 = [[[list(vec) for vec in mat] for mat in row] for row in t]
+    ragged3[0][1] = ragged3[0][1][:1]
+    for bad in (t[:2], ragged3, c):
+        with pytest.raises(DimensionMismatch):
+            TernaryAlgebra(QQ, 3, bad)
+    # an action of g on F^2 wants a 2 x 3 x 2 table
+    act = [[[0, 0] for _ in range(3)] for _ in range(2)]
+    ModuleAction(2, g, act)
+    wrong_algebra = [row[:2] for row in act]
+    wrong_carrier = [[vec + [0] for vec in row] for row in act]
+    for bad in (act[:1], wrong_algebra, wrong_carrier):
+        with pytest.raises(DimensionMismatch):
+            ModuleAction(2, g, bad)
+
+
+@pytest.mark.parametrize("cls", [BinaryAlgebra, TernaryAlgebra])
+def test_from_sparse_rejects_out_of_range_indices(cls):
+    # a wrapped python or numpy index would silently write another entry
+    slots = cls.arity + 1
+    for dim, bads in ((2, (-1, -2, 2, 3)), (10**6, (-1, 10**6))):
+        for slot in range(slots):
+            for bad in bads:
+                ix = [0] * slots
+                ix[slot] = bad
+                entry = (*ix[:-1], [(ix[-1], 1)])
+                # at dim 10**6 this also shows the check runs before the
+                # dim**slots table is allocated
+                with pytest.raises(DimensionMismatch):
+                    cls.from_sparse(QQ, dim, [entry])
+    with pytest.raises(DimensionMismatch):
+        BinaryAlgebra.from_sparse(QQ, 2, [(-1, 0, [(0, 1)])])
+
+
+def test_algebra_equality_reads_the_canonical_tensor():
+    # 1/2 + 1/2 scatters to 1: the stored scale is 1, as for the table [[[1]]]
+    a = BinaryAlgebra.from_sparse(QQ, 1, [(0, 0, [(0, "1/2"), (0, "1/2")])])
+    b = BinaryAlgebra(QQ, 1, [[[1]]], name="other")
+    assert a.tensor().scale == 1
+    assert a == b and hash(a) == hash(b)
+    assert a != BinaryAlgebra(QQ, 1, [[[2]]])
+    assert a != BinaryAlgebra(field_of("GF(3)"), 1, [[[1]]])
+    assert BinaryAlgebra.zero(QQ, 1) != TernaryAlgebra.zero(QQ, 1)
+    g = catalog("sl3", QQ)
+    assert g == BinaryAlgebra(QQ, g.dim, tolists2(g))
+    assert tensor_leibniz(g) != tensor_leibniz(catalog("sl3", field_of("GF(5)")))

@@ -119,3 +119,32 @@ def test_characteristic_annihilates():
                 acc = f.add(acc, x)
             assert f.is_zero(acc)
     assert field_of("Q").characteristic == 0
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_test_is_exact_below_the_modulus_limit():
+    from uce3.fields import _MODULUS_LIMIT, _is_prime
+
+    assert [n for n in range(10**4) if _is_prime(n)] == [
+        n for n in range(10**4) if _trial_division(n)
+    ]
+    # strong pseudoprimes to the bases {2}, {2, 3} and {2, 3, 5}
+    for n in (2047, 1373653, 25326001):
+        assert not _trial_division(n)
+        assert not _is_prime(n)
+        with pytest.raises(NonPrimeModulus):
+            PrimeField(n)
+    assert _is_prime(2**31 - 1)
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+    # the least strong pseudoprime to all of 2, 3, 5 and 7 is out of range
+    assert _MODULUS_LIMIT < 3215031751

@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from conftest import build_sl2_dual, char_of, tolists2
+from naive_checks import naive_algebra_dict
+
 from uce3 import (
+    BinaryAlgebra,
     FormatError,
     QQ,
     SemanticError,
@@ -14,6 +19,7 @@ from uce3 import (
     field_of,
     load_algebra,
     loads_algebra,
+    lts_tensor_cube,
 )
 
 
@@ -22,7 +28,7 @@ def test_binary_round_trip():
         g = catalog("sl3", field_of(spec))
         doc = algebra_to_dict(g)
         back = algebra_from_dict(doc)
-        assert back.c == g.c
+        assert back == g
         assert back.field == g.field
         assert back.name == g.name
         assert algebra_to_dict(back) == doc
@@ -32,7 +38,7 @@ def test_ternary_round_trip():
     dl = derived_lts(catalog("sl2", field_of("GF(5)")))
     doc = algebra_to_dict(dl)
     back = algebra_from_dict(doc)
-    assert back.t == dl.t
+    assert back == dl
 
 
 def test_dumps_deterministic():
@@ -50,9 +56,9 @@ def test_rational_coefficients_as_strings():
         "dim": 2,
         "binary": [[0, 1, [[0, "1/2"], [1, "-3"]]]],
     }
-    g = algebra_from_dict(doc)
-    assert g.c[0][1][0] == QQ.parse_scalar("1/2")
-    assert g.c[0][1][1] == QQ.coerce(-3)
+    c = tolists2(algebra_from_dict(doc))
+    assert c[0][1][0] == QQ.parse_scalar("1/2")
+    assert c[0][1][1] == QQ.coerce(-3)
 
 
 def test_sparse_entries_accumulate():
@@ -62,7 +68,7 @@ def test_sparse_entries_accumulate():
         "binary": [[0, 0, [[0, 2]]], [0, 0, [[0, 2]]]],
     }
     g = algebra_from_dict(doc)
-    assert g.c[0][0][0] == 1  # 2 + 2 = 1 mod 3
+    assert tolists2(g)[0][0][0] == 1  # 2 + 2 = 1 mod 3
 
 
 @pytest.mark.parametrize(
@@ -115,7 +121,7 @@ def test_load_algebra_file(tmp_path):
     path = tmp_path / "alg.json"
     path.write_text(dumps_algebra(g), encoding="ascii")
     back = load_algebra(str(path))
-    assert back.c == g.c
+    assert back == g
     assert json.loads(dumps_algebra(back)) == algebra_to_dict(g)
 
 
@@ -130,3 +136,31 @@ def test_flags_stable_under_reserialization():
             L = derived_lts(catalog("sl2", field_of(spec)))
             tback = loads_algebra(dumps_algebra(L))
             assert check_ternary(tback) == check_ternary(L)
+
+
+def _rescaled_sl2():
+    # sl2/Q on the basis 2/3 e, 1/2 f, h: fractional structure constants
+    g = catalog("sl2", QQ)
+    s = [Fraction(2, 3), Fraction(1, 2), 1]
+    c = tolists2(g)
+    table = [[[Fraction(s[i] * s[j]) * c[i][j][k] / s[k] for k in range(3)]
+              for j in range(3)] for i in range(3)]
+    return BinaryAlgebra(QQ, 3, table, name="sl2-rescaled")
+
+
+@pytest.mark.parametrize("case", [
+    "sl2-rescaled/Q", "abelian(3)/Q", "sl3/GF(2)", "sl3/GF(3)", "takiff-lts/Q",
+])
+def test_nonzero_walk_matches_the_nested_table_walk(case):
+    name, spec = case.split("/")
+    if name == "sl2-rescaled":
+        alg = _rescaled_sl2()
+        assert alg.tensor().scale > 1
+    elif name == "takiff-lts":
+        alg = lts_tensor_cube(derived_lts(build_sl2_dual())).extension_algebra
+    else:
+        alg = catalog(name, field_of(spec))
+    arity = 2 if isinstance(alg, BinaryAlgebra) else 3
+    f = alg.field
+    ref = naive_algebra_dict(char_of(f), alg.name, f.spec_str(), tolists2(alg), arity)
+    assert algebra_to_dict(alg) == ref

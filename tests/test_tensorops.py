@@ -14,15 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uce3 import QQ, catalog, derived_lts, field_of
+from uce3 import QQ, PrimeField, catalog, derived_lts, field_of
 from uce3 import tensorops
 from uce3.tensorops import (
     _F64_LIMIT,
     _I64_LIMIT,
     ExactTensor,
     escaping_generators,
+    exact_tensor,
     exact_tensordot,
     lts_derivation_witness,
+    rescaled,
+    unscale,
 )
 
 # (modulus or None, bits of the largest entry): residues of small, medium
@@ -181,3 +184,26 @@ def test_derivation_witness_of_an_lts_and_of_a_defect(p, bits):
     if p is not None:
         bad %= p
     assert _witness_on_every_route(ExactTensor(bad, 1, p)) is not None
+
+
+@pytest.mark.parametrize("p,bits", CASES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), den=st.integers(1, 2**40),
+       common=st.sampled_from([1, 2, 6, 2**20]),
+       dims=st.lists(st.integers(1, 3), min_size=1, max_size=3))
+def test_rescaled_is_the_exact_tensor_of_the_field_scalars(p, bits, seed, den,
+                                                           common, dims):
+    # raw / den read as field scalars and converted back by exact_tensor
+    # must give the very array, dtype and scale rescaled keeps
+    f = QQ if p is None else PrimeField(p)
+    raw = _entries(random.Random(seed), tuple(dims), p, bits)
+    if p is None:
+        # a factor shared by raw and den, which rescaled divides out
+        raw, den = raw * common, den * common
+    else:
+        # unreduced, as a contraction leaves it
+        raw, den = raw * 3 - 5 * p, 1
+    want = exact_tensor(f, unscale(f, raw, den))
+    got = rescaled(f, raw.copy(), den)
+    assert (got.scale, got.p, got.arr.dtype) == (want.scale, want.p, want.arr.dtype)
+    assert _same(got.arr, want.arr)
