@@ -137,7 +137,7 @@ class Rationals(Field):
         return Fraction(a) / b
 
     def parse_scalar(self, s):
-        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", s.strip())
+        m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s.strip())
         if not m:
             raise SemanticError(f"bad rational coefficient {s!r}")
         num = int(m.group(1))
@@ -208,7 +208,7 @@ class PrimeField(Field):
         return (a * self.inv(b)) % self.p
 
     def parse_scalar(self, s):
-        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", s.strip())
+        m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s.strip())
         if not m:
             raise SemanticError(f"bad coefficient {s!r} for GF({self.p})")
         num = int(m.group(1))
@@ -234,14 +234,14 @@ class PrimeField(Field):
 
 QQ = Rationals()
 
-_FIELD_RE = re.compile(r"GF\((\d+)\)")
+_FIELD_RE = re.compile(r"GF\(([0-9]+)\)")
 
 
 def field_of(spec):
     """Parse a field description: the literal ``Q`` or ``GF(<p>)``."""
     if isinstance(spec, Field):
         return spec
-    if not isinstance(spec, str):
+    if not isinstance(spec, str) or not spec.isascii():
         raise SemanticError(f"bad field description {spec!r}")
     s = spec.strip()
     if s == "Q":

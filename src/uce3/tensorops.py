@@ -20,6 +20,12 @@ k*max|A|*max|B| stays below 2**52 (integer-valued floats are exact below
 2**53), int64 below 2**62, and object-dtype python integers beyond that.
 The same routes serve the gather-sums of sparse relation generators
 against an integer matrix (escaping_generators).
+
+The LTS derivation identity is checked slab by slab, on the slabs
+T[:, a, b, :] of a greedy spanning subset picked in (a, b) order by the
+span accumulator of linalg. The defect is linear in the slab, so this is
+exact, and the witness is the one of a loop over every slab, because the
+first failing slab in (a, b) order is always one of the picked pivots.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .fields import PrimeField, Rationals
+from .fields import QQ, PrimeField, Rationals
 
 __all__ = [
     "ExactTensor",
@@ -311,16 +317,45 @@ def lts_cyclic_witness(t):
     return None if w is None else w[:3]
 
 
+def _spanning_slabs(t):
+    """The (a, b), in row-major order, of the slabs T[:, a, b, :] not in
+    the span of the slabs before them: a greedy basis of the span of all
+    slabs over the tensor's field. Each nonzero slab is one sparse row of
+    length d*d, read off np.nonzero of a transposed view of T (no copy)."""
+    # linalg builds on this module, so it is imported at the call
+    from .linalg import SpanAccumulator
+
+    d = t.arr.shape[0]
+    by_slab = t.arr.transpose(1, 2, 0, 3)
+    a, b, x, y = nz = np.nonzero(by_slab)
+    slabs, lens = np.unique(a * d + b, return_counts=True)
+    field = QQ if t.p is None else PrimeField(t.p)
+    picked = []
+    SpanAccumulator(field, d * d).add_pairs(
+        x * d + y, by_slab[nz], lens, picked=picked
+    )
+    return [divmod(int(s), d) for s in slabs[picked]]
+
+
 def lts_derivation_witness(t):
     """Defect of the five-variable identity
 
         {{x,y,z},a,b} = {{x,a,b},y,z} + {x,{y,a,b},z} + {x,y,{z,a,b}}
 
-    as (x, y, z, a, b); None when it holds. Runs blocked over (a, b) so
-    memory stays at d^4 instead of d^6. Each defect entry is a sum of 4d
-    products of two tensor entries, so the exact route is chosen, and the
-    tensor converted to it, once per call; the four contractions are
-    matmuls on reshaped views and accumulate into one array."""
+    as (x, y, z, a, b); None when it holds.
+
+    The defect is linear in the slab m = T[:, a, b, :], so the identity
+    holds on every slab once it holds on a basis of their span: only the
+    greedy spanning subset of _spanning_slabs is checked, which is exact.
+    The witness is the one a loop over every (a, b) would return, since
+    the first failing slab in (a, b) order is always a greedy pivot: a
+    slab in the span of earlier slabs that all pass passes too.
+
+    Runs blocked over (a, b) so memory stays at d^4 instead of d^6. Each
+    defect entry is a sum of 4d products of two tensor entries, so the
+    exact route is chosen, and the tensor converted to it, once per call;
+    the four contractions are matmuls on reshaped views and accumulate
+    into one array."""
     a4 = t.arr
     d = a4.shape[0]
     av = a4.astype(_contraction_dtype(4 * d, a4, a4), copy=False)
@@ -329,18 +364,15 @@ def lts_derivation_witness(t):
     by_second = av.reshape(d, d, d * d)
     by_third = av.reshape(d * d, d, d)
     by_last = av.reshape(d**3, d)
-    for a in range(d):
-        for b in range(d):
-            if not a4[:, a, b, :].any():
-                continue
-            m = av[:, a, b, :]
-            res = (by_last @ m).reshape(shape)
-            res -= (m @ by_first).reshape(shape)
-            res -= (m @ by_second).reshape(shape)
-            res -= (m @ by_third).reshape(shape)
-            w = _witness(res, t.p)
-            if w is not None:
-                return (w[0], w[1], w[2], a, b)
+    for a, b in _spanning_slabs(t):
+        m = av[:, a, b, :]
+        res = (by_last @ m).reshape(shape)
+        res -= (m @ by_first).reshape(shape)
+        res -= (m @ by_second).reshape(shape)
+        res -= (m @ by_third).reshape(shape)
+        w = _witness(res, t.p)
+        if w is not None:
+            return (w[0], w[1], w[2], a, b)
     return None
 
 

@@ -140,6 +140,15 @@ def naive_lts(p, t):
                 s = vadd(p, t[i][j][k], vadd(p, t[j][k][i], t[k][i][j]))
                 if not is_zero_vec(s):
                     return False
+    return naive_derivation_witness(p, t) is None
+
+
+def naive_derivation_witness(p, t):
+    """The first (x, y, z, a, b), looping over every slab (a, b) in
+    row-major order and then over (x, y, z), where
+    {{x,y,z},a,b} = {{x,a,b},y,z} + {x,{y,a,b},z} + {x,y,{z,a,b}} fails;
+    None when it holds everywhere."""
+    n = len(t)
     # each tuple's defect is summed into one list and reduced once, which
     # keeps the 5-tuple loop tolerable at dim 8
     for a in range(n):
@@ -162,8 +171,8 @@ def naive_lts(p, t):
                             if coeff:
                                 _axpy(acc, -coeff, t[x][y][k])
                         if any(_norm(p, v) for v in acc):
-                            return False
-    return True
+                            return (x, y, z, a, b)
+    return None
 
 
 def _axpy(acc, c, row):

@@ -191,6 +191,15 @@ def test_exit_code_semantic_errors(capsys, tmp_path):
     assert code == 3
 
 
+def test_exit_code_non_ascii_field_spec(capsys):
+    # an Arabic-Indic three used to run as GF(3)
+    for spec in ("GF(\u0663)", "GF(3)\u2003"):
+        code, out, err = run(capsys, "theorem", "catalog:sl2", "--field", spec)
+        assert code == 3 and out == ""
+        assert err.startswith("error [SemanticError]:")
+        assert err.count("\n") == 1
+
+
 def test_exit_code_not_perfect(capsys):
     code, _, err = run(capsys, "uce", "catalog:heisenberg", "--category",
                        "leibniz")

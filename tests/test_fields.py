@@ -19,7 +19,9 @@ def test_field_of_parsing():
     assert field_of("Q") is QQ
     assert field_of(" GF(7) ").p == 7
     assert field_of(QQ) is QQ
-    for bad in ("GF(4)", "R", "GF(-3)", "gf(5) extras"):
+    # int() reads any Unicode digit, so the specs accept ASCII only
+    for bad in ("GF(4)", "R", "GF(-3)", "gf(5) extras", "GF(\u0663)",
+                "GF(\uff17)", "Q\u00a0", "\u2003GF(3)"):
         with pytest.raises((SemanticError, NonPrimeModulus)):
             field_of(bad)
     with pytest.raises(SemanticError):
@@ -47,8 +49,9 @@ def test_rational_arithmetic_and_parsing():
     assert QQ.coerce(5) == Fraction(5)
     with pytest.raises(SemanticError):
         QQ.parse_scalar("1/0")
-    with pytest.raises(SemanticError):
-        QQ.parse_scalar("2.5")
+    for bad in ("2.5", "\u0663", "1/\u0663"):
+        with pytest.raises(SemanticError):
+            QQ.parse_scalar(bad)
     with pytest.raises(DivisionByZero):
         QQ.inv(Fraction(0))
     with pytest.raises(FieldMismatch):
@@ -60,6 +63,9 @@ def test_prime_field_arithmetic():
     assert f.coerce(-1) == 6
     assert f.coerce(Fraction(1, 2)) == 4
     assert f.parse_scalar("3/5") == f.div(3, 5)
+    for bad in ("\u0663", "3/\u0665"):
+        with pytest.raises(SemanticError):
+            f.parse_scalar(bad)
     with pytest.raises(DivisionByZero):
         f.coerce(Fraction(1, 7))
     with pytest.raises(DivisionByZero):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive_checks import naive_derivation_witness
 
 from uce3 import QQ, PrimeField, catalog, derived_lts, field_of
 from uce3 import tensorops
@@ -20,6 +21,7 @@ from uce3.tensorops import (
     _F64_LIMIT,
     _I64_LIMIT,
     ExactTensor,
+    _spanning_slabs,
     escaping_generators,
     exact_tensor,
     exact_tensordot,
@@ -184,6 +186,87 @@ def test_derivation_witness_of_an_lts_and_of_a_defect(p, bits):
     if p is not None:
         bad %= p
     assert _witness_on_every_route(ExactTensor(bad, 1, p)) is not None
+
+
+def test_derivation_witness_of_a_perturbed_sl3_on_every_route():
+    # the 42 nonzero slabs of the derived sl3 LTS span 7 dimensions, so
+    # every forced route checks a strict subset of them
+    arr = derived_lts(catalog("sl3", field_of("GF(3)"))).tensor().arr.copy()
+    assert len(_spanning_slabs(ExactTensor(arr, 1, 3))) == 7
+    arr[4, 1, 2, 6] = (arr[4, 1, 2, 6] + 1) % 3
+    want = naive_derivation_witness(3, arr.tolist())
+    assert want is not None
+    assert _witness_on_every_route(ExactTensor(arr, 1, 3)) == want
+
+
+def _unitriangular(rng, d):
+    """P = I + N, N strictly upper triangular with small integer entries,
+    and its inverse, the alternating sum of powers of the nilpotent N."""
+    n = np.array([[rng.randint(-2, 2) if i < j else 0 for j in range(d)]
+                  for i in range(d)], dtype=object)
+    inv = np.eye(d, dtype=int).astype(object)
+    power = inv
+    for _ in range(d):
+        power = -power.dot(n)
+        inv = inv + power
+    return np.eye(d, dtype=int).astype(object) + n, inv
+
+
+def _rebased_sl2_lts(rng, extra):
+    """The derived LTS of sl2 plus extra central coordinates, in a random
+    unitriangular basis: an LTS over every field, whose nonzero slabs are
+    many but span at most 3 dimensions."""
+    d = 3 + extra
+    t = np.zeros((d,) * 4, dtype=object)
+    t[:3, :3, :3, :3] = derived_lts(catalog("sl2", QQ)).tensor().arr
+    fwd, inv = _unitriangular(rng, d)
+    return np.einsum("ai,bj,ck,abcw,lw->ijkl", fwd, fwd, fwd, t, inv), 3
+
+
+def _combined_slabs(rng, d, rank):
+    """A tensor whose (a, b) slabs are integer combinations of rank random
+    d x d matrices, about half of the slabs zero."""
+    basis = [np.array([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)],
+                      dtype=object) for _ in range(rank)]
+    t = np.zeros((d,) * 4, dtype=object)
+    for a in range(d):
+        for b in range(d):
+            if rng.random() < 0.5:
+                t[:, a, b, :] = sum(rng.randint(-2, 2) * m for m in basis)
+    return t, rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, None])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), lts=st.booleans(), extra=st.integers(0, 2),
+       rank=st.integers(1, 3), defect=st.booleans(), lead=st.booleans())
+def test_derivation_witness_on_spanning_slabs_is_the_full_loop_witness(
+        p, seed, lts, extra, rank, defect, lead):
+    rng = random.Random(seed)
+    if lts:
+        arr, span = _rebased_sl2_lts(rng, extra)
+    else:
+        arr, span = _combined_slabs(rng, 2 + extra, rank)
+    if defect:
+        # one entry moved: its slab leaves the span by at most one dimension
+        arr[tuple(rng.randrange(len(arr)) for _ in range(4))] += rng.randint(1, 5)
+        span += 1
+    if lead:
+        # a direct sum with an LTS on the first coordinates: its slabs come
+        # first in (a, b) order and pass, so a defect lies past them
+        head, more = _rebased_sl2_lts(rng, 0)
+        k = len(head)
+        arr, tail = np.zeros((k + len(arr),) * 4, dtype=object), arr
+        arr[:k, :k, :k, :k] = head
+        arr[k:, k:, k:, k:] = tail
+        span += more
+    arr = np.array((arr % p if p else arr).tolist(), dtype=np.int64)
+    t = ExactTensor(arr, 1, p)
+    assert len(_spanning_slabs(t)) <= span
+    want = naive_derivation_witness(p or 0, arr.tolist())
+    assert _witness_on_every_route(t) == want
+    if lts and not defect:
+        assert want is None
 
 
 @pytest.mark.parametrize("p,bits", CASES)
