@@ -10,11 +10,16 @@ the structure tensor; repeated coordinates are summed by the fold:
   * Leibniz:  relations [x,y] (x) z - [x,z] (x) y - x (x) [y,z];
   * Lie:      relations [x,y] ^ z + [y,z] ^ x + [z,x] ^ y on the wedge,
               folded as the wedge image of the Leibniz relations (on a Lie
-              algebra the two generators agree);
+              algebra the two generators agree), x < y < z only: the
+              generator is alternating in (x, y, z);
   * LTS:      the three relation families on L (x) L (x) L: the polarized
               squares, the cyclic sums, and the five-variable family
               {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
-              - {x,y,z} (x) a (x) b.
+              - {x,y,z} (x) a (x) b, y < z and a < b only: the rest lie in
+              the span of these and the squares (see _cube_fundamentals).
+
+Both reductions rest on the category's axioms, which each constructor
+checks before it folds anything.
 
 The quotient comes with one exact projection matrix K (ambient x carrier,
 read off the RREF of the relation span; see QuotientSpace). The bracket on
@@ -91,9 +96,9 @@ __all__ = [
     "BINARY_DIM_GUARD",
 ]
 
-# desk-scale limits on the base dimension: the cube streams dim**5 relation
-# generators over an ambient of dim**3, the binary categories dim**3 over
-# dim**2
+# desk-scale limits on the base dimension: the cube streams
+# dim * C(dim, 2)**2 five-variable relation generators over an ambient of
+# dim**3, the binary categories up to dim**3 over dim**2
 LTS_DIM_GUARD = 12
 BINARY_DIM_GUARD = 25
 
@@ -568,11 +573,15 @@ def lie_uce(g, rng=None):
     # each row of the wedge map has at most one nonzero, a sign
     col, sign = np.abs(w).argmax(1), w.sum(1)
 
+    y, z = np.triu_indices(n, 1)
+
     def gens():
         # on a Lie algebra [x,y]^z - [x,z]^y - x^[y,z] is the Jacobi
-        # generator [x,y]^z + [y,z]^x + [z,x]^y
+        # generator [x,y]^z + [y,z]^x + [z,x]^y, alternating in (x, y, z),
+        # so only x < y < z are kept (the x-th block's generator y * n + z)
         # (x (x) x has sign 0: its terms stay, with value 0)
-        for cols, vals, lens in _leibniz_relations(g):
+        for x, block in enumerate(_leibniz_relations(g)):
+            cols, vals, lens = take_generators(*block, (y * n + z)[y > x])
             yield col[cols], sign[cols] * vals, lens
 
     ambient = w.shape[1]
@@ -606,30 +615,50 @@ def _cube_cycles(n):
 
 
 def _cube_fundamentals(t):
-    """The five-variable generators {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z
-    + x (x) y (x) {z,a,b} - {x,y,z} (x) a (x) b for the raw n^4 tensor t,
-    one block per (a, b) with generator (x * n + y) * n + z.
+    """The five-variable generators g(x,y,z;a,b) = {x,a,b} (x) y (x) z
+    + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b} - {x,y,z} (x) a (x) b for
+    the raw n^4 tensor t of a Lie triple system, only those with y < z and
+    a < b: one block per such (a, b), generators (x, y, z) in lex order.
+
+    With the squares in the stream these span the whole family, in every
+    characteristic. The squares span S = L (x) (symmetric tensors), which
+    every D_ab = {., a, b} maps into itself, and the axioms {x,y,z} =
+    -{x,z,y}, {x,y,y} = 0 and D_ba = -D_ab put in S:
+      * g(x,z,y;a,b) + g(x,y,z;a,b);
+      * g(x,y,y;a,b);
+      * g(x,y,z;a,b) + g(x,y,z;b,a) = -{x,y,z} (x) (a (x) b + b (x) a);
+      * g(x,y,z;a,a).
 
     Term family s of a block puts a nonzero t[r, a, b, k] in slot s: the
-    generators with r in slot s, the coordinates with k there instead."""
+    kept generators with r in slot s, the coordinates with k there
+    instead."""
     n = t.shape[0]
-    gens = np.arange(n**3)
-    weights = [n * n, n, 1]
-    # the generators with 0 in slot s, and the slot-s index of every one
-    base = [np.take(gens.reshape(n, n, n), 0, axis=s).ravel() for s in range(3)]
-    slot = [gens // w % n for w in weights]
-    whole, wk, wv, wlocal, wcnt = _row_nonzeros(t.reshape(n**3, n))
+    pairs = np.triu_indices(n, 1)
+    y, z = pairs
+    coords = [np.repeat(np.arange(n), len(y)), np.tile(y, n), np.tile(z, n)]
+    flat = (coords[0] * n + coords[1]) * n + coords[2]
+    # per slot: its weight in a coordinate, the slot index of every kept
+    # generator, the generators sorted by it, and each index's run there
+    slots = []
+    for s, w in enumerate((n * n, n, 1)):
+        num = np.bincount(coords[s], minlength=n)
+        order = np.argsort(coords[s], kind="stable")
+        slots.append((w, coords[s], order, np.cumsum(num) - num, num))
+    whole, wk, wv, wlocal, wcnt = _row_nonzeros(t.reshape(n**3, n)[flat])
     wv = -wv
-    for a in range(n):
-        for b in range(n):
-            r, k, v, local, cnt = _row_nonzeros(t[:, a, b, :])
-            yield _terms([
-                (base[s] + (r * w)[:, None], local[:, None],
-                 base[s] + (k * w)[:, None], v[:, None], cnt[slot[s]])
-                for s, w in enumerate(weights)
-            ] + [
-                (whole, wlocal, wk * n * n + a * n + b, wv, wcnt),
-            ])
+    for a, b in zip(*pairs):
+        r, k, v, local, cnt = _row_nonzeros(t[:, a, b, :])
+        families = []
+        for w, coord, order, start, num in slots:
+            # the term of nonzero e for each kept generator with r[e] in
+            # slot s, nonzeros in turn
+            reps = num[r]
+            e = np.repeat(np.arange(len(r)), reps)
+            gen = order[np.arange(len(e)) + (start[r] + reps - np.cumsum(reps))[e]]
+            families.append(
+                (gen, local[e], flat[gen] + ((k - r) * w)[e], v[e], cnt[coord])
+            )
+        yield _terms(families + [(whole, wlocal, wk * n * n + a * n + b, wv, wcnt)])
 
 
 def lts_tensor_cube(lts, force=False, rng=None):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from uce3 import BinaryAlgebra, QQ, catalog, field_of, verify_main_theorem
@@ -38,6 +39,21 @@ def build_sl2_dual(field=QQ):
             table[i][j + 3][k + 3] += c
     return BinaryAlgebra(field, n, table, name="sl2[t]/(t^2)")
 
+
+def rebased_ternary(rng, t):
+    """The ternary structure tensor t (object integers) in a random
+    unitriangular basis P = I + N, N strictly upper triangular with small
+    integer entries; P's inverse is the alternating sum of powers of N."""
+    d = t.shape[0]
+    n = np.array([[rng.randint(-2, 2) if i < j else 0 for j in range(d)]
+                  for i in range(d)], dtype=object)
+    inv = np.eye(d, dtype=int).astype(object)
+    power = inv
+    for _ in range(d):
+        power = -power.dot(n)
+        inv = inv + power
+    fwd = np.eye(d, dtype=int).astype(object) + n
+    return np.einsum("ai,bj,ck,abcw,lw->ijkl", fwd, fwd, fwd, t, inv)
 
 # the seven perfect Lie inputs the broad checks run over
 THEOREM_CASES = (

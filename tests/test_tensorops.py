@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import rebased_ternary
 from naive_checks import naive_derivation_witness
 
 from uce3 import QQ, PrimeField, catalog, derived_lts, field_of
@@ -199,19 +200,6 @@ def test_derivation_witness_of_a_perturbed_sl3_on_every_route():
     assert _witness_on_every_route(ExactTensor(arr, 1, 3)) == want
 
 
-def _unitriangular(rng, d):
-    """P = I + N, N strictly upper triangular with small integer entries,
-    and its inverse, the alternating sum of powers of the nilpotent N."""
-    n = np.array([[rng.randint(-2, 2) if i < j else 0 for j in range(d)]
-                  for i in range(d)], dtype=object)
-    inv = np.eye(d, dtype=int).astype(object)
-    power = inv
-    for _ in range(d):
-        power = -power.dot(n)
-        inv = inv + power
-    return np.eye(d, dtype=int).astype(object) + n, inv
-
-
 def _rebased_sl2_lts(rng, extra):
     """The derived LTS of sl2 plus extra central coordinates, in a random
     unitriangular basis: an LTS over every field, whose nonzero slabs are
@@ -219,8 +207,7 @@ def _rebased_sl2_lts(rng, extra):
     d = 3 + extra
     t = np.zeros((d,) * 4, dtype=object)
     t[:3, :3, :3, :3] = derived_lts(catalog("sl2", QQ)).tensor().arr
-    fwd, inv = _unitriangular(rng, d)
-    return np.einsum("ai,bj,ck,abcw,lw->ijkl", fwd, fwd, fwd, t, inv), 3
+    return rebased_ternary(rng, t), 3
 
 
 def _combined_slabs(rng, d, rank):

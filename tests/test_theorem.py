@@ -246,3 +246,41 @@ def test_theorem_checks_each_triple_system_once(monkeypatch):
     assert verify_main_theorem(catalog("sl3", field_of("GF(3)"))).ok
     assert seen
     assert len({id(t) for t in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("spec,shared", [("GF(2)", True), ("GF(3)", False)])
+def test_theorem_reuses_the_flags_of_an_equal_quotient(monkeypatch, spec, shared):
+    # in characteristic 2, J = 0 and U_Leib/J is U_LTS's algebra: it takes
+    # U_LTS's flags instead of a second check; elsewhere it is checked on
+    # its own
+    import uce3.tensorops as tops
+    import uce3.theorem as theorem_mod
+    from uce3 import check_ternary
+
+    witness = tops.lts_derivation_witness
+    checked_ternary = theorem_mod._checked_ternary
+
+    def run(reuse):
+        seen, quotients = [], []
+
+        def counted(t):
+            seen.append(t)
+            return witness(t)
+
+        def recorded(alg, checked):
+            quotients.append((alg, checked))
+            return checked_ternary(alg, checked) if reuse else check_ternary(alg)
+
+        monkeypatch.setattr(tops, "lts_derivation_witness", counted)
+        monkeypatch.setattr(theorem_mod, "_checked_ternary", recorded)
+        report = verify_main_theorem(catalog("sl3", field_of(spec)))
+        monkeypatch.undo()
+        return report.to_dict(), seen, quotients
+
+    report, seen, [(quot, u_lts_alg)] = run(True)
+    want, seen_all, _ = run(False)
+    assert report == want and report["ok"]
+    assert len(seen_all) - len(seen) == (1 if shared else 0)
+    assert (quot == u_lts_alg) == shared
+    assert (check_ternary(quot) is check_ternary(u_lts_alg)) == shared
+    assert any(t is quot.tensor() for t in seen) != shared

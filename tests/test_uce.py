@@ -1,12 +1,20 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
+from math import comb
 
 import numpy as np
 import pytest
 
-from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2, tolists3
+from conftest import (
+    THEOREM_CASES,
+    build_sl2_dual,
+    char_of,
+    tolists2,
+    rebased_ternary,
+    tolists3,
+)
 from naive_checks import (
     naive_cube_relation_rank,
     naive_cube_relation_rows,
@@ -146,25 +154,38 @@ def _sparse_rows(rows):
 
 @pytest.mark.parametrize("name,spec", THEOREM_CASES)
 def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
-    # the array streams produce the oracle's generators exactly, so the
-    # spans they fold are the oracle's relation spans
+    # the array streams produce the oracle's generators exactly: every
+    # Leibniz generator, and of the Lie and the cube's fundamental families
+    # the ones the axioms leave independent (x < y < z; a < b and y < z).
+    # Those lie in the oracle's span, so an equal rank (here and in
+    # test_relation_ranks_match_naive) proves the spans equal
     f = field_of(spec)
     g = catalog(name, f)
     d = derived_lts(g)
     p, c, t = char_of(f), tolists2(g), tolists3(d)
-    for build, naive in ((leibniz_uce, naive_leibniz_relation_rows),
-                         (lie_uce, naive_lie_relation_rows)):
-        _, blocks = _folded_blocks(monkeypatch, lambda: build(g))
-        got = _sparse_generators(blocks, p, g.tensor().scale)
-        assert Counter(got) == Counter(_sparse_rows(naive(p, c))), build
+    _, blocks = _folded_blocks(monkeypatch, lambda: leibniz_uce(g))
+    got = _sparse_generators(blocks, p, g.tensor().scale)
+    assert Counter(got) == Counter(_sparse_rows(naive_leibniz_relation_rows(p, c)))
+    _, blocks = _folded_blocks(monkeypatch, lambda: lie_uce(g))
+    got = _sparse_generators(blocks, p, g.tensor().scale)
+    want = [row for (x, y, z), row in zip(product(range(g.dim), repeat=3),
+                                          naive_lie_relation_rows(p, c))
+            if x < y < z]
+    assert Counter(got) == Counter(_sparse_rows(want))
     u, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
     got = _sparse_generators(blocks, p, d.tensor().scale)
     want = _sparse_rows(naive_cube_relation_rows(p, t))
     # the fundamentals, one (a, b) block each, are the oracle's last n**5
-    # rows; squares and cycles drop the oracle's duplicates and multiples,
-    # so those two families are compared as sets of lines
+    # rows, indexed (a, b, x, y, z); squares and cycles drop the oracle's
+    # duplicates and multiples, so those two families are compared as sets
+    # of lines
     n = d.dim
-    assert Counter(got[-n**5 :]) == Counter(want[-n**5 :])
+    kept = n * comb(n, 2) ** 2
+    assert Counter(got[-kept:]) == Counter(
+        row for (a, b, x, y, z), row in zip(product(range(n), repeat=5),
+                                            want[-n**5 :])
+        if a < b and y < z
+    )
 
     def lines(rows):
         out = set()
@@ -174,11 +195,45 @@ def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
             out.add(tuple((col, x * inv % p if p else x * inv) for col, x in row))
         return out
 
-    assert lines(got[: -n**5]) == lines(want[: -n**5])
+    assert lines(got[:-kept]) == lines(want[: -n**5])
     # the rank oracle takes minutes on the sl3 cube over Q, and
     # test_cube_relation_rank_matches_naive_over_gfp runs it on sl3/GF(2)
     if (name, spec) not in (("sl3", "Q"), ("sl3", "GF(2)")):
         assert u.relations.dim == naive_cube_relation_rank(p, t)
+
+
+def test_cube_streams_only_the_independent_fundamentals(monkeypatch):
+    # squares + cycles + n C(n,2)**2 fundamentals, not n**5
+    d = derived_lts(catalog("sl3", field_of("GF(2)")))
+    n = d.dim
+    _, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
+    squares = n * n + n * comb(n, 2)
+    cycles = (n**3 + 2 * n) // 3
+    # 288 + 176 + 6272 on sl3, against 32768 fundamentals in the full family
+    assert sum(len(lens) for _, _, lens in blocks) == (
+        squares + cycles + n * comb(n, 2) ** 2
+    )
+
+
+def _rebased(d, seed):
+    """The triple system d in a seeded random unitriangular basis."""
+    t = d.tensor()
+    raw = rebased_ternary(random.Random(seed), t.arr.astype(object))
+    return TernaryAlgebra.from_raw(d.field, raw, t.scale, name=f"{d.name}-rebased")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: derived_lts(catalog("sl3", field_of("GF(3)"))),
+    lambda: derived_lts(build_sl2_dual()),
+], ids=["sl3-gf3", "takiff-q"])
+def test_cube_relation_span_is_the_full_oracle_span(make):
+    # off the catalog basis too, the reduced stream spans what the full
+    # five-variable family spans, shuffled or not
+    d = _rebased(make(), 5)
+    rows = list(naive_cube_relation_rows(char_of(d.field), tolists3(d)))
+    want = Subspace.from_vectors(d.field, d.dim**3, rows)
+    for rng in (None, random.Random(11)):
+        assert lts_tensor_cube(d, rng=rng).relations.equals(want)
 
 
 def test_relation_streams_carry_object_values_over_q():
