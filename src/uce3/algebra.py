@@ -70,6 +70,17 @@ def _nested_tensor(field, table, shape):
     return tops.exact_tensor(field, np.frompyfunc(field.coerce, 1, 1)(a).reshape(shape))
 
 
+def _checked_dim(dim):
+    """dim as a non-negative int, checked before anything is allocated."""
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise DimensionMismatch(f"dimension {dim!r} is not an integer") from None
+    if dim < 0:
+        raise DimensionMismatch(f"dimension {dim} is negative")
+    return dim
+
+
 class _Algebra:
     """Structure constants held as one exact tensor, and nothing else.
 
@@ -101,6 +112,7 @@ class _Algebra:
 
     @classmethod
     def zero(cls, field, dim, name=""):
+        dim = _checked_dim(dim)
         return cls.from_raw(field, np.zeros((dim,) * (cls.arity + 1), np.int64), 1, name)
 
     @classmethod
@@ -108,7 +120,9 @@ class _Algebra:
         """entries: iterable of (i, j, [(k, coeff), ...]) for a binary
         algebra, (i, j, k, [(l, coeff), ...]) for a ternary one; absent
         entries are zero and repeated ones add up. Every index is checked to
-        lie in [0, dim) before the tensor is allocated."""
+        lie in [0, dim), and dim to be a non-negative int, before the
+        tensor is allocated."""
+        dim = _checked_dim(dim)
         shape = (dim,) * (cls.arity + 1)
         index, coeffs = [], []
         for *head, pairs in entries:

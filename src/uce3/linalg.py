@@ -1,28 +1,36 @@
 """Exact dense linear algebra over the package's ground fields.
 
-Subspaces are canonicalized to reduced row echelon form, which turns subspace
-equality into literal row comparison. Two elimination backends share that
-contract:
+Every finished subspace, over Q and over GF(p) alike, is held in one form,
+its K-form: the sorted pivots of its reduced row echelon form R, the free
+(non-pivot) columns F, and K = -R[:, F] as one canonical ExactTensor (see
+tensorops.rescaled): residues with scale 1 over GF(p), and over Q integers
+whose scale is the lcm of R's denominators. K sends a vector v to its
+residual v[F] + v[pivots] K / scale modulo the span, so the basis rows,
+reduction, the quotient projection and equality are all read off it, and
+equal subspaces have equal K-forms.
 
-  * rationals: primitive integer rows (fraction-free steps, content gcd'd
-    out, pivot entries positive); the textbook RREF with pivot entries 1 is
-    recovered on export. The accumulator keeps only a forward echelon while
-    vectors stream in and back-eliminates once when the canonical form is
-    first needed. A block of sparse generators is filtered against the
-    exact projection K in one gather-sum, and only the generators K does
-    not kill are folded, one at a time. Relation streams are instead
-    folded mod a prime by the GF(p) backend, which picks generators that
-    are independent over Q (see uce._fold_relations); the exact span is
-    then read off the evaluation map (``left_kernel``) or built from the
-    picked generators and certified block by block against K;
-  * GF(p), GF(2) included: the projection K, filtered by blocks. The span
-    is held as the matrix K that sends a vector to its residual on the free
-    columns (only the pivot rows are stored, as numpy residues: int64, or
-    uint8 bits over GF(2)); a whole block of vectors or sparse generators
-    is filtered with one gather-sum against K, and each new pivot is a
-    rank-1 update of K, so K stays the RREF up to the order of its rows.
-    Exact because every product of two residues is below p**2 < 2**62 and
-    is reduced mod p before it is summed; over GF(2) the sum is an XOR.
+Two elimination backends only accumulate, and hand their state over as a
+K-form:
+
+  * GF(p), GF(2) included: K itself, filtered by blocks. Only the pivot
+    rows are stored, as numpy residues (int64, or uint8 bits over GF(2));
+    a whole block of vectors or sparse generators is filtered with one
+    gather-sum against K, and each new pivot is a rank-1 update of K, so K
+    stays the RREF up to the order of its rows. Exact because every
+    product of two residues is below p**2 < 2**62 and is reduced mod p
+    before it is summed; over GF(2) the sum is an XOR;
+  * rationals: a forward echelon of primitive integer rows (fraction-free
+    steps, Bareiss style, content gcd'd out, pivot entries positive),
+    back-eliminated once when the K-form is first needed. A block of
+    sparse generators is filtered against the K-form in one gather-sum,
+    and only the generators K does not kill are folded, one at a time.
+
+Relation streams over Q are instead folded mod a prime by the GF(p)
+backend, which picks generators that are independent over Q (see
+uce._fold_relations). When they span the kernel of the evaluation map ev,
+its K-form is read straight off ev and the free columns
+(``left_kernel``); otherwise the picked generators are folded exactly and
+certified block by block against K.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .tensorops import (
     escaping_generators,
     exact_tensor,
     exact_tensordot,
+    rescaled,
     unscale,
 )
 
@@ -99,15 +108,6 @@ def _int_vector(v):
         else:
             out.append(int(x) * den)
     return out
-
-
-def _projection_tensor(n, pivots, cols, block, scale, p):
-    """The ambient x len(cols) projection matrix: scale * e_j in the row of
-    the j-th coset column, block (one row per pivot) in the pivot rows."""
-    k = np.zeros((n, len(cols)), dtype=block.dtype)
-    k[list(cols), np.arange(len(cols))] = scale
-    k[list(pivots)] = block
-    return ExactTensor(k, scale, p)
 
 
 def take_generators(cols, vals, lens, idx):
@@ -205,8 +205,7 @@ class _EchelonQ:
         order, each reduced exactly against the rows before it."""
         keep = np.arange(len(lens))
         if self.pivots:
-            piv = set(self.pivots)
-            k = self.projection([c for c in range(self.n) if c not in piv])
+            k = Subspace(QQ, self.n, *self.kform()).projection()
             keep = escaping_generators(cols, vals, lens, k.arr)
         start = len(self.pivots)
         rows = _dense_rows(self.n, *take_generators(cols, vals, lens, keep))
@@ -247,51 +246,22 @@ class _EchelonQ:
         ]
         self._final = True
 
-    def canonical_rows(self):
+    def kform(self):
+        """The K-form as (pivots, raw, scale): raw / scale = -R[:, F], the
+        scale the lcm of the pivot entries, which for primitive rows is the
+        lcm of the RREF denominators."""
         self.finalize()
-        out = []
-        for row, p in zip(self.rows, self.pivots):
-            a = row[p]
-            out.append([Fraction(x, a) for x in row])
-        return out
-
-    def reduce_exact(self, v):
-        self.finalize()
-        w = [x if type(x) is Fraction else Fraction(x) for x in v]
-        for i, p in enumerate(self.pivots):
-            c = w[p]
-            if c:
-                row = self.rows[i]
-                f = c / row[p]
-                for t in self.supports[i]:
-                    w[t] -= f * row[t]
-        return w
-
-    def projection(self, cols):
-        self.finalize()
+        piv = set(self.pivots)
+        free = [c for c in range(self.n) if c not in piv]
         scale = lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
         vals = [
             -row[c] * (scale // row[p])
             for row, p in zip(self.rows, self.pivots)
-            for c in cols
+            for c in free
         ]
-        top = max(max(map(abs, vals), default=0), scale)
-        block = np.array(vals, dtype=np.int64 if top < _I64_LIMIT else object)
-        block = block.reshape(len(self.rows), len(cols))
-        return _projection_tensor(self.n, self.pivots, cols, block, scale, None)
-
-    def key(self):
-        self.finalize()
-        return tuple(tuple(row) for row in self.rows)
-
-    def snapshot(self):
-        out = _EchelonQ(self.n)
-        out.rows = [row[:] for row in self.rows]
-        out.pivots = self.pivots[:]
-        out.supports = [s[:] for s in self.supports]
-        out._col = dict(self._col)
-        out._final = self._final
-        return out
+        top = max(map(abs, vals), default=0)
+        raw = np.array(vals, dtype=np.int64 if top < _I64_LIMIT else object)
+        return self.pivots, raw.reshape(len(self.rows), len(free)), scale
 
 
 class _EchelonGFp:
@@ -494,40 +464,11 @@ class _EchelonGFp:
         self._pos[self._cols] = np.arange(len(live))
         self._final = True
 
-    def canonical_rows(self):
+    def kform(self):
+        """The K-form as (pivots, raw, 1): the pivot rows of K, sorted,
+        over the free columns. raw is K itself, not a copy."""
         self.finalize()
-        rows = np.zeros((len(self.pivots), self.n), dtype=np.int64)
-        rows[:, self._cols] = np.negative(self._k, dtype=np.int64) % self.p
-        rows[np.arange(len(self.pivots)), self.pivots] = 1
-        return rows.tolist()
-
-    def reduce_exact(self, v):
-        self.finalize()
-        w = np.remainder(self._dense([v])[0], self.p).astype(self._k.dtype)
-        c = w.nonzero()[0]
-        res = self._residuals(c, w[c], [len(c)], self._room())
-        out = np.zeros(self.n, dtype=np.int64)
-        out[self._cols] = res[0]
-        return out.tolist()
-
-    def projection(self, cols):
-        self.finalize()
-        k = self._k.astype(np.int64, copy=False)
-        return _projection_tensor(self.n, self.pivots, cols, k, 1, self.p)
-
-    def key(self):
-        self.finalize()
-        return tuple(self.pivots), self._k.tobytes()
-
-    def snapshot(self):
-        out = _EchelonGFp(self.n, self.p)
-        out.pivots = self.pivots[:]
-        out._k = self._k[: len(self.pivots)].copy()
-        out._cols = self._cols.copy()
-        out._pos = self._pos.copy()
-        out._row = self._row.copy()
-        out._final = self._final
-        return out
+        return self.pivots, self._k, 1
 
 
 def _clear_column(block, j, r, p):
@@ -557,8 +498,8 @@ class SpanAccumulator:
     Memory scales with dim * ambient regardless of how many generators are
     folded; over GF(p) the span is the projection K, filtered by blocks,
     which holds dim * (ambient - dim) residues (bytes over GF(2)). ``dim``
-    and ``pivots`` are valid mid-stream; the canonical RREF is produced
-    lazily by ``to_subspace``.
+    and ``pivots`` are valid mid-stream; ``to_subspace`` hands the span
+    over as its K-form.
     """
 
     def __init__(self, field, ambient):
@@ -603,24 +544,31 @@ class SpanAccumulator:
         return self._ech.add_terms(cols, np.asarray(vals), lens, limit, picked)
 
     def to_subspace(self):
-        # snapshot so a later add/finalize on this accumulator cannot mutate
-        # rows the returned subspace also references
-        self._ech.finalize()
-        return Subspace(self.field, self.ambient, self._ech.snapshot())
+        pivots, raw, den = self._ech.kform()
+        # a copy, so folding on into this accumulator cannot reach the
+        # finished subspace
+        return Subspace(self.field, self.ambient, pivots, raw.copy(), den)
 
 
 class Subspace:
-    """A linear subspace held in canonical reduced row echelon form."""
+    """A linear subspace held as its K-form (see the module docstring):
+    ``pivots`` (sorted), ``free`` (the other columns, ascending) and ``k``,
+    the canonical ExactTensor of -R[:, free], one row per pivot.
 
-    def __init__(self, field, ambient, echelon):
+    Built from raw, an integer array with raw / den = -R[:, free], which
+    becomes the subspace's own, so the caller passes a temporary."""
+
+    def __init__(self, field, ambient, pivots, raw, den=1):
         self.field = field
         self.ambient = ambient
-        self._ech = echelon
-        self._ech.finalize()
+        self.pivots = tuple(pivots)
+        piv = set(self.pivots)
+        self.free = tuple(c for c in range(ambient) if c not in piv)
+        self.k = rescaled(field, raw, den)
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, _make_echelon(field, ambient))
+        return cls.from_vectors(field, ambient, [])
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -630,18 +578,36 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self._ech.pivots)
+        return len(self.pivots)
 
-    @property
-    def pivots(self):
-        return tuple(self._ech.pivots)
+    def _zeros(self, shape):
+        """Zeros of a dtype that holds K's entries and its scale."""
+        k = self.k
+        return np.zeros(shape, dtype=k.arr.dtype if k.scale < _I64_LIMIT else object)
 
     def basis_vectors(self):
-        return self._ech.canonical_rows()
+        """The RREF rows: 1 at the pivot, -K / scale on the free columns."""
+        rows = self._zeros((self.dim, self.ambient))
+        rows[:, list(self.free)] = -self.k.arr
+        rows[np.arange(self.dim), list(self.pivots)] = self.k.scale
+        return unscale(self.field, rows, self.k.scale)
+
+    def projection(self):
+        """The ExactTensor (ambient x codim) of v -> v K / scale, the
+        residual of v on the free columns: scale * e_j in the row of the
+        j-th free column, K in the pivot rows."""
+        out = self._zeros((self.ambient, len(self.free)))
+        out[list(self.free), np.arange(len(self.free))] = self.k.scale
+        out[list(self.pivots)] = self.k.arr
+        return ExactTensor(out, self.k.scale, self.k.p)
 
     def reduce(self, v):
-        """Canonical residual of v modulo this subspace."""
-        return self._ech.reduce_exact(v)
+        """Canonical residual of v modulo this subspace: v K / scale on the
+        free columns, zero on the pivots."""
+        out = [self.field.zero] * self.ambient
+        for c, x in zip(self.free, _times(self.field, v, self.projection())):
+            out[c] = x
+        return out
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -657,14 +623,15 @@ class Subspace:
             raise DimensionMismatch(
                 f"ambient dimensions differ: {self.ambient} vs {other.ambient}"
             )
-        return self.pivots == other.pivots and self._ech.key() == other._ech.key()
+        return self == other
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.field != other.field or self.ambient != other.ambient:
-            return False
-        return self.pivots == other.pivots and self._ech.key() == other._ech.key()
+        # array_equal, not bytes: an object K's bytes are pointers
+        return (self.field, self.ambient, self.pivots, self.k.scale) == (
+            other.field, other.ambient, other.pivots, other.k.scale
+        ) and np.array_equal(self.k.arr, other.k.arr)
 
     def __hash__(self):
         return hash((self.field, self.ambient, self.pivots))
@@ -728,38 +695,30 @@ class QuotientSpace:
     exactly those columns, so project(section(x)) == x on the nose.
 
     Projection is one exact matrix K (``projection``, an ExactTensor of
-    shape ambient x dim) read off the RREF of the killed subspace: row c_j
-    of K is scale * e_j, and for RREF row i with pivot column p_i and pivot
-    entry a_i, row p_i of K is -R[i, C] * scale / a_i. Over GF(p) the
-    killed subspace is already held as the projection K, filtered by
-    blocks, so its pivot rows are returned as they are. Then
-    project(v) = v K / scale exactly, and a map F (one row per ambient
-    coordinate) kills the killed subspace exactly when
-    scale * F == K F[C], which ``kill_witness`` checks as one product.
+    shape ambient x dim) spread out of the killed subspace's K-form: row
+    c_j of K is scale * e_j, and row p_i, for the RREF row R_i with pivot
+    column p_i, is -R_i[C] * scale. Then project(v) = v K / scale exactly,
+    and a map F (one row per ambient coordinate) kills the killed subspace
+    exactly when scale * F == K F[C], which ``kill_witness`` checks as one
+    product.
     """
 
     def __init__(self, killed):
         self.killed = killed
         self.field = killed.field
         self.ambient = killed.ambient
-        piv = set(killed.pivots)
-        self.coset_coords = tuple(i for i in range(self.ambient) if i not in piv)
+        self.coset_coords = killed.free
         self.dim = len(self.coset_coords)
         self._projection = None
 
     @property
     def projection(self):
         if self._projection is None:
-            self._projection = self.killed._ech.projection(self.coset_coords)
+            self._projection = self.killed.projection()
         return self._projection
 
     def project(self, v):
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"vector length {len(v)} != ambient {self.ambient}")
-        vt = exact_tensor(self.field, v)
-        k = self.projection
-        raw = exact_tensordot(vt.arr, k.arr, ([0], [0]), k.p)
-        return unscale(self.field, raw, vt.scale * k.scale)
+        return _times(self.field, v, self.projection)
 
     def kill_witness(self, fmap):
         """None when fmap, an ExactTensor with one row per ambient
@@ -786,6 +745,16 @@ class QuotientSpace:
             f"<QuotientSpace F^{self.ambient}/(dim {self.killed.dim}) "
             f"over {self.field.spec_str()}>"
         )
+
+
+def _times(field, v, k):
+    """v K / scale, exactly, for a vector v of field scalars and the
+    projection K of a subspace."""
+    if len(v) != k.shape[0]:
+        raise DimensionMismatch(f"vector length {len(v)} != ambient {k.shape[0]}")
+    vt = exact_tensor(field, v)
+    raw = exact_tensordot(vt.arr, k.arr, ([0], [0]), k.p)
+    return unscale(field, raw, vt.scale * k.scale)
 
 
 def quotient(ambient, killed):
@@ -957,10 +926,10 @@ def left_kernel(arr, free):
     With M = arr[free] invertible and D the lcm of the denominators of
     M^-1, the row of pivot q is D e_q - Y[q] on the free columns, where
     Y = arr[pivots] D M^-1: the rows lie in the kernel, which then has
-    dimension ambient - r, and are independent. They are its RREF exactly
-    when no row has a nonzero in a free column left of its pivot; since
-    the RREF is unique, these two exact checks are the whole proof that
-    free is the right set."""
+    dimension ambient - r, and are independent. They are its RREF, up to
+    the factor D, exactly when no row has a nonzero in a free column left
+    of its pivot; since the RREF is unique, these two exact checks are the
+    whole proof that free is the right set. The K-form is then Y over D."""
     n, r = arr.shape
     free = np.asarray(free, dtype=np.int64)
     if len(free) != r:
@@ -971,32 +940,13 @@ def left_kernel(arr, free):
     except DimensionMismatch:
         return None
     inv = exact_tensor(QQ, inv.rows)
-    d = inv.scale
     piv = np.ones(n, dtype=bool)
     piv[free] = False
     piv = piv.nonzero()[0]
-    ech = _EchelonQ(n)
-    step = max(1, _BLOCK_BYTES // (8 * max(1, r)))
-    for a in range(0, len(piv), step):
-        q = piv[a : a + step]
-        y = exact_tensordot(arr[q], inv.arr, ([1], [0]))
-        if (y[free[None, :] < q[:, None]] != 0).any():
-            return None
-        for pivot, ys in zip(q.tolist(), y.tolist()):
-            g = gcd(d, *ys)
-            row = [0] * n
-            row[pivot] = d // g
-            support = [pivot]
-            for c, x in zip(free.tolist(), ys):
-                if x:
-                    row[c] = -x // g
-                    support.append(c)
-            ech.rows.append(row)
-            ech.pivots.append(pivot)
-            ech.supports.append(support)
-    ech._col = {p: i for i, p in enumerate(ech.pivots)}
-    ech._final = True
-    return Subspace(QQ, n, ech)
+    y = exact_tensordot(arr[piv], inv.arr, ([1], [0]))
+    if (y[free[None, :] < piv[:, None]] != 0).any():
+        return None
+    return Subspace(QQ, n, piv.tolist(), y, inv.scale)
 
 
 def solve_columns(m, rhs_cols):

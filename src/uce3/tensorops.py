@@ -91,10 +91,14 @@ class ExactTensor:
 
 def exact_tensor(field, nested):
     """The canonical ExactTensor (see rescaled) of nested lists, or an
-    object array, of field scalars."""
+    object array, of field scalars; over GF(p), of any integers."""
     if isinstance(field, PrimeField):
-        # moduli are below 2**31, so residues fit int64 without an object pass
-        return rescaled(field, np.array(nested, dtype=np.int64))
+        # moduli are below 2**31, so residues fit int64 without an object
+        # pass; rescaled reduces wider integers
+        try:
+            return rescaled(field, np.array(nested, dtype=np.int64))
+        except OverflowError:
+            return rescaled(field, np.array(nested, dtype=object))
     if not isinstance(field, Rationals):
         raise TypeError(f"unsupported field {field!r}")
     a = np.array(nested, dtype=object)
@@ -212,8 +216,14 @@ def unscale(field, raw, den=1):
         if a.size and not (a.min() >= 0 and a.max() < p):
             a = a % p
         return a.tolist()
-    out = np.array([Fraction(int(x), den) for x in a.flat], dtype=object)
-    return out.reshape(a.shape).tolist()
+    zero = Fraction(0)
+
+    def scalars(x):
+        if type(x) is list:
+            return [scalars(y) for y in x]
+        return Fraction(x, den) if x else zero
+
+    return scalars(a.tolist())
 
 
 def _scaled(a, s):

@@ -212,6 +212,33 @@ def naive_rank(p, rows):
     return rank
 
 
+def naive_rref(p, rows):
+    """Textbook Gauss-Jordan: the nonzero rows of the reduced row echelon
+    form of rows and their pivot columns."""
+    work = [[_norm(p, x) if p else Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    out, piv = [], []
+    for c in range(ncols):
+        hit = next((v for v in work if v[c]), None)
+        if hit is None:
+            continue
+        work.remove(hit)
+        hit = vscale(p, pow(hit[c], -1, p) if p else 1 / hit[c], hit)
+        work = [vsub(p, v, vscale(p, v[c], hit)) for v in work]
+        out = [vsub(p, u, vscale(p, u[c], hit)) for u in out]
+        out.append(hit)
+        piv.append(c)
+    return out, tuple(piv)
+
+
+def naive_reduce(p, basis, pivots, v):
+    """The residual of v against RREF rows basis with the given pivots."""
+    w = [_norm(p, x) if p else Fraction(x) for x in v]
+    for row, q in zip(basis, pivots):
+        w = vsub(p, w, vscale(p, w[q], row))
+    return w
+
+
 def _rank_gf2(rows):
     pivots = {}
     rank = 0

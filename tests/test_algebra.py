@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import char_of, tolists2, tolists3
@@ -368,6 +369,22 @@ def test_from_sparse_rejects_out_of_range_indices(cls):
                     cls.from_sparse(QQ, dim, [entry])
     with pytest.raises(DimensionMismatch):
         BinaryAlgebra.from_sparse(QQ, 2, [(-1, 0, [(0, 1)])])
+
+
+@pytest.mark.parametrize("cls", [BinaryAlgebra, TernaryAlgebra])
+@pytest.mark.parametrize("dim", [-1, 2.5, "3", None])
+def test_zero_checks_its_dimension_before_allocating(cls, dim):
+    with pytest.raises(DimensionMismatch):
+        cls.zero(QQ, dim)
+
+
+@pytest.mark.parametrize("cls", [BinaryAlgebra, TernaryAlgebra])
+@pytest.mark.parametrize("dim", [-1, 2.5, "3", None])
+def test_from_sparse_checks_its_dimension_before_allocating(cls, dim):
+    with pytest.raises(DimensionMismatch):
+        cls.from_sparse(QQ, dim, [])
+    # an integral numpy dimension is an int
+    assert cls.from_sparse(QQ, np.int64(2), []) == cls.zero(QQ, 2)
 
 
 def test_algebra_equality_reads_the_canonical_tensor():

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from conftest import build_sl2_dual
 
@@ -90,6 +93,54 @@ def test_uce_json_algebra_feeds_back_as_input(capsys, tmp_path):
     # byte-identical on repetition, like every JSON emitter here
     code, again2, _ = run(capsys, "check", str(path), "--json")
     assert again2 == again
+
+
+# sha256 of the --json stdout of uce and homology, pinned so that a change to
+# the linear algebra underneath cannot move a byte of the reports: the
+# carrier's structure constants, the coset coordinates and the H2 lifts.
+# sl3/Q reads each relation span off the evaluation map; the Takiff algebra
+# has a nonempty Leibniz H2 and folds its Leibniz relations exactly.
+GOLDEN_JSON = {
+    ("uce", "lie", "sl3/Q"): "f1b8b1e8b5651dded4c35fc301f2fd8c754981a8290586e2b120c8605abb1c62",
+    ("uce", "lie", "sl3/GF(2)"): "8a7a96c457adb0528da4cc47c4e31498bb08024eeacbeef60e86b30e589c6947",
+    ("uce", "lie", "sl3/GF(3)"): "91c5f2618d3f51e5fa9e3f3cba6a6ee8e8649dff55da6819e0c67f8dbcc1ea54",
+    ("uce", "lie", "takiff"): "bfbba162798938eb615417b8811b2002586b244c7cebde38b27109a93818945d",
+    ("uce", "leibniz", "sl3/Q"): "628921515f0251f2c71a2106f2d194fa07fdeaab63adf321e30cd1d0a950103f",
+    ("uce", "leibniz", "sl3/GF(2)"): "a71092b9e6a89aa1d296de770842f6c0557104e72e8197c509ba99bab46f7665",
+    ("uce", "leibniz", "sl3/GF(3)"): "fa202767a33433eae91a00618dcc52f280b61f0dc9b3c70ce4a44a335d2f6b8e",
+    ("uce", "leibniz", "takiff"): "e92ed93f997312e3b8af5423cf91a59e284f1582d67e38f72da431f1ef0dc9e8",
+    ("uce", "lts", "sl3/Q"): "fcb0bfb7344e4cd2c213c6cd5c6c0cba63bf44d24e4418a7a3c8d0ade6b7c175",
+    ("uce", "lts", "sl3/GF(2)"): "259db7fde33e656d7a20085cf77a0b1421f4f1656130c02fe4a86972c62323d4",
+    ("uce", "lts", "sl3/GF(3)"): "04fb3854332d9872ee121861cccaa258da75fb58303813c870f53366edad94fa",
+    ("uce", "lts", "takiff"): "f4de6e4067b8d54f7de0410800bea6671509b11d78c32f6c9cb73f7911b982b3",
+    ("homology", "lie", "sl3/Q"): "42dc25bd8d0623145a7132c7a31c524466de1370b19cb46534af33505b8b383a",
+    ("homology", "lie", "sl3/GF(2)"): "42dc25bd8d0623145a7132c7a31c524466de1370b19cb46534af33505b8b383a",
+    ("homology", "lie", "sl3/GF(3)"): "6b7abcac24a6eb8ec5bbcbd9473a49e858757b8efc95a9369be0f9b519ab35eb",
+    ("homology", "lie", "takiff"): "42dc25bd8d0623145a7132c7a31c524466de1370b19cb46534af33505b8b383a",
+    ("homology", "leibniz", "sl3/Q"): "00765ee55d302883fa4d254466d4a15d518ed07bed34c9f9b1fdc1711442d530",
+    ("homology", "leibniz", "sl3/GF(2)"): "00765ee55d302883fa4d254466d4a15d518ed07bed34c9f9b1fdc1711442d530",
+    ("homology", "leibniz", "sl3/GF(3)"): "27d5111c90087b3054aa8ffb35d45a3429861a6111e434fbe33d4433a60eff63",
+    ("homology", "leibniz", "takiff"): "3fda73076fb69be8c6488a4399d5ca2468cf72a744a5e89f00260757b4ea820d",
+    ("homology", "lts", "sl3/Q"): "949f18b83ed68135819c8b17b6713266587d621423c8ad0e33124d8dd43e955f",
+    ("homology", "lts", "sl3/GF(2)"): "949f18b83ed68135819c8b17b6713266587d621423c8ad0e33124d8dd43e955f",
+    ("homology", "lts", "sl3/GF(3)"): "bd4f0dc48ed1b069a2728e6acf27f6dc510d43c34bc1c0e3a43e88d0ab956048",
+    ("homology", "lts", "takiff"): "949f18b83ed68135819c8b17b6713266587d621423c8ad0e33124d8dd43e955f",
+}
+
+
+@pytest.mark.parametrize("cmd,category,source", sorted(GOLDEN_JSON))
+def test_json_bytes_are_pinned(capsys, tmp_path, cmd, category, source):
+    if source == "takiff":
+        path = tmp_path / "takiff.json"
+        path.write_text(dumps_algebra(build_sl2_dual()), encoding="ascii")
+        argv = [str(path)]
+    else:
+        name, field = source.split("/")
+        argv = ["catalog:" + name, "--field", field]
+    code, out, _ = run(capsys, cmd, *argv, "--category", category, "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_JSON[cmd, category, source]
 
 
 def test_homology_output(capsys):

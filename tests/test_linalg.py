@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import numpy as np
 
-from naive_checks import naive_rank
+from naive_checks import naive_rank, naive_reduce, naive_rref
 
 from uce3 import (
     QQ,
@@ -22,6 +22,7 @@ from uce3 import (
     solve_columns,
     span_incremental,
 )
+from uce3.linalg import left_kernel
 from uce3.tensorops import exact_tensor
 
 FIELDS = ["Q", "GF(2)", "GF(3)", "GF(7)"]
@@ -440,3 +441,76 @@ def test_block_fold_exact_to_the_modulus_limit(spec, seed, ambient, count, block
     assert part.dim == limit
     for v in part.to_subspace().basis_vectors():
         assert sub.contains(v)
+
+
+def _assert_same_subspace(rng, got, want):
+    """got and want are one subspace, down to every view of the K-form."""
+    f, n = want.field, want.ambient
+    assert got == want and got.equals(want) and hash(got) == hash(want)
+    assert (got.pivots, got.free) == (want.pivots, want.free)
+    assert got.k.scale == want.k.scale and got.k.arr.dtype == want.k.arr.dtype
+    assert got.basis_vectors() == want.basis_vectors()
+    for _ in range(3):
+        v = [f.random_scalar(rng) for _ in range(n)]
+        assert got.reduce(v) == want.reduce(v)
+    a, b = quotient(n, got).projection, quotient(n, want).projection
+    assert a.scale == b.scale and np.array_equal(a.arr, b.arr)
+
+
+def _left_kernel_by_fold(arr):
+    """{x : x arr = 0} by the exact fold: the kernel of arr's transpose."""
+    return kernel(Matrix(QQ, arr.T.tolist(), arr.shape[0]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    ambient=st.integers(1, 9),
+    rank=st.integers(1, 9),
+    bits=st.sampled_from([2, 40]),
+)
+def test_left_kernel_is_the_exact_fold(seed, ambient, rank, bits):
+    # route A reads the K-form off arr; the exact fold reaches it through
+    # primitive rows: the two must agree on everything, object K included
+    rng = random.Random(seed)
+    rank = min(rank, ambient)
+    top = 2**bits
+    arr = np.array([[rng.randint(-top, top) for _ in range(rank)]
+                    for _ in range(ambient)], dtype=object)
+    assume(Matrix(QQ, arr.tolist()).rank() == rank)
+    want = _left_kernel_by_fold(arr)
+    _assert_same_subspace(rng, left_kernel(arr, want.free), want)
+
+
+@pytest.mark.parametrize("column", [[2**70, 1], [1, 2**70], [3, 2**64 + 1]])
+def test_left_kernel_with_python_int_k_forms(column):
+    # K = 2**70 (object entries), scale 2**70 (an object projection), and
+    # both at once
+    rng = random.Random(1)
+    arr = np.array([[x] for x in column], dtype=object)
+    want = _left_kernel_by_fold(arr)
+    got = left_kernel(arr, want.free)
+    assert got.k.arr.dtype == object or got.k.scale >= 2**62
+    _assert_same_subspace(rng, got, want)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(7)", "Q"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    ambient=st.integers(1, 10),
+    nrows=st.integers(0, 8),
+)
+def test_k_form_against_textbook_rref(spec, seed, ambient, nrows):
+    f = field_of(spec)
+    p = f.characteristic
+    rng = random.Random(seed)
+    rows = [[rng.randint(-9, 9) for _ in range(ambient)] for _ in range(nrows)]
+    sub = Subspace.from_vectors(f, ambient, rows)
+    basis, piv = naive_rref(p, rows)
+    assert (sub.basis_vectors(), sub.pivots) == (basis, piv)
+    red, rpiv = Matrix(f, rows, ambient).rref()
+    assert (red.rows, rpiv) == (basis, piv)
+    for _ in range(3):
+        v = [rng.randint(-100, 100) for _ in range(ambient)]
+        assert sub.reduce(v) == naive_reduce(p, basis, piv, v)
