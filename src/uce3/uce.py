@@ -15,10 +15,12 @@ the structure tensor; repeated coordinates are summed by the fold:
   * LTS:      the three relation families on L (x) L (x) L: the polarized
               squares, the cyclic sums, and the five-variable family
               {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
-              - {x,y,z} (x) a (x) b, y < z and a < b only: the rest lie in
-              the span of these and the squares (see _cube_fundamentals).
+              - {x,y,z} (x) a (x) b. The squares span S = L (x) Sym^2 L, so
+              the other two are folded modulo S, in L (x) wedge^2 L, y < z
+              and a < b only (see _cube_fundamentals), and the span is
+              lifted back to L (x) L (x) L (see lts_tensor_cube).
 
-Both reductions rest on the category's axioms, which each constructor
+These reductions rest on the category's axioms, which each constructor
 checks before it folds anything.
 
 The quotient comes with one exact projection matrix K (ambient x carrier,
@@ -44,7 +46,7 @@ universal_map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -74,6 +76,7 @@ from .fields import PrimeField, ensure_same_field
 from .linalg import (
     Matrix,
     SpanAccumulator,
+    Subspace,
     kernel,
     left_kernel,
     quotient,
@@ -97,8 +100,8 @@ __all__ = [
 ]
 
 # desk-scale limits on the base dimension: the cube streams
-# dim * C(dim, 2)**2 five-variable relation generators over an ambient of
-# dim**3, the binary categories up to dim**3 over dim**2
+# dim * C(dim, 2)**2 five-variable relation generators into dim * C(dim, 2)
+# of its dim**3 coordinates, the binary categories up to dim**3 over dim**2
 LTS_DIM_GUARD = 12
 BINARY_DIM_GUARD = 25
 
@@ -517,26 +520,25 @@ def _finish_extension(category, base, relations, ev):
     )
 
 
-def _leibniz_relations(g):
-    """The generators [x,y] (x) z - [x,z] (x) y - x (x) [y,z] of the
-    Leibniz relations on the tensor square, one block per x with generator
-    y * n + z; the fold sums repeated coordinates."""
-    c = g.tensor().arr
-    n = g.dim
-    span = np.arange(n)
-    yz, yz_k, yz_v, yz_local, yz_cnt = _row_nonzeros(c.reshape(n * n, n))
-    for x in range(n):
-        r, k, v, local, cnt = _row_nonzeros(c[x])
-        yield _terms([
-            # [x,y] (x) z, y the row
-            ((r * n)[:, None] + span, local[:, None], (k * n)[:, None] + span,
-             v[:, None], np.repeat(cnt, n)),
-            # -[x,z] (x) y, z the row
-            (r[:, None] + span * n, local[:, None], (k * n)[:, None] + span,
-             -v[:, None], np.tile(cnt, n)),
-            # -x (x) [y,z]
-            (yz, yz_local, x * n + yz_k, -yz_v, yz_cnt),
-        ])
+def _leibniz_relations(c, x, y, z):
+    """The generators [x,y] (x) z - [x,z] (x) y - x (x) [y,z] on the tensor
+    square, for c the raw structure tensor and one (x, y, z) per entry of
+    the index arrays, as one block; the fold sums repeated coordinates."""
+    n = len(c)
+    flat = c.reshape(n * n, n)
+    families = []
+    for u, v, w, s in ((x, y, z, 1), (x, z, y, -1)):
+        r, k, val, local, cnt = _row_nonzeros(flat[u * n + v])
+        families.append((r, local, k * n + w[r], s * val, cnt))
+    r, k, val, local, cnt = _row_nonzeros(flat[y * n + z])
+    return _terms(families + [(r, local, x[r] * n + k, -val, cnt)])
+
+
+def _signed(blocks, col, sign):
+    """The blocks through the map e_c -> sign[c] e_col[c] (a term of sign 0
+    stays, with value 0)."""
+    for cols, vals, lens in blocks:
+        yield col[cols], sign[cols] * vals, lens
 
 
 def leibniz_uce(g, rng=None):
@@ -553,8 +555,11 @@ def leibniz_uce(g, rng=None):
     ambient = n * n
     t = g.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
+    y, z = np.indices((n, n)).reshape(2, -1)
     relations = _fold_relations(
-        g.field, ambient, lambda: _leibniz_relations(g), ambient - n, ev, rng
+        g.field, ambient,
+        lambda: (_leibniz_relations(t.arr, np.full_like(y, x), y, z) for x in range(n)),
+        ambient - n, ev, rng,
     )
     return _finish_extension("leibniz", g, relations, ev)
 
@@ -572,36 +577,17 @@ def lie_uce(g, rng=None):
     w = wedge_map(n)
     # each row of the wedge map has at most one nonzero, a sign
     col, sign = np.abs(w).argmax(1), w.sum(1)
-
-    y, z = np.triu_indices(n, 1)
-
-    def gens():
-        # on a Lie algebra [x,y]^z - [x,z]^y - x^[y,z] is the Jacobi
-        # generator [x,y]^z + [y,z]^x + [z,x]^y, alternating in (x, y, z),
-        # so only x < y < z are kept (the x-th block's generator y * n + z)
-        # (x (x) x has sign 0: its terms stay, with value 0)
-        for x, block in enumerate(_leibniz_relations(g)):
-            cols, vals, lens = take_generators(*block, (y * n + z)[y > x])
-            yield col[cols], sign[cols] * vals, lens
-
+    # the Jacobi generator is alternating on a Lie algebra: x < y < z only
+    xyz = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
     ambient = w.shape[1]
     t = g.tensor()
     i, j = wedge_index_pairs(n)
     ev = tops.ExactTensor(t.arr[i, j], t.scale, t.p)
-    relations = _fold_relations(g.field, ambient, gens, ambient - n, ev, rng)
+    relations = _fold_relations(
+        g.field, ambient, lambda: _signed([_leibniz_relations(t.arr, *xyz)], col, sign),
+        ambient - n, ev, rng,
+    )
     return _finish_extension("lie", g, relations, ev)
-
-
-def _cube_squares(n):
-    """e_i (x) e_j (x) e_j and its polarizations e_i (x) (e_j (x) e_k +
-    e_k (x) e_j), j < k: sound in characteristic 2."""
-    i = np.arange(n)[:, None] * n * n
-    j, k = np.triu_indices(n, 1)
-    singles = (i + np.arange(n) * (n + 1)).ravel()
-    pairs = np.stack([i + j * n + k, i + k * n + j], axis=-1).ravel()
-    lens = np.repeat([1, 2], [len(singles), len(pairs) // 2])
-    cols = np.concatenate([singles, pairs])
-    return cols, np.ones(len(cols), dtype=np.int64), lens
 
 
 def _cube_cycles(n):
@@ -620,10 +606,10 @@ def _cube_fundamentals(t):
     the raw n^4 tensor t of a Lie triple system, only those with y < z and
     a < b: one block per such (a, b), generators (x, y, z) in lex order.
 
-    With the squares in the stream these span the whole family, in every
-    characteristic. The squares span S = L (x) (symmetric tensors), which
-    every D_ab = {., a, b} maps into itself, and the axioms {x,y,z} =
-    -{x,z,y}, {x,y,y} = 0 and D_ba = -D_ab put in S:
+    Modulo S = L (x) Sym^2 L, which lts_tensor_cube folds out and lifts
+    back, these span the whole family, in every characteristic: every
+    D_ab = {., a, b} maps S into itself, and the axioms {x,y,z} = -{x,z,y},
+    {x,y,y} = 0 and D_ba = -D_ab put in S:
       * g(x,z,y;a,b) + g(x,y,z;a,b);
       * g(x,y,y;a,b);
       * g(x,y,z;a,b) + g(x,y,z;b,a) = -{x,y,z} (x) (a (x) b + b (x) a);
@@ -675,11 +661,25 @@ def lts_tensor_cube(lts, force=False, rng=None):
     ambient = n**3
     t = lts.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
-
-    def blocks():
-        return chain([_cube_squares(n), _cube_cycles(n)], _cube_fundamentals(t.arr))
-
-    relations = _fold_relations(lts.field, ambient, blocks, ambient - n, ev, rng)
+    # sigma sends e_xyz to e_xyz for y > z, to -e_xzy for y < z and to 0
+    # for y = z: its kernel is S = L (x) Sym^2 L, which ev kills by the
+    # axioms just checked. The kept coordinates (y > z) are numbered in the
+    # ambient's order, so sigma keeps the leading column of a generator
+    x, y, z = np.indices((n, n, n)).reshape(3, -1)
+    sign, hi, lo = np.sign(y - z), np.maximum(y, z), np.minimum(y, z)
+    col = np.where(sign, x * (n * (n - 1) // 2) + hi * (hi - 1) // 2 + lo, 0)
+    kept = (sign > 0).nonzero()[0]
+    red = _fold_relations(
+        lts.field, len(kept),
+        lambda: _signed(chain([_cube_cycles(n)], _cube_fundamentals(t.arr)), col, sign),
+        len(kept) - n, tops.ExactTensor(ev.arr[kept], ev.scale, ev.p), rng,
+    )
+    # the relation span is sigma's preimage of red, in RREF: each y <= z and
+    # red's pivots are pivots, and K is sigma times red's projection
+    proj = red.projection()
+    piv = np.sort(np.concatenate([(sign <= 0).nonzero()[0], kept[list(red.pivots)]]))
+    relations = Subspace(lts.field, ambient, piv.tolist(),
+                         sign[piv, None] * proj.arr[col[piv]], proj.scale)
     return _finish_extension("lts", lts, relations, ev)
 
 

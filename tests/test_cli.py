@@ -143,6 +143,27 @@ def test_json_bytes_are_pinned(capsys, tmp_path, cmd, category, source):
     assert digest == GOLDEN_JSON[cmd, category, source]
 
 
+# the same pin on forced sl4 (cube ambient 3375), where the cube is folded
+# in L (x) wedge^2 L and its relation span lifted back to L (x) L (x) L:
+# the theorem report and the cube's carrier must not move a byte
+GOLDEN_SL4_JSON = {
+    ("theorem", "GF(2)"): "e404ea7bc2b413ff2704a2481d17a5de0585f18d6e75e707bfcc51c61b3d5d5a",
+    ("theorem", "GF(2147483647)"): "a529091caf0256f6fc180ed85f80baffb5b015dec63f3c93321f31d4e0c6ea39",
+    ("uce", "GF(3)"): "a274cddaaf5a41271e31ad0ebb1a4899aa633aea288f8988b9c0ed245e89d999",
+    ("uce", "Q"): "2ed0ea96521ae48708b4e5cf1020542000095a455c190b80cd1585a83e7e559f",
+}
+
+
+@pytest.mark.parametrize("cmd,field", sorted(GOLDEN_SL4_JSON))
+def test_forced_sl4_json_bytes_are_pinned(capsys, cmd, field):
+    category = ["--category", "lts"] if cmd == "uce" else []
+    code, out, _ = run(capsys, cmd, "catalog:sl4", "--field", field, "--force",
+                       *category, "--json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_SL4_JSON[cmd, field]
+
+
 def test_homology_output(capsys):
     code, out, _ = run(capsys, "homology", "catalog:sl3", "--field", "GF(3)",
                        "--category", "lie")

@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     THEOREM_CASES,
@@ -152,12 +153,31 @@ def _sparse_rows(rows):
     return [tuple((c, x) for c, x in enumerate(row) if x) for row in rows]
 
 
+def _wedged_cube_rows(p, n, rows):
+    """Sparse rows of L (x) L (x) L under the signed map the cube is folded
+    through: e_xyz to e_xyz for y > z, to -e_xzy for y < z, to 0 for
+    y = z, the kept coordinates (y > z) numbered in the ambient's order."""
+    coords = list(product(range(n), repeat=3))
+    kept = {c: i for i, c in enumerate(c for c in coords if c[1] > c[2])}
+    out = []
+    for row in rows:
+        v = Counter()
+        for c, x in row:
+            i, j, k = coords[c]
+            if j != k:
+                v[kept[i, max(j, k), min(j, k)]] += x if j > k else -x
+        v = {c: x % p if p else x for c, x in v.items()}
+        out.append(tuple(sorted((c, x) for c, x in v.items() if x)))
+    return out
+
+
 @pytest.mark.parametrize("name,spec", THEOREM_CASES)
 def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
     # the array streams produce the oracle's generators exactly: every
     # Leibniz generator, and of the Lie and the cube's fundamental families
-    # the ones the axioms leave independent (x < y < z; a < b and y < z).
-    # Those lie in the oracle's span, so an equal rank (here and in
+    # the ones the axioms leave independent (x < y < z; a < b and y < z),
+    # the cube's through the signed map onto L (x) wedge^2 L. Those lie in
+    # the oracle's span, so an equal rank (here and in
     # test_relation_ranks_match_naive) proves the spans equal
     f = field_of(spec)
     g = catalog(name, f)
@@ -174,12 +194,12 @@ def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
     assert Counter(got) == Counter(_sparse_rows(want))
     u, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
     got = _sparse_generators(blocks, p, d.tensor().scale)
-    want = _sparse_rows(naive_cube_relation_rows(p, t))
-    # the fundamentals, one (a, b) block each, are the oracle's last n**5
-    # rows, indexed (a, b, x, y, z); squares and cycles drop the oracle's
-    # duplicates and multiples, so those two families are compared as sets
-    # of lines
     n = d.dim
+    want = _wedged_cube_rows(p, n, _sparse_rows(naive_cube_relation_rows(p, t)))
+    # the fundamentals, one (a, b) block each, are the oracle's last n**5
+    # rows, indexed (a, b, x, y, z); the cycles drop the oracle's duplicates
+    # and multiples, and the squares map to zero, so the rest is compared as
+    # a set of lines
     kept = n * comb(n, 2) ** 2
     assert Counter(got[-kept:]) == Counter(
         row for (a, b, x, y, z), row in zip(product(range(n), repeat=5),
@@ -203,16 +223,15 @@ def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
 
 
 def test_cube_streams_only_the_independent_fundamentals(monkeypatch):
-    # squares + cycles + n C(n,2)**2 fundamentals, not n**5
+    # cycles + n C(n,2)**2 fundamentals, not n**5, and no squares: the
+    # stream lives on the n C(n,2) coordinates of L (x) wedge^2 L
     d = derived_lts(catalog("sl3", field_of("GF(2)")))
     n = d.dim
     _, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
-    squares = n * n + n * comb(n, 2)
     cycles = (n**3 + 2 * n) // 3
-    # 288 + 176 + 6272 on sl3, against 32768 fundamentals in the full family
-    assert sum(len(lens) for _, _, lens in blocks) == (
-        squares + cycles + n * comb(n, 2) ** 2
-    )
+    # 176 + 6272 on sl3, against 32768 fundamentals in the full family
+    assert sum(len(lens) for _, _, lens in blocks) == cycles + n * comb(n, 2) ** 2
+    assert max(int(cols.max()) for cols, _, _ in blocks) < n * comb(n, 2)
 
 
 def _rebased(d, seed):
@@ -234,6 +253,36 @@ def test_cube_relation_span_is_the_full_oracle_span(make):
     want = Subspace.from_vectors(d.field, d.dim**3, rows)
     for rng in (None, random.Random(11)):
         assert lts_tensor_cube(d, rng=rng).relations.equals(want)
+
+
+LIFT_CASES = {
+    "sl3-gf2": lambda: derived_lts(catalog("sl3", field_of("GF(2)"))),
+    "sl3-gf3": lambda: derived_lts(catalog("sl3", field_of("GF(3)"))),
+    "takiff-q": lambda: derived_lts(build_sl2_dual()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31))
+def test_cube_lift_is_the_full_relation_span(case, seed):
+    # the cube is folded modulo S = L (x) Sym^2 L and lifted back: every
+    # coordinate (x, y, z) with y <= z is a pivot, S reduces to zero, and
+    # the lift is the full oracle family's span, in a random basis too
+    d = _rebased(LIFT_CASES[case](), seed)
+    n = d.dim
+    relations = lts_tensor_cube(d).relations
+    coords = list(product(range(n), repeat=3))
+    assert {i for i, (x, y, z) in enumerate(coords) if y <= z} <= set(relations.pivots)
+    assert all(coords[i][1] > coords[i][2] for i in relations.free)
+    for x, y, z in coords:
+        if y <= z:
+            v = [0] * n**3
+            v[(x * n + y) * n + z] = 1
+            v[(x * n + z) * n + y] = 1
+            assert not any(relations.reduce(v)), (x, y, z)
+    rows = naive_cube_relation_rows(char_of(d.field), tolists3(d))
+    assert relations == Subspace.from_vectors(d.field, n**3, rows)
 
 
 def test_relation_streams_carry_object_values_over_q():
