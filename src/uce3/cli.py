@@ -8,13 +8,15 @@ Inputs are either a JSON file in the documented sparse format or
 ``catalog:NAME`` with an optional --field (files fix their own field, so
 --field is rejected there). Exit codes: 0 success, 1 failed verdict or
 internal assertion, 2 unreadable or malformed input, 3 semantic error,
-4 not perfect, 5 axiom precondition violated.
+4 not perfect, 5 axiom precondition violated, 6 standard output closed
+before all output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -279,13 +281,22 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # what is still buffered meets a closed reader here, not at exit
+        sys.stdout.flush()
+        return code
     except Uce3Error as e:
         print(f"error [{type(e).__name__}]: {e}", file=sys.stderr)
         for excs, code in _EXIT_BY_ERROR:
             if isinstance(e, excs):
                 return code
         return 1
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error [BrokenPipeError]: standard output was closed before "
+              "all output was written", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

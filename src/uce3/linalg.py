@@ -12,13 +12,13 @@ equal subspaces have equal K-forms.
 Two elimination backends only accumulate, and hand their state over as a
 K-form:
 
-  * GF(p), GF(2) included: K itself, filtered by blocks. Only the pivot
-    rows are stored, as numpy residues (int64, or uint8 bits over GF(2));
-    a whole block of vectors or sparse generators is filtered with one
-    gather-sum against K, and each new pivot is a rank-1 update of K, so K
-    stays the RREF up to the order of its rows. Exact because every
-    product of two residues is below p**2 < 2**62 and is reduced mod p
-    before it is summed; over GF(2) the sum is an XOR;
+  * GF(p): K itself, filtered by blocks. Only the pivot rows are stored,
+    as int64 residues; a whole block of vectors or sparse generators is
+    filtered with one gather-sum against K, and each new pivot is a rank-1
+    update of K, so K stays the RREF up to the order of its rows. Exact
+    because every product of two residues is below p**2 < 2**62 and is
+    reduced mod p before it is summed. Over GF(2) the same fold holds K
+    packed 64 columns to a word, its gather-sum an XOR of words;
   * rationals: a forward echelon of primitive integer rows (fraction-free
     steps, Bareiss style, content gcd'd out, pivot entries positive),
     back-eliminated once when the K-form is first needed. A block of
@@ -264,6 +264,17 @@ class _EchelonQ:
         return self.pivots, raw.reshape(len(self.rows), len(free)), scale
 
 
+# the word of a packed GF(2) row
+_WORD = np.dtype("<u8")
+
+
+def _run_heads(g):
+    """The start of each run of equal values in g."""
+    head = np.ones(len(g), dtype=bool)
+    np.not_equal(g[1:], g[:-1], out=head[1:])
+    return head.nonzero()[0]
+
+
 class _EchelonGFp:
     """A span over GF(p) held as its quotient projection K, filtered by
     blocks.
@@ -281,9 +292,7 @@ class _EchelonGFp:
     zeros until half the width is dead, and row capacity grows
     geometrically, so a new pivot reallocates nothing.
 
-    Over GF(2) the residues are bits: K is uint8, a gather-sum is an XOR
-    and a pivot update needs no inverse. Sums that wrap past 255 keep
-    their parity, since 256 is even.
+    K's residues are int64; _EchelonGF2 packs them into words instead.
     """
 
     __slots__ = ("n", "p", "pivots", "_k", "_cols", "_pos", "_row", "_final")
@@ -292,10 +301,9 @@ class _EchelonGFp:
         self.n = n
         self.p = p
         self.pivots = []
-        dtype = np.uint8 if p == 2 else np.int64
+        self._k = self._blank(0, n)
         # room for the first pivots within one block temporary
-        rows = min(n, max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize * max(1, n))))
-        self._k = np.zeros((rows, n), dtype=dtype)
+        self._k = self._blank(min(n, self._room()), n)
         self._cols = np.arange(n)
         # K column of each free ambient column and K row of each pivot
         # ambient column, -1 elsewhere
@@ -303,6 +311,11 @@ class _EchelonGFp:
         self._row = np.full(n, -1)
         # canonical once the spare rows are trimmed
         self._final = False
+
+    @staticmethod
+    def _blank(rows, width):
+        """A zero K of rows pivot rows over width working columns."""
+        return np.zeros((rows, width), dtype=np.int64)
 
     def _room(self):
         """Rows of K, and int64 term indices, that fit one block temporary."""
@@ -340,9 +353,8 @@ class _EchelonGFp:
         of new pivots; stops the moment there are limit pivots. picked,
         when given, receives the generators that became pivots."""
         n = self.n
-        vals = np.remainder(vals, self.p).astype(self._k.dtype)
-        # terms that vanish mod p add nothing; over GF(2) every term left
-        # has value 1
+        vals = np.remainder(vals, self.p).astype(np.int64)
+        # terms that vanish mod p add nothing
         keep = vals.nonzero()[0]
         if len(keep) < len(vals):
             gen = np.repeat(np.arange(len(lens)), lens)
@@ -372,7 +384,7 @@ class _EchelonGFp:
         dropped before growing, and once they are half the width."""
         free = self.n - len(self.pivots)
         need = min(limit, len(self.pivots) + b)
-        width = self._k.shape[1]
+        width = len(self._cols)
         if need > self._k.shape[0]:
             self._resize(min(limit, max(need, 2 * self._k.shape[0])))
         elif free < width and 2 * free <= width:
@@ -382,14 +394,17 @@ class _EchelonGFp:
         """Reallocate K with room for capacity pivot rows, keeping only the
         columns that are still free."""
         live = (self._pos[self._cols] >= 0).nonzero()[0]
-        r = len(self.pivots)
-        k = np.zeros((capacity, len(live)), dtype=self._k.dtype)
-        np.take(self._k[:r], live, axis=1, out=k[:r])
+        k = self._blank(capacity, len(live))
+        self._narrow(live, k[: len(self.pivots)])
         self._k = k
         self._cols = self._cols[live]
         self._pos[self._cols] = np.arange(len(live))
         # spare rows: the canonical form trims them
         self._final = False
+
+    def _narrow(self, live, out):
+        """The pivot rows of K over the working columns live, into out."""
+        np.take(self._k[: len(out)], live, axis=1, out=out)
 
     def _residuals(self, cols, vals, lens, room):
         """One residual row per generator over the working columns: the sum
@@ -398,50 +413,34 @@ class _EchelonGFp:
         p = self.p
         gen = np.repeat(np.arange(len(lens)), lens)
         row = self._row[cols]
-        out = np.zeros((len(lens), self._k.shape[1]), dtype=self._k.dtype)
+        out = self._blank(len(lens), len(self._cols))
         free = row < 0
         np.add.at(out, (gen[free], self._pos[cols[free]]), vals[free])
         piv = (~free).nonzero()[0]
         for a in range(0, len(piv), room):
             sel = piv[a : a + room]
-            part = self._k[row[sel]]
             g = gen[sel]
-            head = np.ones(len(g), dtype=bool)
-            np.not_equal(g[1:], g[:-1], out=head[1:])
-            heads = head.nonzero()[0]
-            if p == 2:
-                out[g[heads]] ^= np.bitwise_xor.reduceat(part, heads, axis=0)
-                continue
+            heads = _run_heads(g)
             # products of residues stay below p**2 < 2**62; reduce each one
             # before the sum
+            part = self._k[row[sel]]
             part *= vals[sel, None]
             part %= p
             out[g[heads]] += np.add.reduceat(part, heads, axis=0)
-        if p == 2:
-            out &= 1
-        else:
-            out %= p
+        out %= p
         return out
 
     def _eliminate(self, res, limit):
         """Turn the nonzero residual rows into pivots in order, each one a
         rank-1 update of the rows after it and of K; returns the rows that
         became pivots."""
-        p = self.p
         rows = []
         for i in res.any(axis=1).nonzero()[0].tolist():
-            nz = res[i].nonzero()[0]
-            if not len(nz):
+            j = self._lead(res[i])
+            if j < 0:
                 continue
-            j = nz[0]
-            r = res[i] if p == 2 else res[i] * pow(int(res[i, j]), -1, p) % p
             rank = len(self.pivots)
-            _clear_column(res[i + 1 :], j, r, p)
-            _clear_column(self._k[:rank], j, r, p)
-            kr = self._k[rank]
-            np.subtract(p, r, out=kr)
-            kr %= p
-            kr[j] = 0
+            self._pivot(res[i], j, res[i + 1 :], rank)
             q = int(self._cols[j])
             self._pos[q] = -1
             self._row[q] = rank
@@ -452,16 +451,35 @@ class _EchelonGFp:
                 break
         return rows
 
+    @staticmethod
+    def _lead(v):
+        """The working column of v's leading nonzero, -1 for v = 0."""
+        nz = v.nonzero()[0]
+        return int(nz[0]) if len(nz) else -1
+
+    def _pivot(self, v, j, rest, rank):
+        """Make v, led by working column j, pivot row rank: clear column j
+        from the rows rest and from K, and store v's row of K."""
+        p = self.p
+        r = v * pow(int(v[j]), -1, p) % p
+        for block in (rest, self._k[:rank]):
+            c = block[:, j]
+            hit = c.nonzero()[0]
+            if len(hit):
+                block[hit] = (block[hit] - c[hit, None] * r) % p
+        kr = self._k[rank]
+        np.subtract(p, r, out=kr)
+        kr %= p
+        kr[j] = 0
+
     def finalize(self):
         if self._final:
             return
+        self._resize(len(self.pivots))
         order = np.argsort(self.pivots)
-        live = (self._pos[self._cols] >= 0).nonzero()[0]
-        self._k = self._k[np.ix_(order, live)]
+        self._k = self._k[order]
         self.pivots = [self.pivots[i] for i in order]
         self._row[self.pivots] = np.arange(len(order))
-        self._cols = self._cols[live]
-        self._pos[self._cols] = np.arange(len(live))
         self._final = True
 
     def kform(self):
@@ -471,17 +489,66 @@ class _EchelonGFp:
         return self.pivots, self._k, 1
 
 
-def _clear_column(block, j, r, p):
-    """Subtract from each row of block its entry in column j times r, whose
-    entry there is 1, reducing mod p in place."""
-    c = block[:, j]
-    hit = c.nonzero()[0]
-    if not len(hit):
-        return
-    if p == 2:
-        block[hit] ^= r
-    else:
-        block[hit] = (block[hit] - c[hit, None] * r) % p
+class _EchelonGF2(_EchelonGFp):
+    """The GF(p) block fold for p = 2, K packed into words: working column
+    w is bit w & 63 of word w >> 6 of its row, little-endian. The
+    residues are bits, so a gather-sum is an XOR of word rows and a pivot
+    needs no inverse: its K row is its residual with its own bit cleared.
+    Every generator term left after add_terms's filter has value 1."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _blank(rows, width):
+        return np.zeros((rows, -(-width // 64)), dtype=_WORD)
+
+    def _narrow(self, live, out):
+        bits = _unpacked(self._k[: len(out)], len(self._cols))[:, live]
+        out.view(np.uint8)[:, : -(-len(live) // 8)] = np.packbits(
+            bits, axis=1, bitorder="little")
+
+    def _residuals(self, cols, vals, lens, room):
+        gen = np.repeat(np.arange(len(lens)), lens)
+        row = self._row[cols]
+        out = self._blank(len(lens), len(self._cols))
+        free = row < 0
+        pos = self._pos[cols[free]]
+        np.bitwise_xor.at(out, (gen[free], pos >> 6),
+                          np.left_shift(_WORD.type(1), (pos & 63).astype(_WORD)))
+        piv = (~free).nonzero()[0]
+        for a in range(0, len(piv), room):
+            sel = piv[a : a + room]
+            g = gen[sel]
+            heads = _run_heads(g)
+            out[g[heads]] ^= np.bitwise_xor.reduceat(self._k[row[sel]], heads, axis=0)
+        return out
+
+    @staticmethod
+    def _lead(v):
+        nz = v.nonzero()[0]
+        if not len(nz):
+            return -1
+        word = int(v[nz[0]])
+        return 64 * int(nz[0]) + (word & -word).bit_length() - 1
+
+    def _pivot(self, v, j, rest, rank):
+        w, bit = j >> 6, _WORD.type(1 << (j & 63))
+        for block in (rest, self._k[:rank]):
+            block[(block[:, w] & bit).nonzero()[0]] ^= v
+        kr = self._k[rank]
+        kr[:] = v
+        kr[w] ^= bit
+
+    def kform(self):
+        """The K-form as (pivots, raw, 1), raw the sorted pivot rows of K
+        unpacked to one uint8 bit per free column."""
+        self.finalize()
+        return self.pivots, _unpacked(self._k, len(self._cols)), 1
+
+
+def _unpacked(k, width):
+    """Packed GF(2) rows as one uint8 bit per column, width columns."""
+    return np.unpackbits(k.view(np.uint8), axis=1, count=width, bitorder="little")
 
 
 def _make_echelon(field, ambient):
@@ -489,7 +556,7 @@ def _make_echelon(field, ambient):
         return _EchelonQ(ambient)
     if not isinstance(field, PrimeField):
         raise FieldMismatch(f"unsupported field {field!r}")
-    return _EchelonGFp(ambient, field.p)
+    return (_EchelonGF2 if field.p == 2 else _EchelonGFp)(ambient, field.p)
 
 
 class SpanAccumulator:
@@ -497,9 +564,9 @@ class SpanAccumulator:
 
     Memory scales with dim * ambient regardless of how many generators are
     folded; over GF(p) the span is the projection K, filtered by blocks,
-    which holds dim * (ambient - dim) residues (bytes over GF(2)). ``dim``
-    and ``pivots`` are valid mid-stream; ``to_subspace`` hands the span
-    over as its K-form.
+    which holds dim * (ambient - dim) residues (bits over GF(2), packed
+    64 to a word). ``dim`` and ``pivots`` are valid mid-stream;
+    ``to_subspace`` hands the span over as its K-form.
     """
 
     def __init__(self, field, ambient):

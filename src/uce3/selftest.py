@@ -195,7 +195,7 @@ def _check_gf2_by_enumeration(rng):
         _require(2**sub.dim == len(sums), "GF(2) rank against subset sums")
         _require(all(sub.contains(list(s)) for s in sums), "GF(2) span")
         # the same rows as sparse generators whose coordinates repeat an
-        # odd or even number of times, past the 255 a byte holds
+        # odd or even number of times, 256 and more among them
         cols, lens = [], []
         for r in rows:
             gen = [

@@ -16,9 +16,10 @@ the structure tensor; repeated coordinates are summed by the fold:
               squares, the cyclic sums, and the five-variable family
               {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
               - {x,y,z} (x) a (x) b. The squares span S = L (x) Sym^2 L, so
-              the other two are folded modulo S, in L (x) wedge^2 L, y < z
-              and a < b only (see _cube_fundamentals), and the span is
-              lifted back to L (x) L (x) L (see lts_tensor_cube).
+              the other two are folded modulo S, in L (x) wedge^2 L, the
+              cycles with i < j < k only (see _cube_cycles), the others
+              with y < z and a < b only (see _cube_fundamentals), and the
+              span is lifted back to L (x) L (x) L (see lts_tensor_cube).
 
 These reductions rest on the category's axioms, which each constructor
 checks before it folds anything.
@@ -564,6 +565,11 @@ def leibniz_uce(g, rng=None):
     return _finish_extension("leibniz", g, relations, ev)
 
 
+def _increasing_triples(n):
+    """The index triples x < y < z below n, lex order, as three arrays."""
+    return np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
+
+
 def lie_uce(g, rng=None):
     """The Lie universal central extension: the wedge square modulo the
     lifted Jacobi identity, generated by the wedge image of the Leibniz
@@ -578,7 +584,7 @@ def lie_uce(g, rng=None):
     # each row of the wedge map has at most one nonzero, a sign
     col, sign = np.abs(w).argmax(1), w.sum(1)
     # the Jacobi generator is alternating on a Lie algebra: x < y < z only
-    xyz = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3).T
+    xyz = _increasing_triples(n)
     ambient = w.shape[1]
     t = g.tensor()
     i, j = wedge_index_pairs(n)
@@ -591,12 +597,18 @@ def lie_uce(g, rng=None):
 
 
 def _cube_cycles(n):
-    """The cyclic sums e_i (x) e_j (x) e_k + its two rotations."""
-    i, j, k = (a.ravel() for a in np.indices((n, n, n)))
+    """The cyclic sums c(i,j,k) = e_i (x) e_j (x) e_k + its two rotations,
+    only those with i < j < k: the C(n,3) of them span, modulo
+    S = L (x) Sym^2 L, what all n^3 span. For sigma of lts_tensor_cube:
+      * c is rotation-invariant, so every c(i,j,k) with distinct indices
+        is c(i,j,k) or c(i,k,j) with i < j < k;
+      * sigma(c(i,k,j)) = -sigma(c(i,j,k)), since each of the three terms
+        of c(i,k,j) swaps the last two slots of a term of c(i,j,k);
+      * with a repeated index, say c(i,i,k), the terms e_iik and e_iki
+        cancel under sigma and e_kii maps to 0; by rotation the same holds
+        for c(i,j,i) and c(i,j,j), and c(i,i,i) = 3 e_iii maps to 0."""
+    i, j, k = _increasing_triples(n)
     rot = np.stack([(i * n + j) * n + k, (j * n + k) * n + i, (k * n + i) * n + j], 1)
-    # the sum is rotation-invariant, so lex-minimal rotations already
-    # produce every distinct generator; coordinates order like the triples
-    rot = rot[(rot[:, 0] <= rot[:, 1]) & (rot[:, 0] <= rot[:, 2])]
     return rot.ravel(), np.ones(rot.size, dtype=np.int64), np.full(len(rot), 3)
 
 

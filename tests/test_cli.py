@@ -148,6 +148,7 @@ def test_json_bytes_are_pinned(capsys, tmp_path, cmd, category, source):
 # the theorem report and the cube's carrier must not move a byte
 GOLDEN_SL4_JSON = {
     ("theorem", "GF(2)"): "e404ea7bc2b413ff2704a2481d17a5de0585f18d6e75e707bfcc51c61b3d5d5a",
+    ("uce", "GF(2)"): "16a79a82d68662a04a141a6f90efadc802e8ba1391212d28787b1860e104ca38",
     ("theorem", "GF(2147483647)"): "a529091caf0256f6fc180ed85f80baffb5b015dec63f3c93321f31d4e0c6ea39",
     ("uce", "GF(3)"): "a274cddaaf5a41271e31ad0ebb1a4899aa633aea288f8988b9c0ed245e89d999",
     ("uce", "Q"): "2ed0ea96521ae48708b4e5cf1020542000095a455c190b80cd1585a83e7e559f",
@@ -414,6 +415,31 @@ def test_theorem_json_identical_under_optimize_flag():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[1])["ok"] is True
+
+
+def test_closed_stdout_is_a_one_line_error():
+    # a reader that stops early (uce3 ... --json | head -c 100) closes the
+    # pipe; closed before the first write, it is closed on every write
+    import os
+    import subprocess
+    import sys
+
+    import uce3
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(uce3.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "uce3.cli", "uce", "catalog:sl3", "--category",
+         "lts", "--field", "GF(3)", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 6
+    assert err.splitlines() == [
+        "error [BrokenPipeError]: standard output was closed before all "
+        "output was written"
+    ]
 
 
 def test_selftest_fails_under_optimize_flag():

@@ -22,6 +22,7 @@ from uce3 import (
     solve_columns,
     span_incremental,
 )
+from uce3 import linalg
 from uce3.linalg import left_kernel
 from uce3.tensorops import exact_tensor
 
@@ -315,6 +316,57 @@ def test_gf2_fold_keeps_parity_past_the_byte():
             dense = [_dense(4, g) for g in gens]
             _assert_rref_of(f, dense, acc.to_subspace())
             assert acc.to_subspace() == Subspace.from_vectors(f, 4, dense)
+
+
+def _greedy_independent_gf2(rows):
+    """The indices of the rows that are independent of the rows before
+    them over GF(2), by elimination on Python-int bit rows."""
+    lead_rows, out = {}, []
+    for i, r in enumerate(rows):
+        v = sum(1 << c for c, x in enumerate(r) if x % 2)
+        while v and v.bit_length() in lead_rows:
+            v ^= lead_rows[v.bit_length()]
+        if v:
+            lead_rows[v.bit_length()] = v
+            out.append(i)
+    return out
+
+
+# around the 64-column words of the packed GF(2) fold
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 129, 200])
+def test_packed_gf2_fold_against_textbook_elimination(monkeypatch, width):
+    f = field_of("GF(2)")
+    rng = random.Random(width)
+    compactions = []
+    narrow = linalg._EchelonGF2._narrow
+
+    def spy(self, live, out):
+        compactions.append(len(live) < len(self._cols))
+        narrow(self, live, out)
+
+    monkeypatch.setattr(linalg._EchelonGF2, "_narrow", spy)
+    for _ in range(1 if width > 100 else 3):
+        # rank below the width and twice as many generators, folded in
+        # small blocks: more than half the columns die mid-stream, and K
+        # is compacted between blocks
+        bases = max(1, width - 1 - rng.randrange(3))
+        gens = _sparse_generators(rng, width, 2 * width + 2, bases, 2)
+        dense = [_dense(width, g) for g in gens]
+        block = rng.choice([1, 3, 17])
+        compactions.clear()
+        acc = _fold_in_blocks(SpanAccumulator(f, width), gens, block)
+        assert width == 1 or any(compactions)
+        sub = acc.to_subspace()
+        picks = _greedy_independent_gf2(dense)
+        assert sub.dim == len(picks) == naive_rank(2, dense)
+        assert (sub.basis_vectors(), sub.pivots) == naive_rref(2, [dense[i] for i in picks])
+        # one block, stopped by limit between two of its pivots
+        limit = rng.randint(1, sub.dim - 1) if sub.dim > 1 else sub.dim
+        acc, picked = SpanAccumulator(f, width), []
+        assert acc.add_pairs(*_arrays(gens), limit, picked) == limit == acc.dim
+        assert picked == picks[:limit]
+        part = acc.to_subspace()
+        assert (part.basis_vectors(), part.pivots) == naive_rref(2, [dense[i] for i in picked])
 
 
 def _dot(f, xs, ys):

@@ -196,26 +196,20 @@ def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
     got = _sparse_generators(blocks, p, d.tensor().scale)
     n = d.dim
     want = _wedged_cube_rows(p, n, _sparse_rows(naive_cube_relation_rows(p, t)))
-    # the fundamentals, one (a, b) block each, are the oracle's last n**5
-    # rows, indexed (a, b, x, y, z); the cycles drop the oracle's duplicates
-    # and multiples, and the squares map to zero, so the rest is compared as
-    # a set of lines
+    # the oracle's rows are n**2 + n**3 squares, which map to zero, then the
+    # cycles, indexed (i, j, k), then the fundamentals, one (a, b) block
+    # each, indexed (a, b, x, y, z)
     kept = n * comb(n, 2) ** 2
     assert Counter(got[-kept:]) == Counter(
         row for (a, b, x, y, z), row in zip(product(range(n), repeat=5),
                                             want[-n**5 :])
         if a < b and y < z
     )
-
-    def lines(rows):
-        out = set()
-        for row in filter(None, rows):
-            lead = row[0][1]
-            inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
-            out.add(tuple((col, x * inv % p if p else x * inv) for col, x in row))
-        return out
-
-    assert lines(got[:-kept]) == lines(want[: -n**5])
+    assert Counter(got[:-kept]) == Counter(
+        row for (i, j, k), row in zip(product(range(n), repeat=3),
+                                      want[n**2 + n**3 : -n**5])
+        if i < j < k
+    )
     # the rank oracle takes minutes on the sl3 cube over Q, and
     # test_cube_relation_rank_matches_naive_over_gfp runs it on sl3/GF(2)
     if (name, spec) not in (("sl3", "Q"), ("sl3", "GF(2)")):
@@ -223,14 +217,15 @@ def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
 
 
 def test_cube_streams_only_the_independent_fundamentals(monkeypatch):
-    # cycles + n C(n,2)**2 fundamentals, not n**5, and no squares: the
-    # stream lives on the n C(n,2) coordinates of L (x) wedge^2 L
+    # C(n,3) cycles and n C(n,2)**2 fundamentals, not n**3 and n**5, and no
+    # squares: the stream lives on the n C(n,2) coordinates of
+    # L (x) wedge^2 L
     d = derived_lts(catalog("sl3", field_of("GF(2)")))
     n = d.dim
     _, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
-    cycles = (n**3 + 2 * n) // 3
-    # 176 + 6272 on sl3, against 32768 fundamentals in the full family
-    assert sum(len(lens) for _, _, lens in blocks) == cycles + n * comb(n, 2) ** 2
+    # 56 + 6272 on sl3, against 512 cycles and 32768 fundamentals in the
+    # full families
+    assert sum(len(lens) for _, _, lens in blocks) == comb(n, 3) + n * comb(n, 2) ** 2
     assert max(int(cols.max()) for cols, _, _ in blocks) < n * comb(n, 2)
 
 
