@@ -60,16 +60,6 @@ __all__ = [
 ]
 
 
-def _nested_tensor(field, table, shape):
-    """The exact tensor of a dense nested table of field scalars, once its
-    nesting is checked to have exactly the given shape."""
-    a = np.array(table, dtype=object)
-    # an empty table is only as deep as its first empty level
-    if a.shape != shape and (a.size or a.shape != shape[: a.ndim]):
-        raise DimensionMismatch(f"expected a table of shape {shape}, got {a.shape}")
-    return tops.exact_tensor(field, np.frompyfunc(field.coerce, 1, 1)(a).reshape(shape))
-
-
 def _checked_dim(dim):
     """dim as a non-negative int, checked before anything is allocated."""
     try:
@@ -94,7 +84,8 @@ class _Algebra:
     arity = None
 
     def __init__(self, field, dim, table, name=""):
-        self._init(field, _nested_tensor(field, table, (dim,) * (self.arity + 1)), name)
+        shape = (dim,) * (self.arity + 1)
+        self._init(field, tops.nested_tensor(field, table, shape), name)
 
     def _init(self, field, t, name):
         self.field = field
@@ -356,7 +347,7 @@ class ModuleAction:
 
     def __init__(self, carrier_dim, algebra, table):
         shape = (carrier_dim, algebra.dim, carrier_dim)
-        self._init(algebra, _nested_tensor(algebra.field, table, shape))
+        self._init(algebra, tops.nested_tensor(algebra.field, table, shape))
 
     def _init(self, algebra, t):
         self.field = algebra.field
@@ -426,7 +417,7 @@ def equivariant_leibniz(act, fmap):
     law = tops.action_law_witness(at, gt)
     if law is not None:
         raise AxiomPrecondition(f"module law fails at basis tuple {law}")
-    ft = tops.exact_tensor(act.field, fmap.rows)
+    ft = fmap.tensor()
     eq = tops.equivariance_witness(at, ft, gt)
     if eq is not None:
         raise NotEquivariant(

@@ -31,12 +31,19 @@ uce._fold_relations). When they span the kernel of the evaluation map ev,
 its K-form is read straight off ev and the free columns
 (``left_kernel``); otherwise the picked generators are folded exactly and
 certified block by block against K.
+
+Dense vectors enter through one door, SpanAccumulator.add_vectors: an
+integer array goes straight in, anything else is read once by
+exact_tensor, and each block-sized run of rows is folded as sparse
+generators by the backend. A Matrix is one canonical ExactTensor too, so
+products, comparisons, kernels and solves are exact contractions and
+K-form reads; field scalars appear only at the API edge (``Matrix.rows``,
+``basis_vectors``, ``reduce``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
@@ -52,6 +59,7 @@ from .tensorops import (
     escaping_generators,
     exact_tensor,
     exact_tensordot,
+    nested_tensor,
     rescaled,
     unscale,
 )
@@ -91,23 +99,6 @@ def _strip_content(v, start):
         for t in range(start, len(v)):
             if v[t]:
                 v[t] //= g
-
-
-def _int_vector(v):
-    """Clear denominators: scale a rational vector to a primitive-free int one."""
-    den = 1
-    for x in v:
-        if type(x) is Fraction:
-            den = lcm(den, x.denominator)
-    if den == 1:
-        return [int(x) for x in v]
-    out = []
-    for x in v:
-        if type(x) is Fraction:
-            out.append(int(x.numerator * (den // x.denominator)))
-        else:
-            out.append(int(x) * den)
-    return out
 
 
 def take_generators(cols, vals, lens, idx):
@@ -151,9 +142,8 @@ class _EchelonQ:
         self._final = False
 
     def add_dense(self, v):
-        v = _int_vector(v)
-        if len(v) != self.n:
-            raise DimensionMismatch(f"vector length {len(v)} != ambient {self.n}")
+        """Fold v, a list of python ints that it may change in place;
+        returns whether v became a pivot row."""
         j = _first_nonzero(v, 0)
         steps = 0
         while j >= 0:
@@ -191,19 +181,12 @@ class _EchelonQ:
         self._final = False
         return True
 
-    def add_vectors(self, vectors, limit=None):
-        start = len(self.pivots)
-        for v in vectors:
-            if limit is not None and len(self.pivots) >= limit:
-                break
-            self.add_dense(v)
-        return len(self.pivots) - start
-
     def add_terms(self, cols, vals, lens, limit=None, picked=None):
         """Filter the generators against the projection K of the span in
         one exact gather-sum, and fold only those K does not kill, in
-        order, each reduced exactly against the rows before it."""
-        keep = np.arange(len(lens))
+        order, each reduced exactly against the rows before it. Empty
+        generators are skipped."""
+        keep = lens.nonzero()[0]
         if self.pivots:
             k = Subspace(QQ, self.n, *self.kform()).projection()
             keep = escaping_generators(cols, vals, lens, k.arr)
@@ -320,32 +303,6 @@ class _EchelonGFp:
     def _room(self):
         """Rows of K, and int64 term indices, that fit one block temporary."""
         return max(1, _BLOCK_BYTES // max(8, self._k.itemsize * self._k.shape[1]))
-
-    def _dense(self, vectors):
-        """The dense vectors as one 2-d array, each checked for length."""
-        if not isinstance(vectors, np.ndarray):
-            vectors = list(vectors)
-            if any(len(v) != self.n for v in vectors):
-                raise DimensionMismatch(f"a vector's length is not {self.n}")
-            vectors = np.array(vectors).reshape(len(vectors), self.n)
-        elif vectors.ndim != 2 or vectors.shape[1] != self.n:
-            raise DimensionMismatch(f"vectors {vectors.shape}, ambient {self.n}")
-        return vectors
-
-    def add_vectors(self, vectors, limit=None):
-        """Fold dense vectors, each run of them that fits a block temporary
-        as one block of sparse generators."""
-        vectors = self._dense(vectors)
-        limit = self.n if limit is None else limit
-        step = max(1, _BLOCK_BYTES // (8 * max(1, self.n)))
-        start = len(self.pivots)
-        for a in range(0, len(vectors), step):
-            if len(self.pivots) >= limit:
-                break
-            w = vectors[a : a + step]
-            g, c = w.nonzero()
-            self.add_terms(c, w[g, c], np.bincount(g, minlength=len(w)), limit)
-        return len(self.pivots) - start
 
     def add_terms(self, cols, vals, lens, limit=None, picked=None):
         """Fold generators given as flat (column, value) terms, lens[g] of
@@ -583,10 +540,29 @@ class SpanAccumulator:
         return tuple(sorted(self._ech.pivots))
 
     def add_vectors(self, vectors, limit=None):
-        """Fold dense vectors (rows of field scalars, or of integers that
-        reduce to them) in one call; stops the moment the span has
-        dimension limit and returns the number of new pivots."""
-        return self._ech.add_vectors(vectors, limit)
+        """Fold dense vectors in one call: an integer array with one row
+        per vector (over Q, any nonzero multiples of the vectors), or rows
+        of field scalars, read once through exact_tensor. Each run of rows
+        that fits a block temporary is folded as one block of sparse
+        generators. Stops the moment the span has dimension limit; returns
+        the number of new pivots."""
+        n = self.ambient
+        if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
+            vectors = list(vectors)
+            if any(len(v) != n for v in vectors):
+                raise DimensionMismatch(f"a vector's length is not {n}")
+            vectors = exact_tensor(self.field, vectors).arr.reshape(len(vectors), n)
+        elif vectors.ndim != 2 or vectors.shape[1] != n:
+            raise DimensionMismatch(f"vectors {vectors.shape}, ambient {n}")
+        step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
+        start = self.dim
+        for a in range(0, len(vectors), step):
+            if limit is not None and self.dim >= limit:
+                break
+            w = vectors[a : a + step]
+            g, c = w.nonzero()
+            self._ech.add_terms(c, w[g, c], np.bincount(g, minlength=len(w)), limit)
+        return self.dim - start
 
     def add_pairs(self, cols, vals, lens, limit=None, picked=None):
         """Fold a block of sparse generators given as flat arrays: generator
@@ -652,12 +628,18 @@ class Subspace:
         k = self.k
         return np.zeros(shape, dtype=k.arr.dtype if k.scale < _I64_LIMIT else object)
 
-    def basis_vectors(self):
-        """The RREF rows: 1 at the pivot, -K / scale on the free columns."""
+    def basis(self):
+        """The RREF rows as one canonical ExactTensor (dim x ambient): 1 at
+        the pivot, -K / scale on the free columns."""
         rows = self._zeros((self.dim, self.ambient))
         rows[:, list(self.free)] = -self.k.arr
         rows[np.arange(self.dim), list(self.pivots)] = self.k.scale
-        return unscale(self.field, rows, self.k.scale)
+        return rescaled(self.field, rows, self.k.scale)
+
+    def basis_vectors(self):
+        """The RREF rows as lists of field scalars."""
+        b = self.basis()
+        return unscale(self.field, b.arr, b.scale)
 
     def projection(self):
         """The ExactTensor (ambient x codim) of v -> v K / scale, the
@@ -682,15 +664,19 @@ class Subspace:
     def __contains__(self, v):
         return self.contains(v)
 
-    def equals(self, other):
+    def _same_space(self, other):
+        """other as a subspace of the same F^ambient, or an error."""
         if not isinstance(other, Subspace):
-            raise TypeError("subspace comparison needs a Subspace")
+            raise TypeError(f"expected a Subspace, got {type(other).__name__}")
         ensure_same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise DimensionMismatch(
                 f"ambient dimensions differ: {self.ambient} vs {other.ambient}"
             )
-        return self == other
+        return other
+
+    def equals(self, other):
+        return self == self._same_space(other)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -704,31 +690,18 @@ class Subspace:
         return hash((self.field, self.ambient, self.pivots))
 
     def sum_with(self, other):
-        ensure_same_field(self.field, other.field)
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("subspace sum needs equal ambient dimensions")
-        return Subspace.from_vectors(
-            self.field, self.ambient, self.basis_vectors() + other.basis_vectors()
-        )
+        both = (self.basis().arr, self._same_space(other).basis().arr)
+        return Subspace.from_vectors(self.field, self.ambient, np.concatenate(both))
 
     def intersect(self, other):
         """Zassenhaus: echelonize [U|U] stacked on [W|0]; rows with zero left
         half carry an intersection basis in their right half."""
-        ensure_same_field(self.field, other.field)
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("intersection needs equal ambient dimensions")
+        u, w = self.basis().arr, self._same_space(other).basis().arr
         n = self.ambient
-        zero = [self.field.zero] * n
-        both = Subspace.from_vectors(
-            self.field,
-            2 * n,
-            [v + v for v in self.basis_vectors()]
-            + [v + zero for v in other.basis_vectors()],
-        )
+        rows = np.concatenate([np.hstack([u, u]), np.hstack([w, np.zeros_like(w)])])
+        both = Subspace.from_vectors(self.field, 2 * n, rows).basis().arr
         return Subspace.from_vectors(
-            self.field,
-            n,
-            [row[n:] for row in both.basis_vectors() if not any(row[:n])],
+            self.field, n, both[~(both[:, :n] != 0).any(axis=1), n:]
         )
 
     def scaled(self, c):
@@ -743,12 +716,13 @@ class Subspace:
                 f"map expects {m.ncols} coordinates, subspace has {self.ambient}"
             )
         ensure_same_field(self.field, m.field)
-        return Subspace.from_vectors(
-            self.field, m.nrows, [m.apply(v) for v in self.basis_vectors()]
-        )
+        t = m.tensor()
+        images = exact_tensordot(self.basis().arr, t.arr, ([1], [1]), t.p)
+        return Subspace.from_vectors(self.field, m.nrows, images)
 
     def is_subspace_of(self, other):
-        return all(other.contains(v) for v in self.basis_vectors())
+        k = self._same_space(other).projection()
+        return not exact_tensordot(self.basis().arr, k.arr, ([1], [0]), k.p).any()
 
     def __repr__(self):
         return f"<Subspace dim {self.dim} of F^{self.ambient} over {self.field.spec_str()}>"
@@ -837,65 +811,63 @@ def span_incremental(field, ambient, vectors):
 
 
 class Matrix:
-    """Dense exact matrix over a Field; represents a map F^ncols -> F^nrows."""
+    """Dense exact matrix over a Field; represents a map F^ncols -> F^nrows.
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_rank")
+    Held as one canonical ExactTensor of shape nrows x ncols (see
+    tensorops.rescaled), like an algebra or a subspace: products,
+    comparisons and solves are exact contractions and array operations, and
+    ``rows`` reads the entries back as field scalars."""
+
+    __slots__ = ("field", "_t", "_span")
 
     def __init__(self, field, rows, ncols=None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
-                raise DimensionMismatch("ragged rows")
-            if ncols is not None and ncols != self.ncols:
-                raise DimensionMismatch("ncols disagrees with row length")
-        else:
-            if ncols is None:
+        rows = list(rows)
+        if ncols is None:
+            if not rows:
                 raise DimensionMismatch("empty matrix needs an explicit ncols")
-            self.ncols = ncols
-        self._rank = None
+            ncols = len(rows[0])
+        self._init(field, nested_tensor(field, rows, (len(rows), ncols)))
+
+    def _init(self, field, t):
+        self.field = field
+        self._t = t
+        # the row space, folded once for rank, rref and kernel
+        self._span = None
+        return self
+
+    @classmethod
+    def from_raw(cls, field, raw, den=1):
+        """The matrix raw / den, for raw a 2-d exact integer contraction
+        whose inputs carried the total scale den; raw becomes the matrix's
+        own, so the caller passes a temporary."""
+        return cls.__new__(cls)._init(field, rescaled(field, raw, den))
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls.from_raw(field, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+    def tensor(self):
+        return self._t
 
-    @classmethod
-    def from_columns(cls, field, cols, nrows):
-        if not cols:
-            return cls(field, [[] for _ in range(nrows)], 0)
-        rows = [[col[i] for col in cols] for i in range(nrows)]
-        return cls(field, rows, len(cols))
+    @property
+    def rows(self):
+        return unscale(self.field, self._t.arr, self._t.scale)
 
     @property
     def shape(self):
-        return (self.nrows, self.ncols)
+        return self._t.shape
 
-    def col(self, j):
-        return [r[j] for r in self.rows]
+    @property
+    def nrows(self):
+        return self._t.shape[0]
 
-    def to_columns(self):
-        return [self.col(j) for j in range(self.ncols)]
+    @property
+    def ncols(self):
+        return self._t.shape[1]
 
     def apply(self, v):
-        if len(v) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(v)} != ncols {self.ncols}")
-        f = self.field
-        out = []
-        for r in self.rows:
-            s = f.zero
-            for a, x in zip(r, v):
-                if a and x:
-                    s = f.add(s, f.mul(a, x))
-            out.append(s)
-        return out
+        t = self._t
+        return _times(self.field, v, ExactTensor(t.arr.T, t.scale, t.p))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -905,50 +877,37 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot compose {self.shape} with {other.shape}"
             )
-        f = self.field
-        ocols = other.ncols
-        out = []
-        for r in self.rows:
-            row = [f.zero] * ocols
-            for k, a in enumerate(r):
-                if a:
-                    ork = other.rows[k]
-                    for j in range(ocols):
-                        b = ork[j]
-                        if b:
-                            row[j] = f.add(row[j], f.mul(a, b))
-            out.append(row)
-        return Matrix(f, out, ocols)
+        a, b = self._t, other._t
+        raw = exact_tensordot(a.arr, b.arr, ([1], [0]), a.p)
+        return Matrix.from_raw(self.field, raw, a.scale * b.scale)
 
     def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)], self.nrows)
+        return Matrix.from_raw(self.field, self._t.arr.T, self._t.scale)
 
     def __eq__(self, other):
-        # scalars are canonical residues (GF(p)) or Fraction/int (Q), where
-        # python == is exact
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.shape == other.shape
-            and all(a == b for r1, r2 in zip(self.rows, other.rows)
-                    for a, b in zip(r1, r2))
-        )
+        a, b = self._t, other._t
+        # array_equal, not bytes: an object tensor's bytes are pointers
+        return (self.field, a.shape, a.scale) == (
+            other.field, b.shape, b.scale
+        ) and np.array_equal(a.arr, b.arr)
 
     def __hash__(self):
         return hash((self.field, self.shape))
 
+    def _row_space(self):
+        if self._span is None:
+            self._span = Subspace.from_vectors(self.field, self.ncols, self._t.arr)
+        return self._span
+
     def rank(self):
-        if self._rank is None:
-            acc = SpanAccumulator(self.field, self.ncols)
-            acc.add_vectors(self.rows)
-            self._rank = acc.dim
-        return self._rank
+        return self._row_space().dim
 
     def rref(self):
-        sub = Subspace.from_vectors(self.field, self.ncols, self.rows)
-        self._rank = sub.dim
-        return Matrix(self.field, sub.basis_vectors(), self.ncols), sub.pivots
+        sub = self._row_space()
+        b = sub.basis()
+        return Matrix.from_raw(self.field, b.arr, b.scale), sub.pivots
 
     def kernel(self):
         return kernel(self)
@@ -963,24 +922,14 @@ def rref(m):
 
 
 def kernel(m):
-    """Null space of m as a canonical Subspace of F^ncols."""
-    f = m.field
-    red, piv = m.rref()
-    pivset = set(piv)
-    free = [j for j in range(m.ncols) if j not in pivset]
-    vecs = []
-    for fcol in free:
-        v = [f.zero] * m.ncols
-        v[fcol] = f.one
-        for i, p in enumerate(piv):
-            a = red.rows[i][fcol]
-            if a:
-                v[p] = f.neg(a)
-        vecs.append(v)
-    sub = Subspace.from_vectors(f, m.ncols, vecs)
-    if sub.dim != m.ncols - len(piv):
+    """Null space of m as a canonical Subspace of F^ncols. Column j of the
+    projection of m's row space is, up to its scale, the kernel vector of
+    the j-th free column: 1 there and -R[:, j] on the pivots."""
+    rows = m._row_space()
+    sub = Subspace.from_vectors(m.field, m.ncols, rows.projection().arr.T)
+    if sub.dim != m.ncols - rows.dim:
         raise InternalAssertionFailed(
-            "rank-nullity-violated", f"kernel dim {sub.dim}, rank {len(piv)}"
+            "rank-nullity-violated", f"kernel dim {sub.dim}, rank {rows.dim}"
         )
     return sub
 
@@ -1002,11 +951,9 @@ def left_kernel(arr, free):
     if len(free) != r:
         return None
     try:
-        inv = right_inverse(Matrix(QQ, [[Fraction(int(x)) for x in row]
-                                        for row in arr[free]]))
+        inv = right_inverse(Matrix.from_raw(QQ, arr[free])).tensor()
     except DimensionMismatch:
         return None
-    inv = exact_tensor(QQ, inv.rows)
     piv = np.ones(n, dtype=bool)
     piv[free] = False
     piv = piv.nonzero()[0]
@@ -1016,43 +963,43 @@ def left_kernel(arr, free):
     return Subspace(QQ, n, piv.tolist(), y, inv.scale)
 
 
+def _solve(m, b):
+    """The canonical x with m x = b, for b a matrix of m.nrows rows: free
+    coordinates zero, and on the pivots -K[:, b's columns] / scale, read
+    off the K-form of the rows of [m | b]. None when a pivot of [m | b]
+    lands in b, that is, when a column of b is outside the column space."""
+    n, k = m.ncols, b.ncols
+    a, c = m.tensor(), b.tensor()
+    aug = np.concatenate([_scaled(a.arr, c.scale), _scaled(c.arr, a.scale)], axis=1)
+    red = Subspace.from_vectors(m.field, n + k, aug)
+    if red.pivots and red.pivots[-1] >= n:
+        return None
+    # b's columns are free, and the last k of the free columns
+    x = red._zeros((n, k))
+    x[list(red.pivots)] = -red.k.arr[:, len(red.free) - k :]
+    return Matrix.from_raw(m.field, x, red.k.scale)
+
+
 def solve_columns(m, rhs_cols):
-    """Solve m @ x = b for each b in rhs_cols; returns columns or None.
+    """Solve m @ x = b for each b in rhs_cols, each of length m.nrows;
+    returns columns or None.
 
     Solutions are the canonical particular ones: free coordinates zero,
-    pivot coordinates read off the reduced augmented matrix. A None entry
-    means that rhs is outside the column space.
+    pivot coordinates read off the reduced augmented matrix, one fold per
+    right-hand side. A None entry means that rhs is outside the column
+    space; a right-hand side of another length is a DimensionMismatch.
     """
-    f = m.field
-    k = len(rhs_cols)
-    red = Subspace.from_vectors(
-        f,
-        m.ncols + k,
-        [list(r) + [col[i] for col in rhs_cols] for i, r in enumerate(m.rows)],
-    )
-    rows = red.basis_vectors()
-    piv = red.pivots
-    # a pivot landing inside the augmented block means at least one rhs is
-    # inconsistent; in that case verify each candidate by multiplying back
-    suspect = any(p >= m.ncols for p in piv)
+    b = Matrix(m.field, rhs_cols, m.nrows).tensor()
     outs = []
-    for t in range(k):
-        x = [f.zero] * m.ncols
-        for i, p in enumerate(piv):
-            if p < m.ncols:
-                x[p] = rows[i][m.ncols + t]
-        if suspect and m.apply(x) != list(rhs_cols[t]):
-            outs.append(None)
-            continue
-        outs.append(x)
+    for t in range(b.shape[0]):
+        x = _solve(m, Matrix.from_raw(m.field, b.arr[[t]].T, b.scale))
+        outs.append(None if x is None else x.transpose().rows[0])
     return outs
 
 
 def right_inverse(m):
     """A section of a surjective m: columns solve m @ s_j = e_j."""
-    f = m.field
-    eye = Matrix.identity(f, m.nrows)
-    cols = solve_columns(m, eye.to_columns())
-    if any(c is None for c in cols):
+    s = _solve(m, Matrix.identity(m.field, m.nrows))
+    if s is None:
         raise DimensionMismatch("matrix is not surjective; no right inverse")
-    return Matrix.from_columns(f, cols, m.ncols)
+    return s

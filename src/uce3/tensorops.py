@@ -7,9 +7,11 @@ arithmetic is exact but slow, so tensors are first put into integer form:
   * over GF(p) entries are canonical residues;
   * over Q the whole tensor is scaled by the lcm of its denominators.
 
-Algebras store their structure constants in this form (ExactTensor), built
-by exact_tensor from field scalars or by rescaled from a raw contraction;
-unscale reads field scalars back only for Matrix rows and vectors.
+Algebras, subspaces and matrices all hold their entries in this form
+(ExactTensor), built by nested_tensor or exact_tensor from field scalars or
+by rescaled from a raw contraction; unscale reads field scalars back only
+at the API edge (Matrix.rows, basis vectors, reduced and projected
+vectors).
 
 Every identity checked here is homogeneous in each input tensor, so a
 positive integer rescale never changes a zero/nonzero verdict; checks that
@@ -35,11 +37,13 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .fields import QQ, PrimeField, Rationals
 
 __all__ = [
     "ExactTensor",
     "exact_tensor",
+    "nested_tensor",
     "exact_tensordot",
     "escaping_generators",
     "rescaled",
@@ -108,6 +112,17 @@ def exact_tensor(field, nested):
         for x in a.flat
     ]
     return rescaled(field, np.array(ints, dtype=object).reshape(a.shape), den)
+
+
+def nested_tensor(field, table, shape):
+    """The exact tensor of a dense nested table of field scalars, each read
+    once through field.coerce, once its nesting is checked to have exactly
+    the given shape."""
+    a = np.array(table, dtype=object)
+    # an empty table is only as deep as its first empty level
+    if a.shape != shape and (a.size or a.shape != shape[: a.ndim]):
+        raise DimensionMismatch(f"expected a table of shape {shape}, got {a.shape}")
+    return exact_tensor(field, np.frompyfunc(field.coerce, 1, 1)(a).reshape(shape))
 
 
 def _maxabs(a):
@@ -208,7 +223,8 @@ def unscale(field, raw, den=1):
     """Canonical field scalars raw / den as nested python lists: python int
     over GF(p) (where den is 1), Fraction over Q, never numpy scalars. raw
     is an exact contraction whose inputs carried the total scale den. Only
-    Matrix rows and vectors are read this way; algebras keep rescaled."""
+    the API edge reads scalars this way; everything inside keeps
+    rescaled."""
     a = np.asarray(raw)
     if field.characteristic:
         p = field.characteristic
@@ -389,10 +405,7 @@ def lts_derivation_witness(t):
 def derived_mismatch_witness(tern, bina):
     """First (x, y, z) where {x,y,z} != [x,[y,z]]; None when they agree."""
     lhs = left_nested(bina)  # scale bina.scale**2
-    if tern.p is not None:
-        res = lhs - tern.arr
-    else:
-        res = _scaled(lhs, tern.scale) - _scaled(tern.arr, bina.scale**2)
+    res = _scaled(lhs, tern.scale) - _scaled(tern.arr, bina.scale**2)
     w = _witness(res, tern.p)
     return None if w is None else w[:3]
 
@@ -408,10 +421,7 @@ def binary_morphism_witness(ext, base, proj):
     lhs = exact_tensordot(e, m, ([2], [1]), p)  # (r, s, a)
     s1 = exact_tensordot(m, c, ([0], [0]), p)  # (r, j, a)
     rhs = exact_tensordot(m, s1, ([0], [1]), p).transpose(1, 0, 2)
-    if p is not None:
-        res = lhs - rhs
-    else:
-        res = _scaled(lhs, proj.scale * base.scale) - _scaled(rhs, ext.scale)
+    res = _scaled(lhs, proj.scale * base.scale) - _scaled(rhs, ext.scale)
     w = _witness(res, p)
     return None if w is None else w[:2]
 
@@ -426,10 +436,7 @@ def ternary_morphism_witness(ext, base, proj):
     s1 = exact_tensordot(m, t, ([0], [0]), p)  # (r, j, k, a)
     s2 = exact_tensordot(m, s1, ([0], [1]), p)  # (s, r, k, a)
     rhs = exact_tensordot(m, s2, ([0], [2]), p).transpose(2, 1, 0, 3)
-    if p is not None:
-        res = lhs - rhs
-    else:
-        res = _scaled(lhs, proj.scale**2 * base.scale) - _scaled(rhs, ext.scale)
+    res = _scaled(lhs, proj.scale**2 * base.scale) - _scaled(rhs, ext.scale)
     w = _witness(res, p)
     return None if w is None else w[:3]
 
@@ -451,10 +458,7 @@ def action_law_witness(act, bina):
     lhs = exact_tensordot(a, a, ([2], [0]), p)  # (u, x, y, v)
     rhs = exact_tensordot(c, a, ([2], [1]), p).transpose(2, 0, 1, 3)
     left = lhs - lhs.transpose(0, 2, 1, 3)
-    if p is not None:
-        res = left - rhs
-    else:
-        res = _scaled(left, bina.scale) - _scaled(rhs, act.scale)
+    res = _scaled(left, bina.scale) - _scaled(rhs, act.scale)
     w = _witness(res, p)
     return None if w is None else w[:3]
 
@@ -483,9 +487,6 @@ def equivariance_witness(act, fmat, bina):
     p = act.p
     e1 = exact_tensordot(a, f, ([2], [1]), p)  # (u, x, k)
     e2 = exact_tensordot(f, c, ([0], [0]), p)  # (u, x, w)
-    if p is not None:
-        res = e1 - e2
-    else:
-        res = _scaled(e1, bina.scale) - _scaled(e2, act.scale)
+    res = _scaled(e1, bina.scale) - _scaled(e2, act.scale)
     w = _witness(res, p)
     return None if w is None else w[:2]

@@ -96,19 +96,17 @@ def _bracket_splitting(g):
     n = g.dim
     t = g.tensor()
     # column a*n + b of mu is [e_a, e_b]
-    rows = tops.unscale(g.field, t.arr.reshape(n * n, n).T, t.scale)
-    mu = Matrix(g.field, rows, n * n)
+    mu = Matrix.from_raw(g.field, t.arr.reshape(n * n, n).T, t.scale)
     return mu, right_inverse(mu)
 
 
 def _action_from_splitting(ext, g, sigma):
     """The g-action on the extension carrier: x * v = sum over the splitting
     sigma(v) = sum a_i (x) b_i of {x, s(a_i), s(b_i)}."""
-    f = g.field
     n = g.dim
     t = ext.algebra.tensor()
-    st = tops.exact_tensor(f, ext.section.rows)
-    sg = tops.exact_tensor(f, sigma.rows)
+    st = ext.section.tensor()
+    sg = sigma.tensor()
     u1 = tops.exact_tensordot(st.arr, t.arr, ([0], [1]), t.p)
     u2 = tops.exact_tensordot(st.arr, u1, ([0], [2]), t.p)
     # u2[b, a, x, w] = {e_x, s(e_a), s(e_b)}_w
@@ -123,14 +121,9 @@ def _reversed_right_inverse(mu):
     """A second splitting of mu obtained by feeding the solver the columns
     in reverse order, which moves the pivots; used to certify that the
     induced bracket does not depend on the splitting."""
-    nc = mu.ncols
-    perm = list(range(nc - 1, -1, -1))
-    mu2 = Matrix(mu.field, [[r[j] for j in perm] for r in mu.rows], nc)
-    s2 = right_inverse(mu2)
-    rows = [None] * nc
-    for pos, orig in enumerate(perm):
-        rows[orig] = s2.rows[pos]
-    return Matrix(mu.field, rows, s2.ncols)
+    t = mu.tensor()
+    s = right_inverse(Matrix.from_raw(mu.field, t.arr[:, ::-1], t.scale)).tensor()
+    return Matrix.from_raw(mu.field, s.arr[::-1], s.scale)
 
 
 def induced_leibniz_structure(ext, g):
@@ -170,19 +163,19 @@ def induced_leibniz_structure(ext, g):
     mu, sigma = _bracket_splitting(g)
 
     # kernel of (carrier ^ carrier) -> g, x ^ y |-> [pi x, pi y]
-    pt = tops.exact_tensor(f, ext.projection.rows)
+    pt = ext.projection.tensor()
     gt = g.tensor()
     b1 = tops.exact_tensordot(pt.arr, gt.arr, ([0], [0]), gt.p)
     b2 = tops.exact_tensordot(pt.arr, b1, ([0], [1]), gt.p)
     rows_i, rows_j = wedge_index_pairs(m)
     den = pt.scale**2 * gt.scale
     # b2[j, i] is [pi e_i, pi e_j]: one column of zmap per wedge pair
-    zmap = Matrix(f, tops.unscale(f, b2[rows_j, rows_i].T, den), len(rows_i))
+    zmap = Matrix.from_raw(f, b2[rows_j, rows_i].T, den)
     z = kernel(zmap)
 
     t = ext.algebra.tensor()
     if z.dim:
-        zt = tops.exact_tensor(f, z.basis_vectors())
+        zt = z.basis()
         sliced = t.arr[:, rows_i, rows_j, :]
         hit = tops.exact_tensordot(zt.arr, sliced, ([1], [1]), t.p)
         w = tops._witness(hit, t.p)
@@ -205,7 +198,7 @@ def induced_leibniz_structure(ext, g):
         )
 
     sigma2 = _reversed_right_inverse(mu)
-    if sigma2.rows != sigma.rows:
+    if sigma2 != sigma:
         act2 = _action_from_splitting(ext, g, sigma2)
         bracket2 = equivariant_leibniz(act2, ext.projection)
         if bracket2 != bracket:
@@ -332,9 +325,8 @@ class TheoremReport:
 
 def _factor_through(mat, q):
     """Restrict a matrix that kills q.killed to coset coordinates."""
-    return Matrix.from_columns(
-        mat.field, [mat.col(c) for c in q.coset_coords], mat.nrows
-    )
+    t = mat.tensor()
+    return Matrix.from_raw(mat.field, t.arr[:, list(q.coset_coords)], t.scale)
 
 
 def _quotient_as_lts_extension(u_leib, j, base_lts):
@@ -351,9 +343,9 @@ def _quotient_as_lts_extension(u_leib, j, base_lts):
         f, raw, et.scale**2 * k.scale, name=f"{u_leib.extension_algebra.name}/J"
     )
     proj = _factor_through(u_leib.projection_b, qj)
-    st = tops.exact_tensor(f, u_leib.section_s.rows)
+    st = u_leib.section_s.tensor()
     sec_raw = tops.exact_tensordot(k.arr, st.arr, ([0], [0]), k.p)
-    sec = Matrix(f, tops.unscale(f, sec_raw, k.scale * st.scale), u_leib.base.dim)
+    sec = Matrix.from_raw(f, sec_raw, k.scale * st.scale)
     ext = CentralExtension("lts", base_lts, alg, proj, sec)
     return qj, ext
 

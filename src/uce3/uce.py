@@ -174,10 +174,6 @@ def _same_base(a, b):
         raise NotOverSameBase("base structure constants differ")
 
 
-def _matrix_tensor(m):
-    return tops.exact_tensor(m.field, m.rows)
-
-
 def _morphism_witness(ext, base, proj):
     """First basis tuple where the matrix proj (carrier of ext -> carrier of
     base) is not a bracket morphism; None when it is one."""
@@ -186,7 +182,7 @@ def _morphism_witness(ext, base, proj):
         if isinstance(base, TernaryAlgebra)
         else tops.binary_morphism_witness
     )
-    return witness(ext.tensor(), base.tensor(), _matrix_tensor(proj))
+    return witness(ext.tensor(), base.tensor(), proj.tensor())
 
 
 class CentralExtension:
@@ -251,9 +247,8 @@ class CentralExtension:
         if wit is not None:
             raise NotCentral(f"projection is not a bracket morphism at {wit}")
         self.kernel = kernel(self.projection)
-        rows = self.kernel.basis_vectors()
-        if rows:
-            zt = tops.exact_tensor(self.kernel.field, rows)
+        if self.kernel.dim:
+            zt = self.kernel.basis()
             et = self.algebra.tensor()
             arity = 3 if want_ternary else 2
             for slot in range(arity):
@@ -475,7 +470,7 @@ def _finish_extension(category, base, relations, ev):
             "quotient-collapsed", "carrier of a perfect base cannot be zero"
         )
     images = ev.arr[list(q.coset_coords)]
-    proj = Matrix(f, tops.unscale(f, images.T, ev.scale), q.dim)
+    proj = Matrix.from_raw(f, images.T, ev.scale)
 
     k = q.projection
     arity = 3 if category == "lts" else 2
@@ -709,7 +704,7 @@ def universal_map(u, e):
     e.verify()
     f = u.base.field
     et = e.algebra.tensor()
-    st = _matrix_tensor(e.section)
+    st = e.section.tensor()
     arity = 3 if u.category == "lts" else 2
     # grid[i, j, (k,) w] / scale: coordinate w of the bracket of section lifts
     grid = _slotwise(et.arr, st.arr.T, arity, et.p)
@@ -727,7 +722,7 @@ def universal_map(u, e):
             "target is not a central extension or the source is not universal"
         )
     coset = rows[list(u.carrier.coset_coords)]
-    mat = Matrix(f, tops.unscale(f, coset.T, scale), u.carrier_dim)
+    mat = Matrix.from_raw(f, coset.T, scale)
     wit = _morphism_witness(u.extension_algebra, e.algebra, mat)
     if wit is not None:
         raise InternalAssertionFailed(

@@ -223,8 +223,12 @@ def test_span_incremental_matches_batch(spec):
 def test_span_incremental_edge_cases():
     s = span_incremental(QQ, 5, [])
     assert s.dim == 0 and s.ambient == 5
-    with pytest.raises(DimensionMismatch):
-        span_incremental(QQ, 5, [[1, 2, 3]])
+    # wrong-length dense vectors, as lists and as integer arrays, on every
+    # backend: Q, packed GF(2) and GF(p)
+    for spec in FIELDS:
+        for bad in ([[1, 2, 3]], np.ones((2, 3), np.int64), np.ones(5, np.int64)):
+            with pytest.raises(DimensionMismatch):
+                span_incremental(field_of(spec), 5, bad)
 
 
 @pytest.mark.parametrize("spec", FIELDS)
@@ -566,3 +570,112 @@ def test_k_form_against_textbook_rref(spec, seed, ambient, nrows):
     for _ in range(3):
         v = [rng.randint(-100, 100) for _ in range(ambient)]
         assert sub.reduce(v) == naive_reduce(p, basis, piv, v)
+
+
+def test_solve_columns_rejects_a_right_hand_side_of_the_wrong_length():
+    m = Matrix(QQ, [[1, 0], [0, 1]])
+    for bad in ([[1]], [[1, 2, 99]], [[1, 2], [3]]):
+        with pytest.raises(DimensionMismatch):
+            solve_columns(m, bad)
+    assert solve_columns(m, [[1, 2]]) == [[1, 2]]
+
+
+def test_matrix_entries_are_canonical():
+    f = field_of("GF(3)")
+    assert Matrix(f, [[4]]) == Matrix(f, [[1]])
+    assert Matrix(f, [[4, -1]]).rows == [[1, 2]]
+    half = Matrix(QQ, [["1/2"]])
+    assert half == Matrix(QQ, [[Fraction(1, 2)]])
+    assert half.rows == [[Fraction(1, 2)]] and half.rank() == 1
+    assert (half @ half).rows == [[Fraction(1, 4)]]
+
+
+def _random_matrix(f, rng, nrows, ncols, top):
+    """A random nrows x ncols matrix of rank at most a random r, as the
+    textbook product of two random factors; half their entries are zero,
+    the rest of size up to top (over Q, with denominators up to 12)."""
+    def scalar():
+        if rng.random() < 0.5:
+            return f.zero
+        x = rng.randint(-top, top)
+        return f.coerce(x) if f.characteristic else Fraction(x, rng.randint(1, 12))
+
+    r = rng.randint(0, min(nrows, ncols))
+    a = [[scalar() for _ in range(r)] for _ in range(nrows)]
+    b = [[scalar() for _ in range(ncols)] for _ in range(r)]
+    return Matrix(f, _textbook_product(f, a, b, ncols), ncols)
+
+
+def _textbook_product(f, a, b, ncols):
+    return [[_dot(f, row, [r[j] for r in b]) for j in range(ncols)] for row in a]
+
+
+def _null_space(f, rows, ncols):
+    """The null space of rows by textbook Gauss-Jordan: one vector per
+    free column j, 1 there and -R[:, j] on the pivots."""
+    p = f.characteristic
+    basis, piv = naive_rref(p, rows)
+    vecs = []
+    for j in (c for c in range(ncols) if c not in piv):
+        v = [f.zero] * ncols
+        v[j] = f.one
+        for row, q in zip(basis, piv):
+            v[q] = f.coerce(-row[j])
+        vecs.append(v)
+    return Subspace.from_vectors(f, ncols, vecs), len(piv)
+
+
+# Q entries up to 2**70 run the object-dtype route of every contraction
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(7)", "Q"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    nrows=st.integers(1, 5),
+    ncols=st.integers(1, 5),
+    big=st.booleans(),
+)
+def test_dense_layer_against_textbook_algebra(spec, seed, nrows, ncols, big):
+    f = field_of(spec)
+    p = f.characteristic
+    rng = random.Random(seed)
+    top = 2**70 if big else 9
+    m = _random_matrix(f, rng, nrows, ncols, top)
+    rows = m.rows
+    assert Matrix(f, rows) == m
+    other = _random_matrix(f, rng, ncols, rng.randint(1, 4), top)
+    assert (m @ other).rows == _textbook_product(f, rows, other.rows, other.ncols)
+
+    ker = kernel(m)
+    want, rank = _null_space(f, rows, ncols)
+    assert ker == want and ker.dim == ncols - rank == ncols - m.rank()
+
+    if rank == nrows:
+        assert m @ right_inverse(m) == Matrix.identity(f, nrows)
+    else:
+        with pytest.raises(DimensionMismatch):
+            right_inverse(m)
+
+    rhs = [m.apply([f.coerce(rng.randint(-top, top)) for _ in range(ncols)])]
+    rhs += [[f.coerce(rng.randint(-9, 9)) for _ in range(nrows)] for _ in range(3)]
+    for b, x in zip(rhs, solve_columns(m, rhs)):
+        aug = [row + [t] for row, t in zip(rows, b)]
+        assert (x is None) == (naive_rank(p, aug) > rank)
+        assert x is None or m.apply(x) == b
+
+    u = Subspace.from_vectors(f, ncols, rows)
+    w_rows = _random_matrix(f, rng, rng.randint(1, 5), ncols, top).rows
+    w = Subspace.from_vectors(f, ncols, w_rows)
+    s, i = u.sum_with(w), u.intersect(w)
+    assert s.dim == naive_rank(p, rows + w_rows)
+    assert u.dim + w.dim == s.dim + i.dim
+    assert i.is_subspace_of(u) and i.is_subspace_of(w)
+    assert u.is_subspace_of(s) and w.is_subspace_of(s)
+    assert u.is_subspace_of(w) == (naive_rank(p, w_rows + rows) == w.dim)
+
+    image = u.image_under(other.transpose())
+    by_row = [_textbook_product(f, [v], other.rows, other.ncols)[0]
+              for v in u.basis_vectors()]
+    assert image == Subspace.from_vectors(f, other.ncols, by_row)
+    assert image == Subspace.from_vectors(
+        f, other.ncols, [other.transpose().apply(v) for v in u.basis_vectors()]
+    )

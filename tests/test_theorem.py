@@ -9,11 +9,14 @@ from uce3 import (
     Matrix,
     NotOverSameBase,
     NotPerfect,
+    PrimeField,
+    Rationals,
     WrongCategory,
     catalog,
     check_binary,
     derived_lts,
     field_of,
+    homology,
     induced_leibniz_structure,
     jacobiator_subspace,
     leibniz_uce,
@@ -284,3 +287,21 @@ def test_theorem_reuses_the_flags_of_an_equal_quotient(monkeypatch, spec, shared
     assert (quot == u_lts_alg) == shared
     assert (check_ternary(quot) is check_ternary(u_lts_alg)) == shared
     assert any(t is quot.tensor() for t in seen) != shared
+
+
+@pytest.mark.parametrize("spec", ["Q", "GF(2)", "GF(3)"])
+def test_pipeline_uses_no_per_scalar_field_arithmetic(monkeypatch, spec):
+    # every map, subspace and check is an exact contraction on integer
+    # arrays: field scalars are only read in and out at the API edge
+    g = catalog("sl3", field_of(spec))
+
+    def refuse(*args):
+        raise AssertionError("per-scalar field arithmetic")
+
+    for cls in (Rationals, PrimeField):
+        for op in ("add", "sub", "mul", "neg", "inv", "div"):
+            monkeypatch.setattr(cls, op, refuse)
+    report = verify_main_theorem(g)
+    assert report.ok, report.failed_fact
+    h = homology(report.u_lts)
+    assert h.h2_dim == report.dims["h2_lts"] == len(h.h2_basis)
