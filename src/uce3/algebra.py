@@ -183,7 +183,7 @@ def bracket_span_dim(a):
     algebra; stops early once the span is the whole algebra."""
     # the raw tensor is a positive multiple of the brackets: same span
     acc = SpanAccumulator(a.field, a.dim)
-    acc.add_vectors(a.tensor().arr.reshape(-1, a.dim), a.dim)
+    acc.add_vectors(a.tensor().arr.reshape(a.dim ** a.arity, a.dim), a.dim)
     return acc.dim
 
 

@@ -56,8 +56,8 @@ _EXIT_BY_ERROR = (
 
 
 def _emit_json(obj):
-    json.dump(obj, sys.stdout, sort_keys=True, indent=1)
-    sys.stdout.write("\n")
+    # one write: json.dump would make one per token
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _yesno(b):
@@ -141,7 +141,7 @@ def _build_uce(args):
 def cmd_uce(args):
     u = _build_uce(args)
     if args.json:
-        _emit_json(u.to_dict())
+        sys.stdout.write(u.to_json() + "\n")
     else:
         print(f"category: {u.category}")
         print(

@@ -9,6 +9,9 @@ or with "ternary": [[i, j, k, [[l, "coeff"], ...]], ...] for a trilinear
 bracket. Entries are sparse (absent tuples are zero), indices 0-based,
 coefficients decimal integers or "a/b" strings.
 
+Writing renders the text of json.dumps(doc, sort_keys=True, indent=1)
+straight from the structure tensor; the document as a dict is its parse.
+
 Error split, mirrored by the CLI exit codes: FormatError for a file that
 cannot be read as ASCII text or a document whose shape is wrong (bad JSON,
 unknown keys, wrong types), SemanticError
@@ -33,6 +36,7 @@ __all__ = [
     "algebra_to_dict",
     "loads_algebra",
     "dumps_algebra",
+    "json_object",
     "load_algebra",
 ]
 
@@ -120,19 +124,21 @@ def algebra_from_dict(doc, force=False):
 
 
 def algebra_to_dict(alg):
-    """The document of an algebra: one row per nonzero bracket of basis
-    vectors, rows and their coefficients in lexicographic order."""
-    f = alg.field
-    t = alg.tensor()
-    nz = np.nonzero(t.arr)
-    rows = []
-    for *head, k, x in zip(*(ax.tolist() for ax in nz), t.arr[nz].tolist()):
-        if not rows or rows[-1][:-1] != head:
-            rows.append(head + [[]])
-        scalar = x if t.p is not None else Fraction(x, t.scale)
-        rows[-1][-1].append([k, f.scalar_str(scalar)])
-    kind = "binary" if isinstance(alg, BinaryAlgebra) else "ternary"
-    return {"name": alg.name, "field": f.spec_str(), "dim": alg.dim, kind: rows}
+    """The document of an algebra: the parse of dumps_algebra's text."""
+    return json.loads(dumps_algebra(alg))
+
+
+def json_object(items):
+    """The text json.dumps(doc, sort_keys=True, indent=1) gives for the
+    non-empty object doc whose values have the JSON texts items[key], each
+    as json.dumps(value, indent=1) gives it. A value one level deeper is its
+    text with every line indented once more; that is exact because the
+    encoder never puts a raw newline inside a string."""
+    body = ",\n".join(
+        f" {json.dumps(k)}: " + v.replace("\n", "\n ")
+        for k, v in sorted(items.items())
+    )
+    return "{\n" + body + "\n}"
 
 
 def loads_algebra(text, force=False):
@@ -144,7 +150,34 @@ def loads_algebra(text, force=False):
 
 
 def dumps_algebra(alg):
-    return json.dumps(algebra_to_dict(alg), sort_keys=True, indent=1)
+    """The document of an algebra, as json.dumps(doc, sort_keys=True,
+    indent=1) prints it: one row per nonzero bracket of basis vectors, rows
+    and coefficients in lexicographic order. It is rendered straight from
+    the structure tensor, each distinct coefficient formatted once."""
+    f = alg.field
+    t = alg.tensor()
+    *head, ks = np.nonzero(t.arr)
+    values, which = np.unique(t.arr[(*head, ks)], return_inverse=True)
+    coeffs = [json.dumps(f.scalar_str(x if t.p is not None else Fraction(x, t.scale)))
+              for x in values.tolist()]
+    pairs = [f"   [\n    {k},\n    {coeffs[c]}\n   ]"
+             for k, c in zip(ks.tolist(), which.tolist())]
+    # nonzero walks in C order: a row starts wherever its head changes
+    flat = np.ravel_multi_index(head, t.shape[:-1])
+    starts = np.flatnonzero(np.diff(flat, prepend=-1)).tolist()
+    heads = zip(*(h[starts].tolist() for h in head))
+    rows = [
+        " [\n" + "".join(f"  {i},\n" for i in hd) + "  [\n"
+        + ",\n".join(pairs[a:b]) + "\n  ]\n ]"
+        for hd, a, b in zip(heads, starts, starts[1:] + [len(pairs)])
+    ]
+    kind = "binary" if isinstance(alg, BinaryAlgebra) else "ternary"
+    return json_object({
+        "name": json.dumps(alg.name),
+        "field": json.dumps(f.spec_str()),
+        "dim": json.dumps(alg.dim),
+        kind: "[\n" + ",\n".join(rows) + "\n]" if rows else "[]",
+    })
 
 
 def load_algebra(path, force=False):

@@ -46,6 +46,7 @@ universal_map.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -70,6 +71,7 @@ from .errors import (
     NotLts,
     NotOverSameBase,
     NotPerfect,
+    SemanticError,
     WellDefinednessFailed,
     WrongCategory,
 )
@@ -312,17 +314,23 @@ class UceResult:
         ext.kernel = self.h2
         return ext
 
-    def to_dict(self):
-        from .serialize import algebra_to_dict
+    def to_json(self):
+        """The result as JSON text in json.dumps(..., sort_keys=True,
+        indent=1) form, the extension's table rendered by dumps_algebra."""
+        from .serialize import dumps_algebra, json_object
 
-        return {
-            "category": self.category,
-            "base": self.base.name,
-            "carrier_dim": self.carrier.dim,
-            "h2_dim": self.h2.dim,
-            "relation_dim": self.relations.dim,
-            "algebra": algebra_to_dict(self.extension_algebra),
-        }
+        return json_object({
+            "category": json.dumps(self.category),
+            "base": json.dumps(self.base.name),
+            "carrier_dim": json.dumps(self.carrier.dim),
+            "h2_dim": json.dumps(self.h2.dim),
+            "relation_dim": json.dumps(self.relations.dim),
+            "algebra": dumps_algebra(self.extension_algebra),
+        })
+
+    def to_dict(self):
+        """The parse of to_json."""
+        return json.loads(self.to_json())
 
     def __repr__(self):
         return (
@@ -446,6 +454,16 @@ def _slotwise(t, m, arity, p):
     return np.moveaxis(t, 0, -1)
 
 
+def _require_perfect(base, flags):
+    """Refuse a base the constructions do not take: the zero algebra, whose
+    universal central extension is zero, and any base that is not perfect."""
+    if base.dim == 0:
+        raise SemanticError("the base has dimension 0: the constructions "
+                            "take a nonzero perfect base")
+    if not flags.is_perfect:
+        raise NotPerfect(f"{base.name or 'input'} is not perfect")
+
+
 def _finish_extension(category, base, relations, ev):
     """Common tail of all three constructions. The quotient is checked as a
     central extension by CentralExtension.verify, plus the assertions
@@ -545,8 +563,7 @@ def leibniz_uce(g, rng=None):
         raise NotLeibniz(
             f"Leibniz identity fails at {flags.witnesses.get('leibniz')}"
         )
-    if not flags.is_perfect:
-        raise NotPerfect(f"{g.name or 'input'} is not perfect")
+    _require_perfect(g, flags)
     n = g.dim
     ambient = n * n
     t = g.tensor()
@@ -572,8 +589,7 @@ def lie_uce(g, rng=None):
     flags = check_binary(g)
     if not flags.is_lie:
         raise NotLie(f"input is not a Lie algebra: {flags.witnesses}")
-    if not flags.is_perfect:
-        raise NotPerfect(f"{g.name or 'input'} is not perfect")
+    _require_perfect(g, flags)
     n = g.dim
     w = wedge_map(n)
     # each row of the wedge map has at most one nonzero, a sign
@@ -663,8 +679,7 @@ def lts_tensor_cube(lts, force=False, rng=None):
     flags = check_ternary(lts)
     if not flags.is_lts:
         raise NotLts(f"input fails LTS axioms: {flags.witnesses}")
-    if not flags.is_perfect:
-        raise NotPerfect(f"{lts.name or 'input'} is not perfect")
+    _require_perfect(lts, flags)
     ambient = n**3
     t = lts.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)

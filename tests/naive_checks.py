@@ -7,7 +7,8 @@ codebases is what the acceptance tests assert.
 
 Tables come in as nested lists of scalars (ints or Fractions) together
 with the characteristic p (0 means rationals). GF(p) scalars are plain
-residues.
+residues. naive_algebra_doc alone takes an algebra, read through its
+documented tensor() and field.
 """
 
 from fractions import Fraction
@@ -479,3 +480,19 @@ def naive_algebra_dict(p, name, field, table, arity):
                     rows.append([i, j, pairs] if k is None else [i, j, k, pairs])
     key = "binary" if arity == 2 else "ternary"
     return {"name": name, "field": field, "dim": dim, key: rows}
+
+
+def naive_algebra_doc(alg):
+    """The JSON document of an algebra by a per-entry walk over the nonzeros
+    of its structure tensor (alg.tensor(): arr, scale, p), opening a row
+    wherever the bracketed basis vectors change."""
+    t = alg.tensor()
+    nz = t.arr.nonzero()
+    rows = []
+    for *head, k, x in zip(*(ax.tolist() for ax in nz), t.arr[nz].tolist()):
+        if not rows or rows[-1][:-1] != head:
+            rows.append(head + [[]])
+        scalar = x if t.p is not None else Fraction(x, t.scale)
+        rows[-1][-1].append([k, _scalar_str(t.p, scalar)])
+    kind = "binary" if alg.arity == 2 else "ternary"
+    return {"name": alg.name, "field": alg.field.spec_str(), "dim": alg.dim, kind: rows}

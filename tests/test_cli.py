@@ -283,6 +283,28 @@ def test_exit_code_not_perfect(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("kind", ["binary", "ternary"])
+@pytest.mark.parametrize("spec", ["Q", "GF(3)"])
+def test_zero_dimensional_input_is_a_one_line_error(capsys, tmp_path, spec, kind):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"name": "x", "field": spec, "dim": 0, kind: []}),
+                    encoding="ascii")
+    code, out, err = run(capsys, "check", str(path), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["flags"]["perfect"] is True
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0 and "perfect: yes" in out
+    commands = [[cmd, "--category", c] for cmd in ("uce", "homology")
+                for c in ("lie", "leibniz", "lts")] + [["theorem"]]
+    for cmd, *rest in commands:
+        code, out, err = run(capsys, cmd, str(path), *rest, "--json")
+        built = kind == "binary" or rest[-1:] == ["lts"]
+        assert code == 3 and out == ""
+        assert err.startswith("error [SemanticError]:" if built
+                              else "error [WrongCategory]:")
+        assert err.count("\n") == 1
+
+
 def test_exit_code_axiom_precondition(capsys, tmp_path):
     doc = {"field": "Q", "dim": 2,
            "binary": [[0, 0, [[1, 1]]], [1, 0, [[0, 1]]]]}

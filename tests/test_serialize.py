@@ -2,12 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_sl2_dual, char_of, tolists2
-from naive_checks import naive_algebra_dict
+from naive_checks import naive_algebra_dict, naive_algebra_doc
 
 from uce3 import (
     BinaryAlgebra,
+    TernaryAlgebra,
     FormatError,
     QQ,
     SemanticError,
@@ -164,3 +166,39 @@ def test_nonzero_walk_matches_the_nested_table_walk(case):
     f = alg.field
     ref = naive_algebra_dict(char_of(f), alg.name, f.spec_str(), tolists2(alg), arity)
     assert algebra_to_dict(alg) == ref
+
+
+@st.composite
+def sparse_algebras(draw):
+    """A binary or ternary algebra of dim 0-5 with a few random entries
+    (none at all half the time), and a name that JSON must escape."""
+    spec = draw(st.sampled_from(["Q", "GF(2)", "GF(3)", "GF(2147483647)"]))
+    kind = draw(st.sampled_from([BinaryAlgebra, TernaryAlgebra]))
+    dim = draw(st.integers(0, 5))
+    name = draw(st.sampled_from(["", 'say "uce"', "back\\slash", "two\nlines",
+                                 "caf\u00e9 \t"]))
+    if spec == "Q":
+        # negative and fractional entries: the tensor's scale exceeds 1
+        coeff = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    else:
+        coeff = st.integers(-3, 2**31)
+    entries = []
+    if dim and draw(st.booleans()):
+        ix = st.integers(0, dim - 1)
+        head = st.tuples(*[ix] * kind.arity)
+        pairs = st.lists(st.tuples(ix, coeff), max_size=4)
+        entries = draw(st.lists(st.tuples(head, pairs), max_size=10))
+    return kind.from_sparse(field_of(spec), dim, [(*h, ps) for h, ps in entries],
+                            name=name)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(sparse_algebras())
+def test_rendered_text_matches_the_stdlib_encoder_on_the_naive_document(a):
+    ref = naive_algebra_doc(a)
+    text = dumps_algebra(a)
+    assert text == json.dumps(ref, sort_keys=True, indent=1)
+    assert algebra_to_dict(a) == ref
+    back = loads_algebra(text)
+    assert back == a
+    assert (back.name, back.field) == (a.name, a.field)

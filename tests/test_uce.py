@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from conftest import (
     tolists3,
 )
 from naive_checks import (
+    naive_algebra_doc,
     naive_cube_relation_rank,
     naive_cube_relation_rows,
     naive_leibniz_relation_rank,
@@ -368,6 +370,20 @@ def test_to_dict_shape():
     assert d["h2_dim"] == 0
     assert d["algebra"]["dim"] == 3
     assert d["base"] == "sl2"
+
+
+@pytest.mark.parametrize("category", ["lie", "leibniz", "lts"])
+@pytest.mark.parametrize("case", [
+    "sl2/Q", "sl2/GF(3)", "sl2/GF(2147483647)", "sl3/Q", "sl3/GF(2)",
+    "sl3/GF(3)", "sl3/GF(2147483647)", "takiff/Q",
+])
+def test_to_json_is_the_canonical_encoding(category, case):
+    name, spec = case.split("/")
+    g = build_sl2_dual() if name == "takiff" else catalog(name, field_of(spec))
+    u = build(category, g)
+    t = u.to_json()
+    assert json.dumps(json.loads(t), sort_keys=True, indent=1) == t
+    assert u.to_dict()["algebra"] == naive_algebra_doc(u.extension_algebra)
 
 
 def test_universal_map_identity():
