@@ -15,6 +15,7 @@ before all output was written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -78,48 +79,33 @@ def _load_input(args):
 
 def cmd_check(args):
     alg = _load_input(args)
+    field = alg.field.spec_str()
     if isinstance(alg, BinaryAlgebra):
         fl = check_binary(alg)
-        if args.json:
-            _emit_json({
-                "kind": "binary",
-                "dim": alg.dim,
-                "field": alg.field.spec_str(),
-                "name": alg.name,
-                "flags": {
-                    "alternating": fl.is_alternating,
-                    "lie": fl.is_lie,
-                    "leibniz": fl.is_leibniz,
-                    "jacobi": fl.satisfies_jacobi,
-                    "perfect": fl.is_perfect,
-                },
-            })
-        else:
-            print(
-                f"lie: {_yesno(fl.is_lie)}, leibniz: {_yesno(fl.is_leibniz)}, "
-                f"perfect: {_yesno(fl.is_perfect)}, dim {alg.dim}"
-            )
-            print(
-                f"alternating: {_yesno(fl.is_alternating)}, "
-                f"jacobi: {_yesno(fl.satisfies_jacobi)}, "
-                f"field {alg.field.spec_str()}"
-            )
+        kind = "binary"
+        flags = {"alternating": fl.is_alternating, "lie": fl.is_lie,
+                 "leibniz": fl.is_leibniz, "jacobi": fl.satisfies_jacobi,
+                 "perfect": fl.is_perfect}
+        lines = (
+            f"lie: {_yesno(fl.is_lie)}, leibniz: {_yesno(fl.is_leibniz)}, "
+            f"perfect: {_yesno(fl.is_perfect)}, dim {alg.dim}",
+            f"alternating: {_yesno(fl.is_alternating)}, "
+            f"jacobi: {_yesno(fl.satisfies_jacobi)}, field {field}",
+        )
     else:
         fl = check_ternary(alg)
-        if args.json:
-            _emit_json({
-                "kind": "ternary",
-                "dim": alg.dim,
-                "field": alg.field.spec_str(),
-                "name": alg.name,
-                "flags": {"lts": fl.is_lts, "perfect": fl.is_perfect},
-            })
-        else:
-            print(
-                f"lts: {_yesno(fl.is_lts)}, perfect: {_yesno(fl.is_perfect)}, "
-                f"dim {alg.dim}"
-            )
-            print(f"field {alg.field.spec_str()}")
+        kind = "ternary"
+        flags = {"lts": fl.is_lts, "perfect": fl.is_perfect}
+        lines = (
+            f"lts: {_yesno(fl.is_lts)}, perfect: {_yesno(fl.is_perfect)}, "
+            f"dim {alg.dim}",
+            f"field {field}",
+        )
+    if args.json:
+        _emit_json({"kind": kind, "dim": alg.dim, "field": field,
+                    "name": alg.name, "flags": flags})
+    else:
+        print("\n".join(lines))
     return 0
 
 
@@ -214,7 +200,10 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(
         prog="uce3",
         description=(

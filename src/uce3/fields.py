@@ -2,8 +2,9 @@
 
 Scalars are plain Python values. Over Q they are ``fractions.Fraction``
 instances (always reduced, denominator positive); over GF(p) they are ints
-in the canonical residue range [0, p). Field objects supply the arithmetic
-on those raw values, so vectors and matrices stay lists of cheap scalars.
+in the canonical residue range [0, p). Field objects read, write, coerce
+and draw scalars; all arithmetic runs on exact integer tensors (see
+tensorops), never scalar by scalar.
 """
 
 from __future__ import annotations
@@ -63,24 +64,6 @@ class Field:
     def coerce(self, x):
         raise NotImplementedError
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        raise NotImplementedError
-
     def is_zero(self, a):
         return a == self.zero
 
@@ -113,28 +96,6 @@ class Rationals(Field):
         if isinstance(x, str):
             return self.parse_scalar(x)
         raise FieldMismatch(f"cannot read {x!r} as a rational scalar")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0 in Q")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by 0 in Q")
-        return Fraction(a) / b
 
     def parse_scalar(self, s):
         m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s.strip())
@@ -187,33 +148,16 @@ class PrimeField(Field):
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         raise FieldMismatch(f"cannot read {x!r} as a GF({self.p}) scalar")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise DivisionByZero(f"inverse of 0 in GF({self.p})")
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def parse_scalar(self, s):
         m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s.strip())
         if not m:
             raise SemanticError(f"bad coefficient {s!r} for GF({self.p})")
         num = int(m.group(1))
         if m.group(2):
-            return self.div(num % self.p, int(m.group(2)) % self.p)
+            den = int(m.group(2)) % self.p
+            if not den:
+                raise DivisionByZero(f"inverse of 0 in GF({self.p})")
+            num *= pow(den, -1, self.p)
         return num % self.p
 
     def scalar_str(self, a):

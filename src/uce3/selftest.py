@@ -8,7 +8,6 @@ a quick in-situ sanity pass on an installed copy, not coverage.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,23 +46,10 @@ def _random_field(rng, allow_q=True, allow_two=True):
     return field_of(f"GF({rng.choice(pool)})")
 
 
-def _random_scalar(rng, f):
-    if f.characteristic:
-        return rng.randrange(f.characteristic)
-    return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
-
-
 def _check_fields(rng):
     for _ in range(60):
         f = _random_field(rng)
-        a, b, c = (_random_scalar(rng, f) for _ in range(3))
-        _require(
-            f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c)),
-            "distributive law",
-        )
-        _require(f.add(a, f.neg(a)) == f.zero, "additive inverse")
-        if not f.is_zero(b):
-            _require(f.mul(b, f.inv(b)) == f.one, "multiplicative inverse")
+        a = f.random_scalar(rng)
         _require(
             f.coerce(f.parse_scalar(f.scalar_str(a))) == a,
             "scalar string round trip",
@@ -75,7 +61,7 @@ def _check_linalg(rng):
         f = _random_field(rng)
         n, m = rng.randrange(1, 7), rng.randrange(1, 7)
         mat = Matrix(
-            f, [[_random_scalar(rng, f) for _ in range(m)] for _ in range(n)], m
+            f, [[f.random_scalar(rng) for _ in range(m)] for _ in range(n)], m
         )
         k = kernel(mat)
         _require(mat.rank() + k.dim == m, "rank-nullity")
@@ -84,8 +70,8 @@ def _check_linalg(rng):
                 all(f.is_zero(x) for x in mat.apply(v)),
                 "kernel vector not killed",
             )
-        vs = [[_random_scalar(rng, f) for _ in range(m)] for _ in range(4)]
-        ws = [[_random_scalar(rng, f) for _ in range(m)] for _ in range(4)]
+        vs = [[f.random_scalar(rng) for _ in range(m)] for _ in range(4)]
+        ws = [[f.random_scalar(rng) for _ in range(m)] for _ in range(4)]
         u = Subspace.from_vectors(f, m, vs)
         w = Subspace.from_vectors(f, m, ws)
         _require(
@@ -102,7 +88,7 @@ def _check_serialize(rng):
         rows = []
         for _ in range(rng.randrange(0, 2 * n)):
             idx = [rng.randrange(n) for _ in range(arity)]
-            pairs = [[rng.randrange(n), f.scalar_str(_random_scalar(rng, f))]]
+            pairs = [[rng.randrange(n), f.scalar_str(f.random_scalar(rng))]]
             rows.append(idx + [pairs])
         d = {"field": f.spec_str(), "dim": n}
         d["binary" if arity == 2 else "ternary"] = rows
@@ -240,7 +226,7 @@ def _check_map_into_padded_extension(rng):
 
 
 _CHECKS = [
-    ("field arithmetic", _check_fields),
+    ("field scalar strings", _check_fields),
     ("linear algebra", _check_linalg),
     ("serialization round trip", _check_serialize),
     ("catalog axioms", _check_catalog_axioms),

@@ -40,7 +40,11 @@ __all__ = [
     "load_algebra",
 ]
 
-_ALLOWED_KEYS = {"name", "field", "dim", "binary", "ternary"}
+# the table key of each kind of document -> (its algebra class, the
+# category whose dimension guard it meets)
+_KINDS = {"binary": (BinaryAlgebra, "lie"), "ternary": (TernaryAlgebra, "lts")}
+_KIND_OF_ARITY = {cls.arity: kind for kind, (cls, _) in _KINDS.items()}
+_ALLOWED_KEYS = {"name", "field", "dim", *_KINDS}
 
 
 def _check_index(i, dim, what):
@@ -83,8 +87,11 @@ def algebra_from_dict(doc, force=False):
     for key in ("field", "dim"):
         if key not in doc:
             raise FormatError(f"missing required key {key!r}")
-    if ("binary" in doc) == ("ternary" in doc):
+    kinds = [kind for kind in _KINDS if kind in doc]
+    if len(kinds) != 1:
         raise FormatError("exactly one of 'binary' or 'ternary' is required")
+    (kind,) = kinds
+    cls, category = _KINDS[kind]
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise FormatError("'name' must be a string")
@@ -96,31 +103,18 @@ def algebra_from_dict(doc, force=False):
         raise FormatError("'dim' must be an integer")
     if dim < 0:
         raise SemanticError(f"dim must be non-negative, got {dim}")
-    dimension_guard(dim, "lts" if "ternary" in doc else "lie", force)
-    if "binary" in doc:
-        rows = doc["binary"]
-        if not isinstance(rows, list):
-            raise FormatError("'binary' must be a list")
-        entries = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != 3:
-                raise FormatError("binary entry must be [i, j, pairs]")
-            i = _check_index(row[0], dim, "bracket")
-            j = _check_index(row[1], dim, "bracket")
-            entries.append((i, j, _read_pairs(field, dim, row[2], "target")))
-        return BinaryAlgebra.from_sparse(field, dim, entries, name=name)
-    rows = doc["ternary"]
+    dimension_guard(dim, category, force)
+    rows = doc[kind]
     if not isinstance(rows, list):
-        raise FormatError("'ternary' must be a list")
+        raise FormatError(f"'{kind}' must be a list")
+    shape = ", ".join("ijk"[: cls.arity])
     entries = []
     for row in rows:
-        if not isinstance(row, list) or len(row) != 4:
-            raise FormatError("ternary entry must be [i, j, k, pairs]")
-        i = _check_index(row[0], dim, "bracket")
-        j = _check_index(row[1], dim, "bracket")
-        k = _check_index(row[2], dim, "bracket")
-        entries.append((i, j, k, _read_pairs(field, dim, row[3], "target")))
-    return TernaryAlgebra.from_sparse(field, dim, entries, name=name)
+        if not isinstance(row, list) or len(row) != cls.arity + 1:
+            raise FormatError(f"{kind} entry must be [{shape}, pairs]")
+        head = [_check_index(i, dim, "bracket") for i in row[:-1]]
+        entries.append((*head, _read_pairs(field, dim, row[-1], "target")))
+    return cls.from_sparse(field, dim, entries, name=name)
 
 
 def algebra_to_dict(alg):
@@ -171,12 +165,11 @@ def dumps_algebra(alg):
         + ",\n".join(pairs[a:b]) + "\n  ]\n ]"
         for hd, a, b in zip(heads, starts, starts[1:] + [len(pairs)])
     ]
-    kind = "binary" if isinstance(alg, BinaryAlgebra) else "ternary"
     return json_object({
         "name": json.dumps(alg.name),
         "field": json.dumps(f.spec_str()),
         "dim": json.dumps(alg.dim),
-        kind: "[\n" + ",\n".join(rows) + "\n]" if rows else "[]",
+        _KIND_OF_ARITY[alg.arity]: "[\n" + ",\n".join(rows) + "\n]" if rows else "[]",
     })
 
 

@@ -56,8 +56,7 @@ __all__ = [
     "lts_cyclic_witness",
     "lts_derivation_witness",
     "derived_mismatch_witness",
-    "binary_morphism_witness",
-    "ternary_morphism_witness",
+    "morphism_witness",
     "central_slot_witness",
     "action_law_witness",
     "action_derivation_witness",
@@ -280,19 +279,26 @@ def _witness(res, p):
     return tuple(int(ax[0]) for ax in np.nonzero(res))
 
 
+def _polarized_witness(t, s):
+    """First index tuple where swapping slots s and s+1 does not negate the
+    bracket, or where the bracket with equal entries in both slots is not
+    zero, reported with those two entries equal; None when the bracket is
+    alternating in the two slots, in a form sound in characteristic 2."""
+    a = t.arr
+    w = _witness(a + np.swapaxes(a, s, s + 1), t.p)
+    if w is not None:
+        return w[: a.ndim - 1]
+    r = np.arange(a.shape[0])
+    w = _witness(a[(slice(None),) * s + (r, r)], t.p)
+    if w is not None:
+        return w[:s] + (w[s], w[s])
+    return None
+
+
 def alternating_witness(t):
     """First (i, j) with [e_i, e_j] + [e_j, e_i] != 0, or (i, i) with
     [e_i, e_i] != 0; None when the bracket is alternating."""
-    c = t.arr
-    w = _witness(c + c.transpose(1, 0, 2), t.p)
-    if w is not None:
-        return w[:2]
-    d = c.shape[0]
-    r = np.arange(d)
-    w = _witness(c[r, r, :], t.p)
-    if w is not None:
-        return (w[0], w[0])
-    return None
+    return _polarized_witness(t, 0)
 
 
 def left_nested(t):
@@ -312,35 +318,27 @@ def leibniz_witness(t):
     return None if w is None else w[:3]
 
 
+def _cyclic_witness(a, p):
+    """First (x, y, z) where a[x, y, z] + a[y, z, x] + a[z, x, y] != 0 for
+    a raw tensor a with three input slots; None when the sum vanishes."""
+    w = _witness(a + a.transpose(1, 2, 0, 3) + a.transpose(2, 0, 1, 3), p)
+    return None if w is None else w[:3]
+
+
 def jacobi_witness(t):
     """Defect of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0; None when it holds."""
-    lhs = left_nested(t)
-    res = lhs + lhs.transpose(1, 2, 0, 3) + lhs.transpose(2, 0, 1, 3)
-    w = _witness(res, t.p)
-    return None if w is None else w[:3]
+    return _cyclic_witness(left_nested(t), t.p)
 
 
 def lts_pair_witness(t):
     """Vanishing in the last two slots, polarized so it is meaningful in
     characteristic 2: {x,y,z} + {x,z,y} = 0 and {x,y,y} = 0."""
-    a = t.arr
-    w = _witness(a + a.transpose(0, 2, 1, 3), t.p)
-    if w is not None:
-        return w[:3]
-    d = a.shape[0]
-    r = np.arange(d)
-    w = _witness(a[:, r, r, :], t.p)
-    if w is not None:
-        return (w[0], w[1], w[1])
-    return None
+    return _polarized_witness(t, 1)
 
 
 def lts_cyclic_witness(t):
     """Defect of {x,y,z} + {y,z,x} + {z,x,y} = 0; None when it holds."""
-    a = t.arr
-    res = a + a.transpose(1, 2, 0, 3) + a.transpose(2, 0, 1, 3)
-    w = _witness(res, t.p)
-    return None if w is None else w[:3]
+    return _cyclic_witness(t.arr, t.p)
 
 
 def _spanning_slabs(t):
@@ -410,35 +408,28 @@ def derived_mismatch_witness(tern, bina):
     return None if w is None else w[:3]
 
 
-def binary_morphism_witness(ext, base, proj):
-    """Defect of proj([x,y]_ext) = [proj x, proj y]_base on basis pairs,
-    for proj given as a 2d tensor P[a, r] (coordinates of the image of the
-    r-th basis vector); None when proj is a bracket morphism."""
-    e = ext.arr
-    c = base.arr
+def morphism_witness(ext, base, proj):
+    """Defect of proj({x,..}_ext) = {proj x,..}_base on basis tuples, for
+    algebras ext and base of one arity and proj given as a 2d tensor
+    P[a, r] (coordinates of the image of the r-th basis vector); None when
+    proj is a bracket morphism.
+
+    The right side contracts P into each slot of the base tensor in turn;
+    each contraction puts its new axis first, so the slot axes come out
+    reversed. The left side carries ext.scale * proj.scale, the right side
+    proj.scale**arity * base.scale: they are cross-multiplied."""
     m = proj.arr
     p = ext.p
-    lhs = exact_tensordot(e, m, ([2], [1]), p)  # (r, s, a)
-    s1 = exact_tensordot(m, c, ([0], [0]), p)  # (r, j, a)
-    rhs = exact_tensordot(m, s1, ([0], [1]), p).transpose(1, 0, 2)
-    res = _scaled(lhs, proj.scale * base.scale) - _scaled(rhs, ext.scale)
+    arity = base.arr.ndim - 1
+    lhs = exact_tensordot(ext.arr, m, ([arity], [1]), p)
+    rhs = base.arr
+    for slot in range(arity):
+        rhs = exact_tensordot(m, rhs, ([0], [slot]), p)
+    rhs = rhs.transpose(tuple(range(arity))[::-1] + (arity,))
+    res = (_scaled(lhs, proj.scale ** (arity - 1) * base.scale)
+           - _scaled(rhs, ext.scale))
     w = _witness(res, p)
-    return None if w is None else w[:2]
-
-
-def ternary_morphism_witness(ext, base, proj):
-    """Ternary analogue of binary_morphism_witness."""
-    e = ext.arr
-    t = base.arr
-    m = proj.arr
-    p = ext.p
-    lhs = exact_tensordot(e, m, ([3], [1]), p)  # (r, s, u, a)
-    s1 = exact_tensordot(m, t, ([0], [0]), p)  # (r, j, k, a)
-    s2 = exact_tensordot(m, s1, ([0], [1]), p)  # (s, r, k, a)
-    rhs = exact_tensordot(m, s2, ([0], [2]), p).transpose(2, 1, 0, 3)
-    res = _scaled(lhs, proj.scale**2 * base.scale) - _scaled(rhs, ext.scale)
-    w = _witness(res, p)
-    return None if w is None else w[:3]
+    return None if w is None else w[:arity]
 
 
 def central_slot_witness(ext, zmat, slot):

@@ -113,14 +113,13 @@ BINARY_DIM_GUARD = 25
 # the rank it misses (a minor divisible by it) is least likely
 SHADOW_PRIME = 2**31 - 1
 
-_CATEGORIES = ("lie", "leibniz", "lts")
-
-# the flag witnesses (see check_binary / check_ternary) that decide each
-# category's axioms
-_CATEGORY_AXIOMS = {
-    "lie": ("alternating", "jacobi"),
-    "leibniz": ("leibniz",),
-    "lts": ("last_two_slots", "cyclic", "derivation"),
+# category -> the algebra class of its base and carrier, the checker of its
+# flags, and the flag witnesses that decide its axioms
+_CATEGORIES = {
+    "lie": (BinaryAlgebra, check_binary, ("alternating", "jacobi")),
+    "leibniz": (BinaryAlgebra, check_binary, ("leibniz",)),
+    "lts": (TernaryAlgebra, check_ternary,
+            ("last_two_slots", "cyclic", "derivation")),
 }
 
 
@@ -128,7 +127,7 @@ def dimension_guard(dim, category, force):
     """Refuse a base past the dimension guard of its category unless forced."""
     limit = LTS_DIM_GUARD if category == "lts" else BINARY_DIM_GUARD
     if dim > limit and not force:
-        ambient = dim**3 if category == "lts" else dim**2
+        ambient = dim ** _CATEGORIES[category][0].arity
         raise DimensionGuard(
             f"dim {dim} exceeds the {category} guard {limit} (ambient "
             f"{ambient}); pass --force (force=True) to proceed"
@@ -176,17 +175,6 @@ def _same_base(a, b):
         raise NotOverSameBase("base structure constants differ")
 
 
-def _morphism_witness(ext, base, proj):
-    """First basis tuple where the matrix proj (carrier of ext -> carrier of
-    base) is not a bracket morphism; None when it is one."""
-    witness = (
-        tops.ternary_morphism_witness
-        if isinstance(base, TernaryAlgebra)
-        else tops.binary_morphism_witness
-    )
-    return witness(ext.tensor(), base.tensor(), proj.tensor())
-
-
 class CentralExtension:
     """A surjection of algebras with split section and central kernel.
 
@@ -198,7 +186,7 @@ class CentralExtension:
 
     def __init__(self, category, base, algebra, projection, section):
         if category not in _CATEGORIES:
-            raise WrongCategory(f"category must be one of {_CATEGORIES}")
+            raise WrongCategory(f"category must be one of {tuple(_CATEGORIES)}")
         self.category = category
         self.base = base
         self.algebra = algebra
@@ -214,15 +202,12 @@ class CentralExtension:
     def verify(self):
         if self._verified:
             return self
-        want_ternary = self.category == "lts"
-        if isinstance(self.algebra, TernaryAlgebra) != want_ternary:
-            raise WrongCategory(
-                f"category {self.category} does not match the carrier's arity"
-            )
-        if isinstance(self.base, TernaryAlgebra) != want_ternary:
-            raise WrongCategory(
-                f"category {self.category} does not match the base's arity"
-            )
+        cls, check, axioms = _CATEGORIES[self.category]
+        for what, alg in (("carrier", self.algebra), ("base", self.base)):
+            if not isinstance(alg, cls):
+                raise WrongCategory(
+                    f"category {self.category} does not match the {what}'s arity"
+                )
         ensure_same_field(self.base.field, self.algebra.field)
         ensure_same_field(self.base.field, self.projection.field)
         m, n = self.algebra.dim, self.base.dim
@@ -236,24 +221,20 @@ class CentralExtension:
             )
         if self.projection @ self.section != Matrix.identity(self.base.field, n):
             raise NotCentral("section is not split by the projection")
-        check = check_ternary if want_ternary else check_binary
         witnesses = check(self.algebra).witnesses
-        failed = {
-            name: witnesses[name]
-            for name in _CATEGORY_AXIOMS[self.category]
-            if name in witnesses
-        }
+        failed = {name: witnesses[name] for name in axioms if name in witnesses}
         if failed:
             raise NotCentral(f"carrier fails its category's axioms: {failed}")
-        wit = _morphism_witness(self.algebra, self.base, self.projection)
+        wit = tops.morphism_witness(
+            self.algebra.tensor(), self.base.tensor(), self.projection.tensor()
+        )
         if wit is not None:
             raise NotCentral(f"projection is not a bracket morphism at {wit}")
         self.kernel = kernel(self.projection)
         if self.kernel.dim:
             zt = self.kernel.basis()
             et = self.algebra.tensor()
-            arity = 3 if want_ternary else 2
-            for slot in range(arity):
+            for slot in range(cls.arity):
                 w = tops.central_slot_witness(et, zt, slot)
                 if w is not None:
                     raise NotCentral(
@@ -491,7 +472,8 @@ def _finish_extension(category, base, relations, ev):
     proj = Matrix.from_raw(f, images.T, ev.scale)
 
     k = q.projection
-    arity = 3 if category == "lts" else 2
+    cls, check, _ = _CATEGORIES[category]
+    arity = cls.arity
     if category == "lie":
         # lift K through the wedge map to an antisymmetric n x n x dim
         # tensor, so that class(u ^ v) = sum u_a v_b K[a, b] like Leibniz
@@ -501,8 +483,7 @@ def _finish_extension(category, base, relations, ev):
         kt = k.arr.reshape((n,) * arity + (q.dim,))
     # no local keeps the raw table alive past the constructor: it would
     # sit on top of the axiom checks' peak memory
-    algebra = TernaryAlgebra if category == "lts" else BinaryAlgebra
-    ext = algebra.from_raw(
+    ext = cls.from_raw(
         f,
         _slotwise(kt, images, arity, k.p),
         ev.scale**arity * k.scale,
@@ -518,8 +499,7 @@ def _finish_extension(category, base, relations, ev):
         extension.verify()
     except NotCentral as e:
         raise InternalAssertionFailed("quotient-not-a-central-extension", str(e))
-    flags = check_ternary(ext) if category == "lts" else check_binary(ext)
-    if not flags.is_perfect:
+    if not check(ext).is_perfect:
         raise InternalAssertionFailed("carrier-not-perfect")
 
     return UceResult(
@@ -720,7 +700,7 @@ def universal_map(u, e):
     f = u.base.field
     et = e.algebra.tensor()
     st = e.section.tensor()
-    arity = 3 if u.category == "lts" else 2
+    arity = e.algebra.arity
     # grid[i, j, (k,) w] / scale: coordinate w of the bracket of section lifts
     grid = _slotwise(et.arr, st.arr.T, arity, et.p)
     scale = st.scale**arity * et.scale
@@ -738,7 +718,7 @@ def universal_map(u, e):
         )
     coset = rows[list(u.carrier.coset_coords)]
     mat = Matrix.from_raw(f, coset.T, scale)
-    wit = _morphism_witness(u.extension_algebra, e.algebra, mat)
+    wit = tops.morphism_witness(u.extension_algebra.tensor(), et, mat.tensor())
     if wit is not None:
         raise InternalAssertionFailed(
             "universal-map-not-a-morphism", f"basis tuple {wit}"

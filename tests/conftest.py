@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,21 @@ def build_sl2_dual(field=QQ):
             table[i + 3][j][k + 3] += c
             table[i][j + 3][k + 3] += c
     return BinaryAlgebra(field, n, table, name="sl2[t]/(t^2)")
+
+
+def scaled_sl2(den):
+    """sl2 over Q in the basis e/den, f, h: for den > 1 the constant 1/den
+    appears, so the structure tensor carries a scale above 1, and for odd
+    den so does that of its derived LTS."""
+    g = catalog("sl2", QQ)
+    s = [Fraction(1, den), 1, 1]
+    n = g.dim
+    c = tolists2(g)
+    table = [
+        [[s[i] * s[j] * c[i][j][k] / s[k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    return BinaryAlgebra(QQ, n, table, name=f"sl2-e/{den}")
 
 
 def rebased_ternary(rng, t):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import char_of, tolists2, tolists3
+from conftest import char_of, scaled_sl2, tolists2, tolists3
 from naive_checks import naive_binary_flags, naive_derived_table, naive_ternary_flags
 
 from uce3 import (
@@ -11,6 +11,7 @@ from uce3 import (
     AxiomPrecondition,
     BinaryAlgebra,
     DimensionMismatch,
+    FieldMismatch,
     JacobiFails,
     Matrix,
     ModuleAction,
@@ -87,20 +88,6 @@ def test_derived_lts_matches_naive(spec, name):
     assert flags.is_perfect == ref["perfect"]
 
 
-def _halved_sl2():
-    """sl2 over Q in the basis e/2, f, h: the constant 1/2 appears, so the
-    structure tensor carries a scale above 1."""
-    g = catalog("sl2", QQ)
-    s = [Fraction(1, 2), 1, 1]
-    n = g.dim
-    c = tolists2(g)
-    table = [
-        [[s[i] * s[j] * c[i][j][k] / s[k] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return BinaryAlgebra(QQ, n, table, name="sl2-halved")
-
-
 def _square_reference(p, d, n, variant):
     """[x (x) y, u (x) v] = D(x,u,v) (x) y + x (x) D(y,u,v) tuple by tuple,
     for a nested table d[x][u][v] of vectors; the wedge variant works on
@@ -140,7 +127,7 @@ def test_contraction_tables_match_per_tuple_formulas(name, spec):
     from naive_checks import vadd, vscale
 
     f = field_of(spec)
-    g = _halved_sl2() if name == "sl2-halved" else catalog(name, f)
+    g = scaled_sl2(2) if name == "sl2-halved" else catalog(name, f)
     if spec == "Q":
         assert g.tensor().scale > 1
     p = char_of(f)
@@ -222,7 +209,7 @@ def test_wedge_action(name):
     assert verify_action(act)
     assert verify_action(act, target=dl)
     other = derived_lts(catalog(name, field_of("GF(3)")))
-    with pytest.raises(Exception):
+    with pytest.raises(FieldMismatch):
         verify_action(act, target=other)
 
 

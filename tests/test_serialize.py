@@ -10,6 +10,7 @@ from naive_checks import naive_algebra_dict, naive_algebra_doc
 from uce3 import (
     BinaryAlgebra,
     TernaryAlgebra,
+    FieldError,
     FormatError,
     QQ,
     SemanticError,
@@ -89,6 +90,9 @@ def test_sparse_entries_accumulate():
         {"field": 3, "dim": 1, "binary": []},  # field not a string
         {"field": "Q", "dim": 1, "name": 0, "binary": []},  # name not a string
         {"field": "Q", "dim": 1, "ternary": [[0, 0, [[0, 1]]]]},  # arity mix
+        {"field": "Q", "dim": 2, "ternary": [[0, 1, [[0, 1]]]]},  # ternary, 3 long
+        {"field": "Q", "dim": 2, "ternary": [[0, 1, 1, 0, [[0, 1]]]]},  # 5 long
+        {"field": "Q", "dim": 2, "ternary": [[0, 1, True, [[0, 1]]]]},  # bool k
     ],
 )
 def test_format_errors(doc):
@@ -104,10 +108,12 @@ def test_format_errors(doc):
         {"field": "GF(6)", "dim": 1, "binary": []},  # non-prime modulus
         {"field": "Z", "dim": 1, "binary": []},  # unknown field
         {"field": "Q", "dim": -1, "binary": []},  # negative dim
+        {"field": "Q", "dim": 2, "ternary": [[0, 1, 2, [[0, 1]]]]},  # k range
     ],
 )
 def test_semantic_errors(doc):
-    with pytest.raises((SemanticError, Exception)) as exc:
+    # GF(6) raises NonPrimeModulus, a FieldError
+    with pytest.raises((SemanticError, FieldError)) as exc:
         algebra_from_dict(doc)
     assert not isinstance(exc.value, FormatError)
 

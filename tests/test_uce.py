@@ -13,18 +13,21 @@ from conftest import (
     THEOREM_CASES,
     build_sl2_dual,
     char_of,
+    scaled_sl2,
     tolists2,
     rebased_ternary,
     tolists3,
 )
 from naive_checks import (
     naive_algebra_doc,
+    naive_binary_morphism,
     naive_cube_relation_rank,
     naive_cube_relation_rows,
     naive_leibniz_relation_rank,
     naive_leibniz_relation_rows,
     naive_lie_relation_rank,
     naive_lie_relation_rows,
+    naive_ternary_morphism,
 )
 
 from uce3 import (
@@ -55,6 +58,7 @@ from uce3 import (
     quotient,
     universal_map,
 )
+from uce3 import tensorops as tops
 
 # carrier and H2 dimensions confirmed against the relation-rank oracle in
 # tests/naive_checks.py (see test_acceptance for the live cross-checks)
@@ -686,3 +690,34 @@ def test_construction_checks_the_quotient_bracket(monkeypatch, build):
     with pytest.raises(InternalAssertionFailed) as exc:
         build(catalog("sl2", QQ))
     assert exc.value.fact == "quotient-not-a-central-extension"
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+@pytest.mark.parametrize("spec", ["Q", "GF(2)", "GF(3)"])
+def test_morphism_witness_matches_the_naive_oracles(spec, category):
+    # the projection of a UCE is a morphism; with one entry changed it may
+    # not be. Over Q the base is sl2 in a basis with constant 1/3, so the
+    # projection carries a scale above 1; sl2 is not perfect over GF(2)
+    if spec == "Q":
+        g = scaled_sl2(3)
+    else:
+        g = catalog("sl2" if spec == "GF(3)" else "sl3", field_of(spec))
+    u = build(category, g)
+    f, p = g.field, char_of(g.field)
+    ext, base = u.extension_algebra, u.base
+    if spec == "Q":
+        assert u.projection_b.tensor().scale > 1
+    naive = naive_ternary_morphism if category == "lts" else naive_binary_morphism
+    rng = random.Random(17)
+    verdicts = []
+    for trial in range(6):
+        rows = [list(r) for r in u.projection_b.rows]
+        if trial:
+            i, j = rng.randrange(len(rows)), rng.randrange(ext.dim)
+            rows[i][j] = f.coerce(rows[i][j] + (f.random_scalar(rng) or f.one))
+        m = Matrix(f, rows, ext.dim)
+        wit = tops.morphism_witness(ext.tensor(), base.tensor(), m.tensor())
+        ok = naive(p, tolists2(ext), tolists2(base), rows)
+        assert (wit is None) == ok, (trial, wit)
+        verdicts.append(ok)
+    assert verdicts[0] and not all(verdicts)
