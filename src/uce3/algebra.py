@@ -36,6 +36,7 @@ from .errors import (
     NotLeibniz,
     NotLie,
     NotLts,
+    WrongCategory,
 )
 from .fields import ensure_same_field
 from .linalg import SpanAccumulator
@@ -49,6 +50,8 @@ __all__ = [
     "TernaryFlags",
     "check_binary",
     "check_ternary",
+    "CATEGORIES",
+    "require_category",
     "bracket_span_dim",
     "derived_lts",
     "tensor_leibniz",
@@ -187,9 +190,15 @@ def bracket_span_dim(a):
     return acc.dim
 
 
+def _require_class(a, cls):
+    if not isinstance(a, cls):
+        raise WrongCategory(f"expected a {cls.__name__}, got {a!r}")
+
+
 def check_binary(a):
     """Axiom flags of a binary algebra, computed once per instance: algebras
     are immutable, so later calls return the stored record."""
+    _require_class(a, BinaryAlgebra)
     if a._flags is not None:
         return a._flags
     t = a.tensor()
@@ -216,6 +225,7 @@ def check_binary(a):
 
 def check_ternary(a):
     """LTS flags of a ternary algebra, computed once per instance."""
+    _require_class(a, TernaryAlgebra)
     if a._flags is not None:
         return a._flags
     t = a.tensor()
@@ -235,6 +245,29 @@ def check_ternary(a):
         witnesses=w,
     )
     return a._flags
+
+
+# category -> the algebra class of its base and carrier, the checker of its
+# flags, the flag witnesses that decide its axioms, and the error raised for
+# an algebra of its class that fails them
+CATEGORIES = {
+    "lie": (BinaryAlgebra, check_binary, ("alternating", "jacobi"), NotLie),
+    "leibniz": (BinaryAlgebra, check_binary, ("leibniz",), NotLeibniz),
+    "lts": (TernaryAlgebra, check_ternary,
+            ("last_two_slots", "cyclic", "derivation"), NotLts),
+}
+
+
+def require_category(a, category):
+    """The flags of a, once a is checked to lie in category: WrongCategory
+    for an algebra of the other arity, the category's error, naming the
+    failing axioms' witnesses, for one that fails its axioms."""
+    _, check, axioms, error = CATEGORIES[category]
+    flags = check(a)
+    failed = {k: flags.witnesses[k] for k in axioms if k in flags.witnesses}
+    if failed:
+        raise error(f"{a.name or 'input'} fails the {category} axioms at {failed}")
+    return flags
 
 
 def derived_lts(g):
@@ -296,16 +329,10 @@ def tensor_leibniz(a, variant="tensor"):
         raise ValueError(f"variant must be tensor or wedge, not {variant!r}")
     t = a.tensor()
     if isinstance(a, TernaryAlgebra):
-        flags = check_ternary(a)
-        if not flags.is_lts:
-            raise NotLts(f"input fails LTS axioms: {flags.witnesses}")
+        require_category(a, "lts")
         d, scale = t.arr, t.scale
     else:
-        flags = check_binary(a)
-        if not flags.is_leibniz:
-            raise NotLeibniz(
-                f"input fails the Leibniz identity at {flags.witnesses.get('leibniz')}"
-            )
+        require_category(a, "leibniz")
         d, scale = tops.left_nested(t), t.scale**2
     return BinaryAlgebra.from_raw(
         a.field, _square_table(d, variant, t.p), scale, name=f"{variant}2({a.name})"
@@ -409,9 +436,7 @@ def equivariant_leibniz(act, fmap):
             f"map must be {g.dim} x {act.carrier_dim}, got {fmap.nrows} x {fmap.ncols}"
         )
     ensure_same_field(act.field, fmap.field)
-    gflags = check_binary(g)
-    if not gflags.is_lie:
-        raise NotLie(f"acting algebra is not Lie: {gflags.witnesses}")
+    require_category(g, "lie")
     at = act.tensor()
     gt = g.tensor()
     law = tops.action_law_witness(at, gt)

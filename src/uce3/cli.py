@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from .algebra import BinaryAlgebra, check_binary, check_ternary, derived_lts
+from .algebra import CATEGORIES, BinaryAlgebra, check_binary, check_ternary, derived_lts
 from .catalog import catalog
 from .errors import (
     AxiomPrecondition,
@@ -117,10 +117,6 @@ def _build_uce(args):
         if isinstance(alg, BinaryAlgebra):
             alg = derived_lts(alg)
         return lts_tensor_cube(alg, force=args.force)
-    if not isinstance(alg, BinaryAlgebra):
-        raise WrongCategory(
-            f"category {category} needs a binary algebra; the input is ternary"
-        )
     return leibniz_uce(alg) if category == "leibniz" else lie_uce(alg)
 
 
@@ -157,8 +153,6 @@ def cmd_homology(args):
 
 def cmd_theorem(args):
     alg = _load_input(args)
-    if not isinstance(alg, BinaryAlgebra):
-        raise WrongCategory("the theorem pipeline starts from a Lie algebra")
     t0 = time.monotonic()
     rep = verify_main_theorem(alg, force=args.force)
     if args.verbose:
@@ -239,7 +233,7 @@ def _parser():
             p.add_argument(
                 "--category",
                 required=True,
-                choices=["lie", "leibniz", "lts"],
+                choices=list(CATEGORIES),
                 help="which universal central extension to build",
             )
 

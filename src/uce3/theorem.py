@@ -42,9 +42,7 @@ from .errors import (
     LeibnizCheckFailed,
     InternalAssertionFailed,
     NotCentral,
-    NotLie,
     NotOverSameBase,
-    NotPerfect,
     WellDefinednessFailed,
     WrongCategory,
     ZActionNontrivial,
@@ -60,6 +58,7 @@ from .linalg import (
 from .uce import (
     CentralExtension,
     UceResult,
+    admit,
     dimension_guard,
     leibniz_uce,
     lie_uce,
@@ -131,20 +130,16 @@ def induced_leibniz_structure(ext, g):
     Leibniz algebra on the same carrier, with [x, y] = x * pi(y) and the
     original ternary bracket recovered as {x,y,z} = [x,[y,z]].
 
-    ext may be a UceResult or a CentralExtension in the lts category whose
-    base is the derived triple system of g. Everything the construction
-    relies on is checked: centrality, triviality of the action of the
+    ext is a CentralExtension in the lts category, a UceResult of
+    lts_tensor_cube among them, whose base is the derived triple system of
+    g, a perfect Lie algebra (see uce.admit). Everything the construction
+    relies on is checked: centrality (ext.verify, which a UceResult has
+    already passed when it was built), triviality of the action of the
     kernel of (carrier ^ carrier) -> g, the Leibniz and Jacobi identities
     of the new bracket, recovery of the ternary bracket, and independence
     of the chosen splitting.
     """
-    gflags = check_binary(g)
-    if not gflags.is_lie:
-        raise NotLie(f"base of the upgrade must be Lie: {gflags.witnesses}")
-    if not gflags.is_perfect:
-        raise NotPerfect(f"{g.name or 'input'} is not perfect")
-    if isinstance(ext, UceResult):
-        ext = ext.as_extension()
+    admit(g, "lie")
     if ext.category != "lts":
         raise WrongCategory("only an lts extension can be upgraded")
     ext.verify()
@@ -366,11 +361,7 @@ def verify_main_theorem(g, force=False):
     every characteristic, to U_Leib itself in characteristic 2 (where J
     vanishes), and to U_Lie away from characteristic 2."""
     dimension_guard(g.dim, "lts", force)
-    gflags = check_binary(g)
-    if not gflags.is_lie:
-        raise NotLie(f"input is not a Lie algebra: {gflags.witnesses}")
-    if not gflags.is_perfect:
-        raise NotPerfect(f"{g.name or 'input'} is not perfect")
+    admit(g, "lie")
     f = g.field
     p = f.characteristic
 

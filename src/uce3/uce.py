@@ -22,7 +22,7 @@ the structure tensor; repeated coordinates are summed by the fold:
               span is lifted back to L (x) L (x) L (see lts_tensor_cube).
 
 These reductions rest on the category's axioms, which each constructor
-checks before it folds anything.
+checks by admit before it folds anything.
 
 The quotient comes with one exact projection matrix K (ambient x carrier,
 read off the RREF of the relation span; see QuotientSpace). The bracket on
@@ -53,22 +53,18 @@ from itertools import chain, combinations
 import numpy as np
 
 from .algebra import (
-    BinaryAlgebra,
-    TernaryAlgebra,
+    CATEGORIES,
     bracket_span_dim,
-    check_binary,
-    check_ternary,
+    require_category,
     wedge_index_pairs,
     wedge_map,
 )
 from .errors import (
+    AxiomPrecondition,
     DimensionGuard,
     DimensionMismatch,
     InternalAssertionFailed,
     NotCentral,
-    NotLeibniz,
-    NotLie,
-    NotLts,
     NotOverSameBase,
     NotPerfect,
     SemanticError,
@@ -97,6 +93,7 @@ __all__ = [
     "lts_tensor_cube",
     "homology",
     "universal_map",
+    "admit",
     "dimension_guard",
     "LTS_DIM_GUARD",
     "BINARY_DIM_GUARD",
@@ -113,21 +110,12 @@ BINARY_DIM_GUARD = 25
 # the rank it misses (a minor divisible by it) is least likely
 SHADOW_PRIME = 2**31 - 1
 
-# category -> the algebra class of its base and carrier, the checker of its
-# flags, and the flag witnesses that decide its axioms
-_CATEGORIES = {
-    "lie": (BinaryAlgebra, check_binary, ("alternating", "jacobi")),
-    "leibniz": (BinaryAlgebra, check_binary, ("leibniz",)),
-    "lts": (TernaryAlgebra, check_ternary,
-            ("last_two_slots", "cyclic", "derivation")),
-}
-
 
 def dimension_guard(dim, category, force):
     """Refuse a base past the dimension guard of its category unless forced."""
     limit = LTS_DIM_GUARD if category == "lts" else BINARY_DIM_GUARD
     if dim > limit and not force:
-        ambient = dim ** _CATEGORIES[category][0].arity
+        ambient = dim ** CATEGORIES[category][0].arity
         raise DimensionGuard(
             f"dim {dim} exceeds the {category} guard {limit} (ambient "
             f"{ambient}); pass --force (force=True) to proceed"
@@ -178,15 +166,15 @@ def _same_base(a, b):
 class CentralExtension:
     """A surjection of algebras with split section and central kernel.
 
-    This is the input shape universal_map accepts; UceResult.as_extension()
-    produces one, and tests can hand-build them. Nothing about the data is
-    trusted: verify() recomputes the kernel and checks every defining
-    property, raising NotCentral on the first violation.
+    This is the input shape universal_map accepts; every UceResult is one,
+    and tests can hand-build them. Nothing about the data is trusted:
+    verify() recomputes the kernel and checks every defining property,
+    raising NotCentral on the first violation.
     """
 
     def __init__(self, category, base, algebra, projection, section):
-        if category not in _CATEGORIES:
-            raise WrongCategory(f"category must be one of {tuple(_CATEGORIES)}")
+        if category not in CATEGORIES:
+            raise WrongCategory(f"category must be one of {tuple(CATEGORIES)}")
         self.category = category
         self.base = base
         self.algebra = algebra
@@ -202,12 +190,14 @@ class CentralExtension:
     def verify(self):
         if self._verified:
             return self
-        cls, check, axioms = _CATEGORIES[self.category]
-        for what, alg in (("carrier", self.algebra), ("base", self.base)):
-            if not isinstance(alg, cls):
-                raise WrongCategory(
-                    f"category {self.category} does not match the {what}'s arity"
-                )
+        try:
+            require_category(self.algebra, self.category)
+        except AxiomPrecondition as e:
+            raise NotCentral(f"carrier fails its category's axioms: {e}")
+        if not isinstance(self.base, CATEGORIES[self.category][0]):
+            raise WrongCategory(
+                f"category {self.category} does not match the base's arity"
+            )
         ensure_same_field(self.base.field, self.algebra.field)
         ensure_same_field(self.base.field, self.projection.field)
         m, n = self.algebra.dim, self.base.dim
@@ -221,10 +211,6 @@ class CentralExtension:
             )
         if self.projection @ self.section != Matrix.identity(self.base.field, n):
             raise NotCentral("section is not split by the projection")
-        witnesses = check(self.algebra).witnesses
-        failed = {name: witnesses[name] for name in axioms if name in witnesses}
-        if failed:
-            raise NotCentral(f"carrier fails its category's axioms: {failed}")
         wit = tops.morphism_witness(
             self.algebra.tensor(), self.base.tensor(), self.projection.tensor()
         )
@@ -234,7 +220,7 @@ class CentralExtension:
         if self.kernel.dim:
             zt = self.kernel.basis()
             et = self.algebra.tensor()
-            for slot in range(cls.arity):
+            for slot in range(self.algebra.arity):
                 w = tops.central_slot_witness(et, zt, slot)
                 if w is not None:
                     raise NotCentral(
@@ -251,49 +237,32 @@ class HomologyReport:
     h2_basis: tuple
 
 
-class UceResult:
-    """A constructed universal central extension.
+class UceResult(CentralExtension):
+    """A constructed universal central extension, verified as a
+    CentralExtension when it is built.
 
     carrier: the quotient presentation (coset coordinates over the tensor
-    ambient); extension_algebra: the induced bracket on those coordinates;
-    projection_b: evaluation onto the base; h2: kernel of projection_b;
-    section_s: a linear splitting of projection_b.
+    ambient); relations: the relation span it is the quotient by. The rest
+    reads the extension's own fields: extension_algebra (its algebra) is
+    the induced bracket on the coset coordinates, projection_b (its
+    projection) evaluation onto the base, h2 (its kernel) the kernel of
+    projection_b, and section_s (its section) a linear splitting of it.
     """
 
-    def __init__(
-        self,
-        category,
-        base,
-        carrier,
-        extension_algebra,
-        projection_b,
-        relations,
-        h2,
-        section_s,
-    ):
-        self.category = category
-        self.base = base
+    def __init__(self, category, base, carrier, extension_algebra, projection_b,
+                 relations, h2, section_s):
+        super().__init__(category, base, extension_algebra, projection_b, section_s)
         self.carrier = carrier
-        self.extension_algebra = extension_algebra
-        self.projection_b = projection_b
         self.relations = relations
-        self.h2 = h2
-        self.section_s = section_s
+        self.kernel = h2
 
-    @property
-    def carrier_dim(self):
-        return self.carrier.dim
+    extension_algebra = property(lambda self: self.algebra)
+    projection_b = property(lambda self: self.projection)
+    section_s = property(lambda self: self.section)
+    h2 = property(lambda self: self.kernel)
 
     def as_extension(self):
-        ext = CentralExtension(
-            self.category,
-            self.base,
-            self.extension_algebra,
-            self.projection_b,
-            self.section_s,
-        )
-        ext.kernel = self.h2
-        return ext
+        return self
 
     def to_json(self):
         """The result as JSON text in json.dumps(..., sort_keys=True,
@@ -435,9 +404,11 @@ def _slotwise(t, m, arity, p):
     return np.moveaxis(t, 0, -1)
 
 
-def _require_perfect(base, flags):
-    """Refuse a base the constructions do not take: the zero algebra, whose
-    universal central extension is zero, and any base that is not perfect."""
+def admit(base, category):
+    """Refuse a base the constructions of category do not take: one outside
+    the category (see require_category), the zero algebra, whose universal
+    central extension is zero, and any base that is not perfect."""
+    flags = require_category(base, category)
     if base.dim == 0:
         raise SemanticError("the base has dimension 0: the constructions "
                             "take a nonzero perfect base")
@@ -446,8 +417,8 @@ def _require_perfect(base, flags):
 
 
 def _finish_extension(category, base, relations, ev):
-    """Common tail of all three constructions. The quotient is checked as a
-    central extension by CentralExtension.verify, plus the assertions
+    """Common tail of all three constructions: the UceResult of the
+    quotient, verified as the CentralExtension it is, plus the assertions
     specific to the construction.
 
     ev is the evaluation map as an ExactTensor with one row per ambient
@@ -472,7 +443,7 @@ def _finish_extension(category, base, relations, ev):
     proj = Matrix.from_raw(f, images.T, ev.scale)
 
     k = q.projection
-    cls, check, _ = _CATEGORIES[category]
+    cls, check = CATEGORIES[category][:2]
     arity = cls.arity
     if category == "lie":
         # lift K through the wedge map to an antisymmetric n x n x dim
@@ -494,37 +465,29 @@ def _finish_extension(category, base, relations, ev):
         section = right_inverse(proj)
     except DimensionMismatch as e:
         raise InternalAssertionFailed("projection-not-surjective", str(e))
-    extension = CentralExtension(category, base, ext, proj, section)
+    u = UceResult(category, base, q, ext, proj, relations, None, section)
     try:
-        extension.verify()
+        u.verify()
     except NotCentral as e:
         raise InternalAssertionFailed("quotient-not-a-central-extension", str(e))
     if not check(ext).is_perfect:
         raise InternalAssertionFailed("carrier-not-perfect")
-
-    return UceResult(
-        category=category,
-        base=base,
-        carrier=q,
-        extension_algebra=ext,
-        projection_b=proj,
-        relations=relations,
-        h2=extension.kernel,
-        section_s=section,
-    )
+    return u
 
 
-def _leibniz_relations(c, x, y, z):
+def _leibniz_relations(c, x, y, z, yz=None):
     """The generators [x,y] (x) z - [x,z] (x) y - x (x) [y,z] on the tensor
     square, for c the raw structure tensor and one (x, y, z) per entry of
-    the index arrays, as one block; the fold sums repeated coordinates."""
+    the index arrays, as one block; the fold sums repeated coordinates.
+    yz, when given, is _row_nonzeros of the rows [y,z], which the blocks of
+    one stream share."""
     n = len(c)
     flat = c.reshape(n * n, n)
     families = []
     for u, v, w, s in ((x, y, z, 1), (x, z, y, -1)):
         r, k, val, local, cnt = _row_nonzeros(flat[u * n + v])
         families.append((r, local, k * n + w[r], s * val, cnt))
-    r, k, val, local, cnt = _row_nonzeros(flat[y * n + z])
+    r, k, val, local, cnt = _row_nonzeros(flat[y * n + z]) if yz is None else yz
     return _terms(families + [(r, local, x[r] * n + k, -val, cnt)])
 
 
@@ -538,22 +501,21 @@ def _signed(blocks, col, sign):
 def leibniz_uce(g, rng=None):
     """The Leibniz universal central extension: g (x) g modulo the lifted
     Leibniz identity, with bracket [A,B] = class of ev(A) (x) ev(B)."""
-    flags = check_binary(g)
-    if not flags.is_leibniz:
-        raise NotLeibniz(
-            f"Leibniz identity fails at {flags.witnesses.get('leibniz')}"
-        )
-    _require_perfect(g, flags)
+    admit(g, "leibniz")
     n = g.dim
     ambient = n * n
     t = g.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
     y, z = np.indices((n, n)).reshape(2, -1)
-    relations = _fold_relations(
-        g.field, ambient,
-        lambda: (_leibniz_relations(t.arr, np.full_like(y, x), y, z) for x in range(n)),
-        ambient - n, ev, rng,
-    )
+
+    def blocks():
+        # (y, z) runs over all pairs in lex order, so the rows [y,z] are the
+        # rows of ev: one set of their nonzeros serves every x
+        yz = _row_nonzeros(ev.arr)
+        for x in range(n):
+            yield _leibniz_relations(t.arr, np.full_like(y, x), y, z, yz)
+
+    relations = _fold_relations(g.field, ambient, blocks, ambient - n, ev, rng)
     return _finish_extension("leibniz", g, relations, ev)
 
 
@@ -566,10 +528,7 @@ def lie_uce(g, rng=None):
     """The Lie universal central extension: the wedge square modulo the
     lifted Jacobi identity, generated by the wedge image of the Leibniz
     relations."""
-    flags = check_binary(g)
-    if not flags.is_lie:
-        raise NotLie(f"input is not a Lie algebra: {flags.witnesses}")
-    _require_perfect(g, flags)
+    admit(g, "lie")
     n = g.dim
     w = wedge_map(n)
     # each row of the wedge map has at most one nonzero, a sign
@@ -656,10 +615,7 @@ def lts_tensor_cube(lts, force=False, rng=None):
     universal central extension in the LTS category."""
     n = lts.dim
     dimension_guard(n, "lts", force)
-    flags = check_ternary(lts)
-    if not flags.is_lts:
-        raise NotLts(f"input fails LTS axioms: {flags.witnesses}")
-    _require_perfect(lts, flags)
+    admit(lts, "lts")
     ambient = n**3
     t = lts.tensor()
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
@@ -689,8 +645,6 @@ def universal_map(u, e):
     """The canonical map from the UCE u to any central extension e of the
     same base in the same category: a generator class goes to the bracket
     of section lifts in e. Returns the matrix carrier(u) -> carrier(e)."""
-    if not isinstance(e, CentralExtension):
-        e = e.as_extension()
     if u.category != e.category:
         raise WrongCategory(
             f"cannot map a {u.category} extension into a {e.category} one"

@@ -6,6 +6,7 @@ from conftest import THEOREM_CASES, build_sl2_dual, tolists2, tolists3
 
 from uce3 import (
     QQ,
+    CentralExtension,
     Matrix,
     NotLie,
     NotOverSameBase,
@@ -135,6 +136,24 @@ def test_induced_structure_rejects_wrong_base():
         induced_leibniz_structure(cube.as_extension(), catalog("sl3", QQ))
     with pytest.raises(WrongCategory):
         induced_leibniz_structure(lie_uce(g).as_extension(), g)
+
+
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(2)"])
+def test_theorem_verifies_each_extension_once(monkeypatch, spec):
+    # the calls of verify that do the work, not the memoized return
+    verify = CentralExtension.verify
+    worked = []
+
+    def recording(self):
+        if not self._verified:
+            worked.append((self.category, self.algebra))
+        return verify(self)
+
+    monkeypatch.setattr(CentralExtension, "verify", recording)
+    rep = verify_main_theorem(catalog("sl3", field_of(spec)))
+    assert rep.ok
+    assert sum(a is rep.u_lts.extension_algebra for _, a in worked) == 1
+    assert len({(c, id(a)) for c, a in worked}) == len(worked)
 
 
 def test_report_repr_fields(theorem_report):

@@ -49,6 +49,7 @@ from uce3 import (
     WrongCategory,
     catalog,
     check_binary,
+    check_ternary,
     derived_lts,
     field_of,
     homology,
@@ -57,6 +58,7 @@ from uce3 import (
     lts_tensor_cube,
     quotient,
     universal_map,
+    verify_main_theorem,
 )
 from uce3 import tensorops as tops
 
@@ -358,6 +360,17 @@ def test_constructor_preconditions():
         lie_uce(u.extension_algebra)
     with pytest.raises(NotPerfect):
         lts_tensor_cube(derived_lts(catalog("sl2", field_of("GF(2)"))))
+
+
+def test_wrong_arity_is_a_wrong_category_error():
+    # derived_lts has already stored the LTS's ternary flags, which
+    # check_binary must not hand back as binary ones
+    g = catalog("sl2", QQ)
+    dl = derived_lts(g)
+    for call, alg in ((leibniz_uce, dl), (lie_uce, dl), (verify_main_theorem, dl),
+                      (check_binary, dl), (lts_tensor_cube, g), (check_ternary, g)):
+        with pytest.raises(WrongCategory):
+            call(alg)
 
 
 def test_cube_dimension_guard():
