@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .algebra import BinaryAlgebra
 from .errors import UnknownAlgebra
 from .fields import QQ, field_of
@@ -15,58 +17,29 @@ _SL_RE = re.compile(r"sl\(?([0-9]+)\)?")
 _ABELIAN_RE = re.compile(r"abelian\(([0-9]+)\)")
 
 
-def _sl_basis(n):
-    """E_ij (i != j) in lex order, then H_i = E_ii - E_{i+1,i+1}."""
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = [[0] * n for _ in range(n)]
-                m[i][j] = 1
-                mats.append(m)
-    for i in range(n - 1):
-        m = [[0] * n for _ in range(n)]
-        m[i][i] = 1
-        m[i + 1][i + 1] = -1
-        mats.append(m)
-    return mats
-
-
-def _mat_commutator(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s += a[i][k] * b[k][j] - b[i][k] * a[k][j]
-            out[i][j] = s
-    return out
-
-
-def _sl_coords(m):
-    """Coordinates of a traceless matrix in the _sl_basis order."""
-    n = len(m)
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                coords.append(m[i][j])
-    # diagonal (d_1..d_n) with zero sum decomposes over H_i by prefix sums
-    acc = 0
-    for i in range(n - 1):
-        acc += m[i][i]
-        coords.append(acc)
-    return coords
-
-
 def _sl(n, f, name):
-    basis = _sl_basis(n)
-    dim = len(basis)
-    table = [
-        [_sl_coords(_mat_commutator(a, b)) for b in basis] for a in basis
-    ]
-    return BinaryAlgebra(f, dim, table, name=name)
+    """sl_n on the basis E_ij (i != j) in lex order, then
+    H_i = E_ii - E_{i+1,i+1}. The bracket of gl_n,
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj, is laid out by index arithmetic,
+    restricted to this basis and read back in it: an off-diagonal E_ij is
+    its own coordinate, and a traceless diagonal D is the sum over i of
+    (D_0 + ... + D_i) H_i."""
+    i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
+    gl = np.zeros((n * n,) * 3, dtype=np.int64)
+    gl[i * n + j, k * n + l, i * n + l] = j == k
+    np.subtract.at(gl, (i * n + j, k * n + l, k * n + j), l == i)
+    e = np.arange(n * n)
+    off = e[e // n != e % n]
+    h = np.arange(n - 1)
+    basis = np.zeros((len(off) + n - 1, n * n), dtype=np.int64)
+    basis[np.arange(len(off)), off] = 1
+    basis[len(off) + h, h * (n + 1)] = 1
+    basis[len(off) + h, h * (n + 1) + n + 1] = -1
+    coords = np.zeros((n * n, len(basis)), dtype=np.int64)
+    coords[off, np.arange(len(off))] = 1
+    coords[np.arange(n)[:, None] * (n + 1), len(off) + h] = np.arange(n)[:, None] <= h
+    brackets = (basis @ gl.reshape(n * n, -1)).reshape(-1, n * n, n * n)
+    return BinaryAlgebra.from_raw(f, basis @ brackets @ coords, name=name)
 
 
 def _heisenberg(f):

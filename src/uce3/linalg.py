@@ -33,8 +33,8 @@ its K-form is read straight off ev and the free columns
 certified block by block against K.
 
 Dense vectors enter through one door, SpanAccumulator.add_vectors: an
-integer array goes straight in, anything else is read once by
-exact_tensor, and each block-sized run of rows is folded as sparse
+integer array goes straight in, anything else is read by exact_tensor
+one block-sized run of rows at a time, and each run is folded as sparse
 generators by the backend. A Matrix is one canonical ExactTensor too, so
 products, comparisons, kernels and solves are exact contractions and
 K-form reads; field scalars appear only at the API edge (``Matrix.rows``,
@@ -301,7 +301,7 @@ class _EchelonGFp:
         return np.zeros((rows, width), dtype=np.int64)
 
     def _room(self):
-        """Rows of K, and int64 term indices, that fit one block temporary."""
+        """Rows of K, or of a residual block, that fit one block temporary."""
         return max(1, _BLOCK_BYTES // max(8, self._k.itemsize * self._k.shape[1]))
 
     def add_terms(self, cols, vals, lens, limit=None, picked=None):
@@ -323,9 +323,10 @@ class _EchelonGFp:
         g = t = 0
         while g < len(ends) and len(self.pivots) < limit:
             # each generator is a row of the residual block, each term of
-            # a pivot column one gathered row of K
+            # a pivot column one gathered row of K: a chunk is the rows and
+            # the int64 terms that fit one block temporary
             room = self._room()
-            e = int(np.searchsorted(ends, t + room, "right"))
+            e = int(np.searchsorted(ends, t + _BLOCK_BYTES // 8, "right"))
             e = min(max(e, g + 1), g + room)
             self._reserve(e - g, limit)
             te = int(ends[e - 1])
@@ -542,16 +543,16 @@ class SpanAccumulator:
     def add_vectors(self, vectors, limit=None):
         """Fold dense vectors in one call: an integer array with one row
         per vector (over Q, any nonzero multiples of the vectors), or rows
-        of field scalars, read once through exact_tensor. Each run of rows
-        that fits a block temporary is folded as one block of sparse
-        generators. Stops the moment the span has dimension limit; returns
-        the number of new pivots."""
+        of field scalars. Each run of rows that fits a block temporary is
+        read through exact_tensor (over Q, one scale per run, which leaves
+        the span unchanged) and folded as one block of sparse generators.
+        Stops the moment the span has dimension limit; returns the number
+        of new pivots."""
         n = self.ambient
         if not (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu"):
             vectors = list(vectors)
             if any(len(v) != n for v in vectors):
                 raise DimensionMismatch(f"a vector's length is not {n}")
-            vectors = exact_tensor(self.field, vectors).arr.reshape(len(vectors), n)
         elif vectors.ndim != 2 or vectors.shape[1] != n:
             raise DimensionMismatch(f"vectors {vectors.shape}, ambient {n}")
         step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
@@ -560,6 +561,8 @@ class SpanAccumulator:
             if limit is not None and self.dim >= limit:
                 break
             w = vectors[a : a + step]
+            if isinstance(w, list):
+                w = exact_tensor(self.field, w).arr.reshape(len(w), n)
             g, c = w.nonzero()
             self._ech.add_terms(c, w[g, c], np.bincount(g, minlength=len(w)), limit)
         return self.dim - start

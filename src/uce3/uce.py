@@ -18,8 +18,10 @@ the structure tensor; repeated coordinates are summed by the fold:
               - {x,y,z} (x) a (x) b. The squares span S = L (x) Sym^2 L, so
               the other two are folded modulo S, in L (x) wedge^2 L, the
               cycles with i < j < k only (see _cube_cycles), the others
-              with y < z and a < b only (see _cube_fundamentals), and the
-              span is lifted back to L (x) L (x) L (see lts_tensor_cube).
+              with y < z and (a, b) in a basis of the slabs {., a, b} only,
+              plus L (x) (the slabs' linear relations) (see
+              _cube_fundamentals), and the span is lifted back to
+              L (x) L (x) L (see lts_tensor_cube).
 
 These reductions rest on the category's axioms, which each constructor
 checks by admit before it folds anything.
@@ -80,6 +82,7 @@ from .linalg import (
     left_kernel,
     quotient,
     right_inverse,
+    rref,
     take_generators,
 )
 from . import tensorops as tops
@@ -99,9 +102,11 @@ __all__ = [
     "BINARY_DIM_GUARD",
 ]
 
-# desk-scale limits on the base dimension: the cube streams
-# dim * C(dim, 2)**2 five-variable relation generators into dim * C(dim, 2)
-# of its dim**3 coordinates, the binary categories up to dim**3 over dim**2
+# desk-scale limits on the base dimension: the cube streams, for r
+# independent slabs {., a, b}, r dim C(dim, 2) + dim (C(dim, 2) - r)
+# five-variable relation generators, up to dim * C(dim, 2)**2, into
+# dim * C(dim, 2) of its dim**3 coordinates, the binary categories up to
+# dim**3 over dim**2
 LTS_DIM_GUARD = 12
 BINARY_DIM_GUARD = 25
 
@@ -562,27 +567,67 @@ def _cube_cycles(n):
     return rot.ravel(), np.ones(rot.size, dtype=np.int64), np.full(len(rot), 3)
 
 
-def _cube_fundamentals(t):
-    """The five-variable generators g(x,y,z;a,b) = {x,a,b} (x) y (x) z
-    + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b} - {x,y,z} (x) a (x) b for
-    the raw n^4 tensor t of a Lie triple system, only those with y < z and
-    a < b: one block per such (a, b), generators (x, y, z) in lex order.
+def _slab_split(t, field):
+    """The split of the pairs a < b that _cube_fundamentals streams over:
+    B, the (a, b) of the greedy basis, in row-major order, of the slabs
+    T[:, a, b, :] of the raw n^4 tensor t, as two index arrays, and a basis
+    of W = {u in F^C(n,2) : sum of u_ab T[:, a, b, :] = 0}, the rows of an
+    integer array (over Q up to one positive scale, which leaves a span
+    unchanged). Both are read off the exact n^2 x C(n,2) matrix whose
+    column ab is the slab: B is its pivot columns, W its kernel."""
+    n = t.arr.shape[0]
+    a, b = np.triu_indices(n, 1)
+    slabs = t.arr[:, a, b, :].transpose(0, 2, 1).reshape(n * n, len(a))
+    m = Matrix.from_raw(field, slabs, t.scale)
+    piv = list(rref(m)[1])
+    return a[piv], b[piv], kernel(m).basis().arr
+
+
+def _cube_fundamentals(t, split):
+    """The five-variable family as lts_tensor_cube streams it, for the raw
+    n^4 tensor t of a Lie triple system and split = _slab_split(...) =
+    (B, a basis of W): first one block of the n dim W generators
+    e_i (x) w, i-major, then one block per (a, b) in B of the generators
+    g(x,y,z;a,b) = {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z
+    + x (x) y (x) {z,a,b} - {x,y,z} (x) a (x) b with y < z, (x, y, z) in
+    lex order. The e_i (x) w come first: they are sparse and independent,
+    so they give a fold n dim W pivots cheaply, and a fold that stops
+    early builds fewer blocks.
 
     Modulo S = L (x) Sym^2 L, which lts_tensor_cube folds out and lifts
-    back, these span the whole family, in every characteristic: every
-    D_ab = {., a, b} maps S into itself, and the axioms {x,y,z} = -{x,z,y},
-    {x,y,y} = 0 and D_ba = -D_ab put in S:
+    back, these span the whole family, in every characteristic.
+
+    First, the pairs y < z and a < b suffice: every D_ab = {., a, b} maps S
+    into itself, and the axioms {x,y,z} = -{x,z,y}, {x,y,y} = 0 and
+    D_ba = -D_ab put in S:
       * g(x,z,y;a,b) + g(x,y,z;a,b);
       * g(x,y,y;a,b);
       * g(x,y,z;a,b) + g(x,y,z;b,a) = -{x,y,z} (x) (a (x) b + b (x) a);
       * g(x,y,z;a,a).
 
+    Then the pairs in B suffice, plus L (x) W. The generator is linear in
+    a (x) b: for u = sum of u_ab e_a (x) e_b over a < b it is
+    G(x,y,z;u) = D_u(x (x) y (x) z) - {x,y,z} (x) u, with D_u = sum u_ab D_ab
+    acting as a derivation on all three slots. The e_ab for (a, b) in B
+    and W span the u, so the G(x,y,z;u) are spanned by the fundamentals of
+    B and the G(x,y,z;w) = -{x,y,z} (x) w for w in W, where D_w = 0. The
+    {x,y,z} with y < z span [L,L,L], which is L for the perfect systems
+    admit lets in, so the latter span L (x) W, the span of the e_i (x) w.
+    Conversely each e_i (x) w is such a combination of the family, and
+    evaluates to D_w(e_i) = 0.
+
     Term family s of a block puts a nonzero t[r, a, b, k] in slot s: the
     kept generators with r in slot s, the coordinates with k there
     instead."""
     n = t.shape[0]
-    pairs = np.triu_indices(n, 1)
-    y, z = pairs
+    y, z = np.triu_indices(n, 1)
+    pa, pb, kw = split
+    if len(kw):
+        # coordinate q of w is the pair (y[q], z[q])
+        r, q, v, local, cnt = _row_nonzeros(kw)
+        i = np.arange(n)[:, None]
+        yield _terms([(i * len(kw) + r, local, (i * n + y[q]) * n + z[q], v,
+                       np.tile(cnt, n))])
     coords = [np.repeat(np.arange(n), len(y)), np.tile(y, n), np.tile(z, n)]
     flat = (coords[0] * n + coords[1]) * n + coords[2]
     # per slot: its weight in a coordinate, the slot index of every kept
@@ -594,7 +639,7 @@ def _cube_fundamentals(t):
         slots.append((w, coords[s], order, np.cumsum(num) - num, num))
     whole, wk, wv, wlocal, wcnt = _row_nonzeros(t.reshape(n**3, n)[flat])
     wv = -wv
-    for a, b in zip(*pairs):
+    for a, b in zip(pa.tolist(), pb.tolist()):
         r, k, v, local, cnt = _row_nonzeros(t[:, a, b, :])
         families = []
         for w, coord, order, start, num in slots:
@@ -627,9 +672,11 @@ def lts_tensor_cube(lts, force=False, rng=None):
     sign, hi, lo = np.sign(y - z), np.maximum(y, z), np.minimum(y, z)
     col = np.where(sign, x * (n * (n - 1) // 2) + hi * (hi - 1) // 2 + lo, 0)
     kept = (sign > 0).nonzero()[0]
+    split = _slab_split(t, lts.field)
     red = _fold_relations(
         lts.field, len(kept),
-        lambda: _signed(chain([_cube_cycles(n)], _cube_fundamentals(t.arr)), col, sign),
+        lambda: _signed(chain([_cube_cycles(n)], _cube_fundamentals(t.arr, split)),
+                        col, sign),
         len(kept) - n, tops.ExactTensor(ev.arr[kept], ev.scale, ev.p), rng,
     )
     # the relation span is sigma's preimage of red, in RREF: each y <= z and

@@ -1,9 +1,18 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from uce3 import BinaryAlgebra, QQ, catalog, field_of, verify_main_theorem
+from uce3 import (
+    QQ,
+    BinaryAlgebra,
+    Matrix,
+    catalog,
+    field_of,
+    right_inverse,
+    verify_main_theorem,
+)
 from uce3 import tensorops as tops
 
 
@@ -71,6 +80,30 @@ def rebased_ternary(rng, t):
         inv = inv + power
     fwd = np.eye(d, dtype=int).astype(object) + n
     return np.einsum("ai,bj,ck,abcw,lw->ijkl", fwd, fwd, fwd, t, inv)
+
+
+# (row, column, entry) off the diagonal of the change of basis that the
+# dense-gf3 benchmark input is drawn with; the seed picks only signs
+REBASED_OFF_DIAGONAL = ((1, 2, 1), (2, 1, -1), (4, 7, 1), (5, 2, -1))
+
+
+def rebased_sl3(seed):
+    """sl3 over GF(3) on the basis e'_i = sum_k B[k, i] e_k, B the identity
+    plus REBASED_OFF_DIAGONAL times a seeded diagonal of signs: a dense
+    input off the catalog basis, built the way the dense-gf3 benchmark
+    builds its own."""
+    p = 3
+    f = field_of("GF(3)")
+    rng = random.Random(seed)
+    b = np.eye(8, dtype=np.int64)
+    for i, j, x in REBASED_OFF_DIAGONAL:
+        b[i, j] = x
+    b = b * [rng.choice((1, -1)) for _ in range(8)] % p
+    binv = np.array(right_inverse(Matrix(f, b.tolist())).rows, dtype=np.int64)
+    c = catalog("sl3", f).tensor().arr
+    raw = np.einsum("ai,cj,ack,rk->ijr", b, b, c, binv) % p
+    return BinaryAlgebra.from_raw(f, raw, name="sl3-rebased")
+
 
 # the seven perfect Lie inputs the broad checks run over
 THEOREM_CASES = (

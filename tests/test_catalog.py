@@ -1,9 +1,13 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from conftest import tolists2
 
 from uce3 import (
     QQ,
+    BinaryAlgebra,
     UnknownAlgebra,
     catalog,
     catalog_names,
@@ -35,6 +39,37 @@ def test_sl_n_dims(name, dim):
         g = catalog(name, field_of(spec))
         assert g.dim == dim
         assert check_binary(g).is_lie
+
+
+def _sl_by_commutators(n):
+    """sl_n's structure constants by one matrix commutator per pair of
+    basis elements E_ij (i != j, lex order), then H_i = E_ii - E_{i+1,i+1},
+    each read back in that basis: off the diagonal entry by entry, on it
+    by prefix sums."""
+    basis = []
+    for i, j in product(range(n), repeat=2):
+        if i != j:
+            basis.append(np.zeros((n, n), dtype=int))
+            basis[-1][i, j] = 1
+    for i in range(n - 1):
+        basis.append(np.zeros((n, n), dtype=int))
+        basis[-1][i, i], basis[-1][i + 1, i + 1] = 1, -1
+
+    def coords(m):
+        off = [int(m[i, j]) for i, j in product(range(n), repeat=2) if i != j]
+        return off + np.cumsum(np.diag(m))[:-1].tolist()
+
+    return [[coords(a @ b - b @ a) for b in basis] for a in basis]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("spec", ["Q", "GF(2)", "GF(3)"])
+def test_sl_n_matches_its_matrix_commutators(n, spec):
+    f = field_of(spec)
+    table = _sl_by_commutators(n)
+    g = catalog(f"sl{n}", f)
+    assert g == BinaryAlgebra(f, len(table), table)
+    assert g.name == f"sl{n}"
 
 
 def test_name_variants():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import build_sl2_dual
+from conftest import build_sl2_dual, rebased_sl3
 
 from uce3 import dumps_algebra, catalog, field_of
 from uce3.cli import main
@@ -163,6 +163,20 @@ def test_forced_sl4_json_bytes_are_pinned(capsys, cmd, field):
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == GOLDEN_SL4_JSON[cmd, field]
+
+
+# the same pin off the catalog basis: the cube of sl3/GF(3) in a seeded
+# dense basis, built the way the dense-gf3 benchmark builds its input (H2 6)
+GOLDEN_REBASED_SHA256 = "52739707e7f195c015b21ca3b9f4555d6740dd08351d3b1ae4e64f58693b918f"
+
+
+def test_rebased_cube_json_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "sl3-rebased.json"
+    path.write_text(dumps_algebra(rebased_sl3(0)), encoding="ascii")
+    code, out, _ = run(capsys, "uce", str(path), "--category", "lts", "--json")
+    assert code == 0
+    assert json.loads(out)["h2_dim"] == 6
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_REBASED_SHA256
 
 
 def test_homology_output(capsys):

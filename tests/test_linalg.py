@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import numpy as np
 
+from conftest import rebased_sl3
 from naive_checks import _norm, naive_rank, naive_reduce, naive_rref, vadd, vscale, vsub
 
 from uce3 import (
@@ -14,8 +15,10 @@ from uce3 import (
     Matrix,
     SpanAccumulator,
     Subspace,
+    derived_lts,
     field_of,
     kernel,
+    lts_tensor_cube,
     quotient,
     right_inverse,
     rref,
@@ -468,6 +471,33 @@ def test_block_fold_keeps_its_canonical_form_after_a_dependent_block():
     assert again == first
     assert again.basis_vectors() == first.basis_vectors()
     assert quotient(6, again).projection.shape == (6, 4)
+
+
+def test_gfp_fold_chunks_a_wide_block_by_rows_and_terms(monkeypatch):
+    # the 196 slabs of the 14-dim carrier of a dense sl3/GF(3) cube, one
+    # generator of up to 196 terms each, as the derivation witness folds
+    # them (rank 7): a chunk is as many generators as there are residual
+    # rows, and terms, that fit one block temporary, so the block takes
+    # few chunks and no temporary outgrows _BLOCK_BYTES
+    e = lts_tensor_cube(derived_lts(rebased_sl3(0))).extension_algebra
+    d = e.dim
+    by_slab = e.tensor().arr.transpose(1, 2, 0, 3).reshape(d * d, d * d)
+    g, c = by_slab.nonzero()
+    acc = SpanAccumulator(e.field, d * d)
+    room = acc._ech._room()
+    residuals = linalg._EchelonGFp._residuals
+    chunks = []
+
+    def spy(self, cols, vals, lens, room):
+        out = residuals(self, cols, vals, lens, room)
+        chunks.append((out.nbytes, cols.nbytes, vals.nbytes))
+        return out
+
+    monkeypatch.setattr(linalg._EchelonGFp, "_residuals", spy)
+    acc.add_pairs(c, by_slab[g, c], np.bincount(g, minlength=d * d))
+    assert (d, acc.dim) == (14, 7)
+    assert len(chunks) <= -(-d * d // room)
+    assert max(max(chunk) for chunk in chunks) <= linalg._BLOCK_BYTES
 
 
 # up to the modulus limit: products of two residues approach 2**62

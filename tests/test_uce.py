@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -42,6 +42,7 @@ from uce3 import (
     NotLie,
     NotOverSameBase,
     NotPerfect,
+    SpanAccumulator,
     Subspace,
     TernaryAlgebra,
     UceResult,
@@ -206,35 +207,88 @@ def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
     want = _wedged_cube_rows(p, n, _sparse_rows(naive_cube_relation_rows(p, t)))
     # the oracle's rows are n**2 + n**3 squares, which map to zero, then the
     # cycles, indexed (i, j, k), then the fundamentals, one (a, b) block
-    # each, indexed (a, b, x, y, z)
-    kept = n * comb(n, 2) ** 2
-    assert Counter(got[-kept:]) == Counter(
-        row for (a, b, x, y, z), row in zip(product(range(n), repeat=5),
-                                            want[-n**5 :])
-        if a < b and y < z
-    )
-    assert Counter(got[:-kept]) == Counter(
+    # each, indexed (a, b, x, y, z). The stream is the cycles, the
+    # generators e_i (x) w for w in W, the pairs' combinations whose slabs
+    # cancel, then the fundamentals of the r pairs of the slab basis B
+    basis = tops._spanning_slabs(d.tensor())
+    r, pairs = len(basis), comb(n, 2)
+    cycles, fundamentals = comb(n, 3), r * n * pairs
+    assert len(got) == cycles + n * (pairs - r) + fundamentals
+    assert Counter(got[:cycles]) == Counter(
         row for (i, j, k), row in zip(product(range(n), repeat=3),
                                       want[n**2 + n**3 : -n**5])
         if i < j < k
     )
+    assert Counter(got[len(got) - fundamentals :]) == Counter(
+        row for (a, b, x, y, z), row in zip(product(range(n), repeat=5),
+                                            want[-n**5 :])
+        if (a, b) in basis and y < z
+    )
+    # each e_i (x) w evaluates to zero and lies in the oracle's span
+    kept = [xyz for xyz in product(range(n), repeat=3) if xyz[1] > xyz[2]]
+    rest = got[cycles : len(got) - fundamentals]
+    for row in rest:
+        image = [sum(v * t[x][y][z][w] for c, v in row for x, y, z in [kept[c]])
+                 for w in range(n)]
+        assert row and not any(s % p if p else s for s in image)
+    width = n * pairs
+    assert _sparse_span(f, width, rest).is_subspace_of(_sparse_span(f, width, want))
     # the rank oracle takes minutes on the sl3 cube over Q, and
     # test_cube_relation_rank_matches_naive_over_gfp runs it on sl3/GF(2)
     if (name, spec) not in (("sl3", "Q"), ("sl3", "GF(2)")):
         assert u.relations.dim == naive_cube_relation_rank(p, t)
 
 
+def _sparse_span(field, width, rows):
+    """The span of sparse (coordinate, field value) rows, each scaled to
+    integers."""
+    rows = [row for row in rows if row]
+    acc = SpanAccumulator(field, width)
+    if rows:
+        den = [lcm(*(Fraction(x).denominator for _, x in row)) for row in rows]
+        acc.add_pairs(
+            [c for row in rows for c, _ in row],
+            np.array([int(x * m) for row, m in zip(rows, den) for _, x in row],
+                     dtype=object),
+            [len(row) for row in rows],
+        )
+    return acc.to_subspace()
+
+
 def test_cube_streams_only_the_independent_fundamentals(monkeypatch):
-    # C(n,3) cycles and n C(n,2)**2 fundamentals, not n**3 and n**5, and no
-    # squares: the stream lives on the n C(n,2) coordinates of
-    # L (x) wedge^2 L
+    # C(n,3) cycles, n (C(n,2) - r) generators e_i (x) w and the n C(n,2)
+    # fundamentals of each of the r pairs of a slab basis, not n**3 cycles
+    # and n**5 fundamentals, and no squares: the stream lives on the
+    # n C(n,2) coordinates of L (x) wedge^2 L
     d = derived_lts(catalog("sl3", field_of("GF(2)")))
-    n = d.dim
+    n, r = d.dim, len(tops._spanning_slabs(d.tensor()))
     _, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
-    # 56 + 6272 on sl3, against 512 cycles and 32768 fundamentals in the
-    # full families
-    assert sum(len(lens) for _, _, lens in blocks) == comb(n, 3) + n * comb(n, 2) ** 2
+    # 56 + 160 + 1792 = 2008 on sl3 (r = 8), against 512 cycles and 32768
+    # fundamentals in the full families
+    count = comb(n, 3) + n * (comb(n, 2) - r) + r * n * comb(n, 2)
+    assert sum(len(lens) for _, _, lens in blocks) == count == 2008
     assert max(int(cols.max()) for cols, _, _ in blocks) < n * comb(n, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: derived_lts(catalog("sl3", field_of("GF(3)"))),
+    lambda: _rebased(derived_lts(catalog("sl3", QQ)), 5),
+    lambda: derived_lts(build_sl2_dual()),
+], ids=["sl3-gf3", "sl3-q-rebased", "takiff-q"])
+def test_cube_slab_basis_is_the_witness_pick(make):
+    # the fundamentals' pairs B are the greedy slab basis the derivation
+    # witness checks, and the rest of the pairs' space is W, whose
+    # combinations of slabs vanish
+    import uce3.uce as uce_mod
+
+    d = make()
+    t = d.tensor()
+    a, b, w = uce_mod._slab_split(t, d.field)
+    assert list(zip(a.tolist(), b.tolist())) == tops._spanning_slabs(t)
+    assert w.shape == (comb(d.dim, 2) - len(a), comb(d.dim, 2))
+    ta, tb = np.triu_indices(d.dim, 1)
+    sums = np.tensordot(w.astype(object), t.arr[:, ta, tb, :].astype(object), ([1], [1]))
+    assert not (sums % t.p if t.p else sums).any()
 
 
 def _rebased(d, seed):
@@ -246,8 +300,10 @@ def _rebased(d, seed):
 
 @pytest.mark.parametrize("make", [
     lambda: derived_lts(catalog("sl3", field_of("GF(3)"))),
+    lambda: derived_lts(catalog("sl3", QQ)),
+    lambda: derived_lts(catalog("sl3", field_of("GF(2)"))),
     lambda: derived_lts(build_sl2_dual()),
-], ids=["sl3-gf3", "takiff-q"])
+], ids=["sl3-gf3", "sl3-q", "sl3-gf2", "takiff-q"])
 def test_cube_relation_span_is_the_full_oracle_span(make):
     # off the catalog basis too, the reduced stream spans what the full
     # five-variable family spans, shuffled or not
