@@ -9,24 +9,21 @@ residual v[F] + v[pivots] K / scale modulo the span, so the basis rows,
 reduction, the quotient projection and equality are all read off it, and
 equal subspaces have equal K-forms.
 
-Two elimination backends only accumulate, and hand their state over as a
-K-form:
+One block fold accumulates a span over every field, and hands its state
+over as a K-form. It holds K itself, filtered by blocks: only the pivot
+rows are stored, a whole block of vectors or sparse generators is
+filtered with one gather-sum against K, and each new pivot is a rank-1
+update of K, so K stays the RREF up to the order of its rows. Three
+arithmetics share it:
 
-  * GF(p): K itself, filtered by blocks. Only the pivot rows are stored,
-    as int64 residues; a whole block of vectors or sparse generators is
-    filtered with one gather-sum against K, and each new pivot is a rank-1
-    update of K, so K stays the RREF up to the order of its rows. Exact
-    because every product of two residues is below p**2 < 2**62 and is
-    reduced mod p before it is summed. Over GF(2) the same fold holds K
-    packed 64 columns to a word, its gather-sum an XOR of words;
-  * rationals: a forward echelon of primitive integer rows (fraction-free
-    steps, Bareiss style, content gcd'd out, pivot entries positive),
-    back-eliminated once when the K-form is first needed. A block of
-    sparse generators is filtered against the K-form in one gather-sum,
-    and only the generators K does not kill are folded, one at a time.
+  * GF(p): int64 residues, exact because every product of two residues
+    is below p**2 < 2**62 and is reduced mod p before it is summed;
+  * GF(2): K packed 64 columns to a word, its gather-sum an XOR of words;
+  * Q: fraction-free (Bareiss, Math. Comp. 22, 1968), K as integers over
+    one positive scale, int64 below 2**62 and python ints beyond.
 
 Relation streams over Q are instead folded mod a prime by the GF(p)
-backend, which picks generators that are independent over Q (see
+arithmetic, which picks generators that are independent over Q (see
 uce._fold_relations). When they span the kernel of the evaluation map ev,
 its K-form is read straight off ev and the free columns
 (``left_kernel``); otherwise the picked generators are folded exactly and
@@ -35,7 +32,7 @@ certified block by block against K.
 Dense vectors enter through one door, SpanAccumulator.add_vectors: an
 integer array goes straight in, anything else is read by exact_tensor
 one block-sized run of rows at a time, and each run is folded as sparse
-generators by the backend. A Matrix is one canonical ExactTensor too, so
+generators by the fold. A Matrix is one canonical ExactTensor too, so
 products, comparisons, kernels and solves are exact contractions and
 K-form reads; field scalars appear only at the API edge (``Matrix.rows``,
 ``basis_vectors``, ``reduce``).
@@ -43,8 +40,7 @@ K-form reads; field scalars appear only at the API edge (``Matrix.rows``,
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -54,9 +50,9 @@ from .tensorops import (
     _BLOCK_BYTES,
     _I64_LIMIT,
     ExactTensor,
+    _maxabs,
     _scaled,
     _witness,
-    escaping_generators,
     exact_tensor,
     exact_tensordot,
     nested_tensor,
@@ -80,27 +76,6 @@ __all__ = [
 ]
 
 
-def _first_nonzero(v, start):
-    for t in range(start, len(v)):
-        if v[t]:
-            return t
-    return -1
-
-
-def _strip_content(v, start):
-    g = 0
-    for t in range(start, len(v)):
-        x = v[t]
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return
-    if g > 1:
-        for t in range(start, len(v)):
-            if v[t]:
-                v[t] //= g
-
-
 def take_generators(cols, vals, lens, idx):
     """The generators idx of a (cols, vals, lens) block, in that order, as
     a block of their own."""
@@ -111,140 +86,6 @@ def take_generators(cols, vals, lens, idx):
     take = np.repeat(starts[idx] - out_starts, out_lens)
     take += np.arange(len(take))
     return cols[take], vals[take], out_lens
-
-
-def _dense_rows(n, cols, vals, lens):
-    """Each generator of a (cols, vals, lens) block as a dense list of
-    python ints, repeated coordinates summed, built a block temporary's
-    worth of rows at a time."""
-    gen = np.repeat(np.arange(len(lens)), lens)
-    ends = np.cumsum(lens)
-    step = max(1, _BLOCK_BYTES // (8 * max(1, n)))
-    for a in range(0, len(lens), step):
-        b = min(a + step, len(lens))
-        t, e = int(ends[a] - lens[a]), int(ends[b - 1])
-        rows = np.zeros((b - a, n), dtype=object)
-        np.add.at(rows, (gen[t:e] - a, cols[t:e]), vals[t:e].astype(object))
-        yield from rows.tolist()
-
-
-class _EchelonQ:
-    """Forward echelon over Q held as primitive integer rows."""
-
-    __slots__ = ("n", "rows", "pivots", "supports", "_col", "_final")
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = []
-        self.pivots = []
-        self.supports = []
-        self._col = {}
-        self._final = False
-
-    def add_dense(self, v):
-        """Fold v, a list of python ints that it may change in place;
-        returns whether v became a pivot row."""
-        j = _first_nonzero(v, 0)
-        steps = 0
-        while j >= 0:
-            k = self._col.get(j)
-            if k is None:
-                break
-            row = self.rows[k]
-            a = row[j]
-            c = v[j]
-            g = gcd(a, c)
-            am = a // g
-            cm = c // g
-            if am != 1:
-                for t in range(j, self.n):
-                    if v[t]:
-                        v[t] *= am
-            for t in self.supports[k]:
-                v[t] -= cm * row[t]
-            steps += 1
-            if steps % 24 == 0:
-                _strip_content(v, j + 1)
-            j = _first_nonzero(v, j + 1)
-        if j < 0:
-            return False
-        _strip_content(v, j)
-        if v[j] < 0:
-            for t in range(j, self.n):
-                if v[t]:
-                    v[t] = -v[t]
-        pos = bisect_left(self.pivots, j)
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, j)
-        self.supports.insert(pos, [t for t in range(j, self.n) if v[t]])
-        self._col = {p: i for i, p in enumerate(self.pivots)}
-        self._final = False
-        return True
-
-    def add_terms(self, cols, vals, lens, limit=None, picked=None):
-        """Filter the generators against the projection K of the span in
-        one exact gather-sum, and fold only those K does not kill, in
-        order, each reduced exactly against the rows before it. Empty
-        generators are skipped."""
-        keep = lens.nonzero()[0]
-        if self.pivots:
-            k = Subspace(QQ, self.n, *self.kform()).projection()
-            keep = escaping_generators(cols, vals, lens, k.arr)
-        start = len(self.pivots)
-        rows = _dense_rows(self.n, *take_generators(cols, vals, lens, keep))
-        for g, v in zip(keep.tolist(), rows):
-            if limit is not None and len(self.pivots) >= limit:
-                break
-            if self.add_dense(v) and picked is not None:
-                picked.append(g)
-        return len(self.pivots) - start
-
-    def finalize(self):
-        if self._final:
-            return
-        for i in range(len(self.rows) - 1, 0, -1):
-            p = self.pivots[i]
-            low = self.rows[i]
-            a = low[p]
-            for k in range(i):
-                up = self.rows[k]
-                c = up[p]
-                if not c:
-                    continue
-                g = gcd(a, c)
-                am = a // g
-                cm = c // g
-                pk = self.pivots[k]
-                if am != 1:
-                    for t in range(pk, self.n):
-                        if up[t]:
-                            up[t] *= am
-                for t in range(p, self.n):
-                    if low[t]:
-                        up[t] -= cm * low[t]
-                _strip_content(up, pk)
-        self.supports = [
-            [t for t in range(p, self.n) if row[t]]
-            for row, p in zip(self.rows, self.pivots)
-        ]
-        self._final = True
-
-    def kform(self):
-        """The K-form as (pivots, raw, scale): raw / scale = -R[:, F], the
-        scale the lcm of the pivot entries, which for primitive rows is the
-        lcm of the RREF denominators."""
-        self.finalize()
-        piv = set(self.pivots)
-        free = [c for c in range(self.n) if c not in piv]
-        scale = lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
-        vals = [
-            -row[c] * (scale // row[p])
-            for row, p in zip(self.rows, self.pivots)
-            for c in free
-        ]
-        top = max(map(abs, vals), default=0)
-        raw = np.array(vals, dtype=np.int64 if top < _I64_LIMIT else object)
-        return self.pivots, raw.reshape(len(self.rows), len(free)), scale
 
 
 # the word of a packed GF(2) row
@@ -259,8 +100,8 @@ def _run_heads(g):
 
 
 class _EchelonGFp:
-    """A span over GF(p) held as its quotient projection K, filtered by
-    blocks.
+    """A span held as its quotient projection K, filtered by blocks: the
+    fold of every field, with GF(p)'s arithmetic.
 
     K sends an ambient vector to its residual modulo the span, read on the
     free (non-pivot) columns F. The row of a free column is its unit vector
@@ -275,10 +116,13 @@ class _EchelonGFp:
     zeros until half the width is dead, and row capacity grows
     geometrically, so a new pivot reallocates nothing.
 
-    K's residues are int64; _EchelonGF2 packs them into words instead.
+    K's residues are int64; _EchelonGF2 packs them into words instead, and
+    _EchelonRationals holds integers over one scale.
     """
 
     __slots__ = ("n", "p", "pivots", "_k", "_cols", "_pos", "_row", "_final")
+    # residues need no scale
+    scale = 1
 
     def __init__(self, n, p):
         self.n = n
@@ -310,8 +154,8 @@ class _EchelonGFp:
         of new pivots; stops the moment there are limit pivots. picked,
         when given, receives the generators that became pivots."""
         n = self.n
-        vals = np.remainder(vals, self.p).astype(np.int64)
-        # terms that vanish mod p add nothing
+        vals = self._values(vals)
+        # terms that vanish add nothing
         keep = vals.nonzero()[0]
         if len(keep) < len(vals):
             gen = np.repeat(np.arange(len(lens)), lens)
@@ -336,6 +180,10 @@ class _EchelonGFp:
                 picked.extend(g + i for i in rows)
             g, t = e, te
         return len(self.pivots) - start
+
+    def _values(self, vals):
+        """Term values as K's arithmetic reads them: int64 residues."""
+        return np.remainder(vals, self.p).astype(np.int64)
 
     def _reserve(self, b, limit):
         """Make room for b more pivot rows, limit in all. Dead columns are
@@ -365,13 +213,13 @@ class _EchelonGFp:
         np.take(self._k[: len(out)], live, axis=1, out=out)
 
     def _residuals(self, cols, vals, lens, room):
-        """One residual row per generator over the working columns: the sum
-        of value * K[column] over its terms, gathered room rows of K at a
-        time."""
+        """One residual row per generator over the working columns, of
+        vals' dtype: the sum of value * K[column] over its terms, gathered
+        room rows of K at a time, reduced mod p unless p is None."""
         p = self.p
         gen = np.repeat(np.arange(len(lens)), lens)
         row = self._row[cols]
-        out = self._blank(len(lens), len(self._cols))
+        out = np.zeros((len(lens), len(self._cols)), dtype=vals.dtype)
         free = row < 0
         np.add.at(out, (gen[free], self._pos[cols[free]]), vals[free])
         piv = (~free).nonzero()[0]
@@ -380,12 +228,14 @@ class _EchelonGFp:
             g = gen[sel]
             heads = _run_heads(g)
             # products of residues stay below p**2 < 2**62; reduce each one
-            # before the sum
-            part = self._k[row[sel]]
+            # before the sum (over Q the caller bounds the sums)
+            part = self._k[row[sel]].astype(out.dtype, copy=False)
             part *= vals[sel, None]
-            part %= p
+            if p is not None:
+                part %= p
             out[g[heads]] += np.add.reduceat(part, heads, axis=0)
-        out %= p
+        if p is not None:
+            out %= p
         return out
 
     def _eliminate(self, res, limit):
@@ -398,7 +248,7 @@ class _EchelonGFp:
             if j < 0:
                 continue
             rank = len(self.pivots)
-            self._pivot(res[i], j, res[i + 1 :], rank)
+            res = self._pivot(res, i, j, rank)
             q = int(self._cols[j])
             self._pos[q] = -1
             self._row[q] = rank
@@ -415,10 +265,12 @@ class _EchelonGFp:
         nz = v.nonzero()[0]
         return int(nz[0]) if len(nz) else -1
 
-    def _pivot(self, v, j, rest, rank):
-        """Make v, led by working column j, pivot row rank: clear column j
-        from the rows rest and from K, and store v's row of K."""
+    def _pivot(self, res, i, j, rank):
+        """Make res[i], led by working column j, pivot row rank: clear
+        column j from the rows after it and from K, and store its row of K.
+        Returns the residual block."""
         p = self.p
+        v, rest = res[i], res[i + 1 :]
         r = v * pow(int(v[j]), -1, p) % p
         for block in (rest, self._k[:rank]):
             c = block[:, j]
@@ -429,6 +281,7 @@ class _EchelonGFp:
         np.subtract(p, r, out=kr)
         kr %= p
         kr[j] = 0
+        return res
 
     def finalize(self):
         if self._final:
@@ -441,10 +294,10 @@ class _EchelonGFp:
         self._final = True
 
     def kform(self):
-        """The K-form as (pivots, raw, 1): the pivot rows of K, sorted,
+        """The K-form as (pivots, raw, scale): the pivot rows of K, sorted,
         over the free columns. raw is K itself, not a copy."""
         self.finalize()
-        return self.pivots, self._k, 1
+        return self.pivots, self._k, self.scale
 
 
 class _EchelonGF2(_EchelonGFp):
@@ -489,13 +342,15 @@ class _EchelonGF2(_EchelonGFp):
         word = int(v[nz[0]])
         return 64 * int(nz[0]) + (word & -word).bit_length() - 1
 
-    def _pivot(self, v, j, rest, rank):
+    def _pivot(self, res, i, j, rank):
+        v, rest = res[i], res[i + 1 :]
         w, bit = j >> 6, _WORD.type(1 << (j & 63))
         for block in (rest, self._k[:rank]):
             block[(block[:, w] & bit).nonzero()[0]] ^= v
         kr = self._k[rank]
         kr[:] = v
         kr[w] ^= bit
+        return res
 
     def kform(self):
         """The K-form as (pivots, raw, 1), raw the sorted pivot rows of K
@@ -509,9 +364,119 @@ def _unpacked(k, width):
     return np.unpackbits(k.view(np.uint8), axis=1, count=width, bitorder="little")
 
 
+class _EchelonRationals(_EchelonGFp):
+    """The block fold over Q, fraction-free: K holds -R[:, F] * scale as
+    integers over one positive ``scale`` with no common factor, so its
+    sorted rows are the canonical K-form.
+
+    A residual is scale * v[F] + v[pivots] K, the gather-sum of GF(p)
+    without the modulus. A residual v, divided by its content and signed so
+    that its leading entry d (working column j) is positive, becomes a
+    pivot by K <- d K - K[:, j] v, its own row -scale * v with column j
+    cleared and scale <- scale * d, all then divided by their gcd; the later
+    rows w of its block become d w - w[j] v.
+
+    K, and a residual block, are int64 while a running bound on their
+    entries and on the products that build them stays below 2**62. Past it
+    the bound is read exactly (a block's rows first divided by their
+    content), and only then do they hold python ints.
+    """
+
+    __slots__ = ("scale", "_top", "_rtop")
+
+    def __init__(self, n):
+        self.scale = 1
+        # bounds on max|K| and on the entries of the residual block
+        self._top = self._rtop = 0
+        # _blank keeps K's dtype
+        self._k = np.zeros((0, n), dtype=np.int64)
+        super().__init__(n, None)
+
+    def _blank(self, rows, width):
+        return np.zeros((rows, width), dtype=self._k.dtype)
+
+    def _values(self, vals):
+        return vals
+
+    def _fits(self, a, b):
+        """Whether a * max|K| and b are below 2**62, max|K| read exactly
+        when _top does not show it."""
+        if a * self._top >= _I64_LIMIT:
+            self._top = _maxabs(self._k[: len(self.pivots)])
+        return max(a * self._top, b) < _I64_LIMIT
+
+    def _residuals(self, cols, vals, lens, room):
+        s = self.scale
+        # an entry sums at most lens.max() products
+        most = int(lens.max()) * _maxabs(vals)
+        vals = vals.astype(np.int64 if self._fits(most, most * s) else object)
+        # no terms, no bound on s
+        if s > 1 and len(vals):
+            vals[self._row[cols] < 0] *= s
+        self._rtop = most * max(s, self._top)
+        return super()._residuals(cols, vals, lens, room)
+
+    def _pivot(self, res, i, j, rank):
+        v = res[i]
+        d = int(v[j])
+        # abs: the reduce of one entry is that entry
+        g = 1 if abs(d) == 1 else abs(int(np.gcd.reduce(v)))
+        if d < 0:
+            g = -g
+        if g != 1:
+            v //= g
+            d //= g
+        top = self._rtop
+        if i + 1 < len(res):
+            if (d + top) * top >= _I64_LIMIT and res.dtype != object:
+                res = self._tightened(res, i)
+                v, top = res[i], self._rtop
+            _clear(res[i + 1 :], j, d, v)
+            # over python ints the running bound, squared each pivot, would
+            # outgrow the entries
+            self._rtop = (d + top) * top if res.dtype != object else _maxabs(res[i + 1 :])
+        s, k = self.scale, self._k
+        if k.dtype != object and not self._fits(d + top, s * top):
+            k = self._k = k.astype(object)
+        if v.dtype != k.dtype:
+            v = v.astype(k.dtype)
+        if rank:
+            _clear(k[:rank], j, d, v)
+        np.multiply(v, -s, out=k[rank])
+        k[rank, j] = 0
+        self._top = max((d + top) * self._top, s * top)
+        self.scale = s * d
+        # v is primitive, so gcd(K, scale) divides the old scale
+        g = gcd(s, int(np.gcd.reduce(k[:rank], axis=None))) if s > 1 else 1
+        if g > 1:
+            k[: rank + 1] //= g
+            self.scale //= g
+            self._top //= g
+        return res
+
+    def _tightened(self, res, i):
+        """res with the rows after i divided by their content and _rtop read
+        exactly from row i on; as python ints if that is still too large."""
+        rest = res[i + 1 :]
+        rest //= np.maximum(np.gcd.reduce(rest, axis=1), 1)[:, None]
+        self._rtop = top = _maxabs(res[i:])
+        return res if 2 * top * top < _I64_LIMIT else res.astype(object)
+
+
+def _clear(rows, j, d, v):
+    """rows <- d rows - rows[:, j] v in place, clearing column j when v has
+    d there: all rows at once when they fit one block temporary, else only
+    the rows with a nonzero in column j."""
+    hit = slice(None) if rows.nbytes <= _BLOCK_BYTES else rows[:, j].nonzero()[0]
+    sub = rows[hit, j, None] * v
+    if d != 1:
+        rows *= d
+    rows[hit] -= sub
+
+
 def _make_echelon(field, ambient):
     if isinstance(field, Rationals):
-        return _EchelonQ(ambient)
+        return _EchelonRationals(ambient)
     if not isinstance(field, PrimeField):
         raise FieldMismatch(f"unsupported field {field!r}")
     return (_EchelonGF2 if field.p == 2 else _EchelonGFp)(ambient, field.p)
@@ -521,10 +486,11 @@ class SpanAccumulator:
     """Stream vectors into a growing canonical span.
 
     Memory scales with dim * ambient regardless of how many generators are
-    folded; over GF(p) the span is the projection K, filtered by blocks,
-    which holds dim * (ambient - dim) residues (bits over GF(2), packed
-    64 to a word). ``dim`` and ``pivots`` are valid mid-stream;
-    ``to_subspace`` hands the span over as its K-form.
+    folded: the span is the projection K, filtered by blocks, which holds
+    dim * (ambient - dim) entries (residues over GF(p), bits packed 64 to a
+    word over GF(2), integers over one scale over Q). ``dim`` and
+    ``pivots`` are valid mid-stream; ``to_subspace`` hands the span over as
+    its K-form.
     """
 
     def __init__(self, field, ambient):
@@ -575,12 +541,8 @@ class SpanAccumulator:
         the span has dimension limit; returns the number of new pivots.
         picked, when given, is a list that receives the indices in the
         block of the generators that became pivots, which are linearly
-        independent.
-
-        Over GF(p) the whole block is filtered against the projection K at
-        once. Over Q it is filtered against the exact K in one gather-sum,
-        and the generators K does not kill are folded one at a time, so a
-        long stream is cheap only once the span is nearly complete."""
+        independent. Over every field the block is filtered against the
+        projection K a block temporary's worth of generators at a time."""
         cols = np.asarray(cols, dtype=np.int64)
         lens = np.asarray(lens, dtype=np.int64)
         if int(lens.sum()) != len(cols) or len(vals) != len(cols):

@@ -125,11 +125,8 @@ def nested_tensor(field, table, shape):
 
 
 def _maxabs(a):
-    if a.size == 0:
-        return 0
-    if a.dtype == object:
-        return max(abs(int(x)) for x in a.flat)
-    return int(np.abs(a).max())
+    # abs and max are exact on python ints too
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def _contraction_dtype(k, a, b):
@@ -212,7 +209,8 @@ def rescaled(field, raw, den=1):
         arr = np.ascontiguousarray(raw, dtype=np.int64)
         return ExactTensor(np.remainder(arr, p, out=arr), 1, p)
     g = gcd(den, int(np.gcd.reduce(raw, axis=None)))
-    if g > 1:
+    # an all-zero raw is 0 / 1 whatever den is: nothing to divide
+    if g > 1 and raw.any():
         raw = raw // g
     dtype = np.int64 if _maxabs(raw) < _I64_LIMIT else object
     return ExactTensor(np.ascontiguousarray(raw, dtype=dtype), den // g, None)

@@ -173,17 +173,17 @@ def test_rref_idempotent():
 
 
 def _assert_rref_of(f, rows, sub):
-    """sub is the span of rows over GF(p): the naive rank, every row
+    """sub is the span of rows over GF(p) or Q: the naive rank, every row
     inside, and a canonical basis in reduced row echelon form (increasing
     pivots, each a 1 with zeros before it and in every other row's pivot
-    column)."""
+    column; residues over GF(p))."""
     p = f.characteristic
     basis, piv = sub.basis_vectors(), sub.pivots
     assert sub.dim == len(basis) == naive_rank(p, rows)
     assert list(piv) == sorted(set(piv))
     for i, (row, q) in enumerate(zip(basis, piv)):
         assert row[q] == 1 and not any(row[:q])
-        assert all(0 <= x < p for x in row)
+        assert not p or all(0 <= x < p for x in row)
         assert all(basis[k][q] == 0 for k in range(len(basis)) if k != i)
     for v in rows:
         assert not any(sub.reduce(v))
@@ -273,7 +273,8 @@ def _arrays(gens):
     (cols, vals, lens) arrays add_pairs takes."""
     terms = [t for g in gens for t in g]
     cols = np.array([c for c, _ in terms], dtype=np.int64)
-    vals = np.array([v for _, v in terms], dtype=np.int64)
+    vals = [v for _, v in terms]
+    vals = np.array(vals, dtype=object if any(abs(v) >= 2**62 for v in vals) else np.int64)
     return cols, vals, np.array([len(g) for g in gens], dtype=np.int64)
 
 
@@ -500,8 +501,9 @@ def test_gfp_fold_chunks_a_wide_block_by_rows_and_terms(monkeypatch):
     assert max(max(chunk) for chunk in chunks) <= linalg._BLOCK_BYTES
 
 
-# up to the modulus limit: products of two residues approach 2**62
-@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(65521)", "GF(2147483647)"])
+# up to the modulus limit: products of two residues approach 2**62; over Q
+# terms near 2**40 send K to python ints in the middle of the fold
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(65521)", "GF(2147483647)", "Q"])
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**31),
@@ -511,9 +513,9 @@ def test_gfp_fold_chunks_a_wide_block_by_rows_and_terms(monkeypatch):
 )
 def test_block_fold_exact_to_the_modulus_limit(spec, seed, ambient, count, block):
     f = field_of(spec)
-    p = f.p
+    p = f.characteristic
     rng = random.Random(seed)
-    gens = _sparse_generators(rng, ambient, count, rng.randint(1, ambient), p)
+    gens = _sparse_generators(rng, ambient, count, rng.randint(1, ambient), p or 2**20)
     dense = [_dense(ambient, g) for g in gens]
     rank = naive_rank(p, dense)
     acc = _fold_in_blocks(SpanAccumulator(f, ambient), gens, block)
@@ -525,6 +527,19 @@ def test_block_fold_exact_to_the_modulus_limit(spec, seed, ambient, count, block
     assert part.dim == limit
     for v in part.to_subspace().basis_vectors():
         assert sub.contains(v)
+
+
+def test_rational_fold_past_int64_keeps_a_positive_scale():
+    big = 2**70
+    # a residual of one python-int entry, negative: the reduce of that one
+    # entry is the entry itself, not its absolute value
+    assert Subspace.from_vectors(QQ, 1, [[-3 * big]]) == Subspace.from_vectors(QQ, 1, [[1]])
+    # a scale past int64, then a block of generators without terms
+    acc = SpanAccumulator(QQ, 2)
+    acc.add_vectors([[big, 1]])
+    assert acc.to_subspace().k.scale == big
+    assert acc.add_pairs(np.zeros(0, np.int64), np.zeros(0, np.int64), [0, 0]) == 0
+    assert acc.to_subspace() == Subspace.from_vectors(QQ, 2, [[big, 1]])
 
 
 def _assert_same_subspace(rng, got, want):
@@ -616,6 +631,10 @@ def test_matrix_entries_are_canonical():
     assert half == Matrix(QQ, [[Fraction(1, 2)]])
     assert half.rows == [[Fraction(1, 2)]] and half.rank() == 1
     assert (half @ half).rows == [[Fraction(1, 4)]]
+    # an all-zero product keeps scale 1 however large its factors' scales
+    tiny = Fraction(1, 2**40)
+    zero = Matrix(QQ, [[tiny, 0]]) @ Matrix(QQ, [[0], [tiny]])
+    assert zero == Matrix(QQ, [[0]]) and zero.tensor().scale == 1
 
 
 def _random_matrix(f, rng, nrows, ncols, top):
