@@ -50,9 +50,9 @@ from .tensorops import (
     _BLOCK_BYTES,
     _I64_LIMIT,
     ExactTensor,
+    _chain_witness,
     _maxabs,
     _scaled,
-    _witness,
     exact_tensor,
     exact_tensordot,
     nested_tensor,
@@ -731,11 +731,9 @@ class QuotientSpace:
         coordinate, kills the killed subspace; otherwise the pivot column
         of a killed basis vector that fmap does not send to zero."""
         k = self.projection
-        cols = fmap.arr[list(self.coset_coords)]
-        res = _scaled(fmap.arr, k.scale) - exact_tensordot(
-            k.arr, cols, ([1], [0]), k.p
-        )
-        w = _witness(res, k.p)
+        cols = ExactTensor(fmap.arr[list(self.coset_coords)], 1, k.p)
+        w = _chain_witness([((fmap,), [(k.scale, (0, 1))]),
+                            ((k, (1, cols, 0)), [(-1, (0, 1))])], k.p)
         return None if w is None else w[0]
 
     def section(self, x):

@@ -21,13 +21,13 @@ Contractions pick the fastest exact route available: float64 BLAS while
 k*max|A|*max|B| stays below 2**52 (integer-valued floats are exact below
 2**53), int64 below 2**62, and object-dtype python integers beyond that.
 The same routes serve the gather-sums of sparse relation generators
-against an integer matrix (escaping_generators).
-
-The LTS derivation identity is checked slab by slab, on the slabs
-T[:, a, b, :] of a greedy spanning subset picked in (a, b) order by the
-span accumulator of linalg. The defect is linear in the slab, so this is
-exact, and the witness is the one of a loop over every slab, because the
-first failing slab in (a, b) order is always one of the picked pivots.
+against an integer matrix (escaping_generators). Identity witnesses also
+have an exact sparse route for mostly-zero tensors: each product of two
+cached nonzeros (ExactTensor.sparse) that share a contracted index is
+formed once, reduced mod p over GF(p), and the signed products are summed
+by one sort of their indices. It is taken when an exact count of those
+products, times 128, plus 2**17, is below the dense multiply-adds
+(_sparse_route); both routes give the same witness tuple.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
 
 _F64_LIMIT = 2**52
 _I64_LIMIT = 2**62
+_ONE = np.ones(1, dtype=np.int64)
 
 # Every temporary of a blocked contraction or of a GF(p) block filter (the
 # residual block, each gathered slice of K) stays below this many bytes,
@@ -80,16 +81,27 @@ class ExactTensor:
     Over GF(p) the scale is always 1 and entries are residues in [0, p).
     """
 
-    __slots__ = ("arr", "scale", "p")
+    __slots__ = ("arr", "scale", "p", "_nonzeros", "_slabs")
 
     def __init__(self, arr, scale, p):
         self.arr = arr
         self.scale = scale
         self.p = p
+        self._nonzeros = None
+        self._slabs = None
 
     @property
     def shape(self):
         return self.arr.shape
+
+    def sparse(self):
+        """(np.nonzero(arr), the entries there), built once; arr turns
+        read-only, so an in-place write cannot leave the view stale."""
+        if self._nonzeros is None:
+            self.arr.flags.writeable = False
+            coords = np.nonzero(self.arr)
+            self._nonzeros = coords, self.arr[coords]
+        return self._nonzeros
 
 
 def exact_tensor(field, nested):
@@ -105,12 +117,17 @@ def exact_tensor(field, nested):
     if not isinstance(field, Rationals):
         raise TypeError(f"unsupported field {field!r}")
     a = np.array(nested, dtype=object)
-    den = lcm(1, *(x.denominator for x in a.flat if type(x) is Fraction))
+    at = np.nonzero(a)
+    vals = a[at].tolist()
+    den = lcm(1, *{x.denominator for x in vals if type(x) is Fraction})
     ints = [
         x.numerator * (den // x.denominator) if type(x) is Fraction else int(x) * den
-        for x in a.flat
+        for x in vals
     ]
-    return rescaled(field, np.array(ints, dtype=object).reshape(a.shape), den)
+    wide = max(map(abs, ints), default=0) >= _I64_LIMIT
+    raw = np.zeros(a.shape, dtype=object if wide else np.int64)
+    raw[at] = ints
+    return rescaled(field, raw, den)
 
 
 def nested_tensor(field, table, shape):
@@ -242,7 +259,7 @@ def unscale(field, raw, den=1):
 def _scaled(a, s):
     if s == 1:
         return a
-    if a.dtype != object and _maxabs(a) * s < _I64_LIMIT:
+    if a.dtype != object and _maxabs(a) * abs(s) < _I64_LIMIT:
         return a * np.int64(s)
     return a.astype(object) * int(s)
 
@@ -268,13 +285,150 @@ def _witness(res, p):
     # vanishing is the common case, and cheaper to confirm than nonzero
     if not res.any():
         return None
-    if res.dtype == object:
-        flat = res.ravel()
-        for pos, x in enumerate(flat):
-            if x:
-                return tuple(int(i) for i in np.unravel_index(pos, res.shape))
-        return None
     return tuple(int(ax[0]) for ax in np.nonzero(res))
+
+
+def _first_nonzero(shape, terms, p):
+    """_witness of the sum of the sparse terms (lin, vals), linear indices
+    into shape and values: one sort of the indices, one sum per index."""
+    lin, vals = (np.concatenate(x) for x in zip(*terms))
+    if vals.dtype != object and _maxabs(vals) * len(vals) >= _I64_LIMIT:
+        vals = vals.astype(object)
+    order = np.argsort(lin)
+    lin = lin[order]
+    heads = np.flatnonzero(np.diff(lin, prepend=-1))
+    sums = np.add.reduceat(vals[order], heads)
+    if p is not None:
+        sums %= p
+    hit = np.flatnonzero(sums)
+    return tuple(map(int, np.unravel_index(lin[heads[hit[0]]], shape))) if len(hit) else None
+
+
+def _stages(chain):
+    """Per contraction of a chain: the slot s of its first tensor, that
+    slot's axis pos so far, the next tensor t, its axis j, the new shape."""
+    shape, at = chain[0].shape, list(range(chain[0].arr.ndim))
+    for s, t, j in chain[1:]:
+        pos = at[s]
+        at = [j + a - (a > pos) for a in at]
+        shape = t.shape[:j] + shape[:pos] + shape[pos + 1:] + t.shape[j + 1:]
+        yield s, pos, t, j, shape
+
+
+def _matmul(a, pos, b, j):
+    """Axis pos of a contracted with axis j of b, in _stages' order, by one
+    np.matmul: a is copied only when pos is not its last axis, b never."""
+    n = a.shape[pos]
+    if pos != a.ndim - 1:
+        a = np.moveaxis(a, pos, -1)
+    rest = a.shape[:-1]
+    c = np.matmul(a.reshape(prod(rest), n),
+                  b.reshape(prod(b.shape[:j]), n, prod(b.shape[j + 1:])))
+    return c.reshape(b.shape[:j] + rest + b.shape[j + 1:])
+
+
+def _join(a, i, b, j, n, p):
+    """Axis i of A, as (coords, vals), contracted with axis j of B, both n
+    long: one coordinate (_stages' order) and exact product per pair of
+    entries sharing the index, unsummed, reduced mod p over GF(p)."""
+    (ca, va), (cb, vb) = a, b
+    cnt = np.bincount(cb[j], minlength=n)
+    reps = cnt[ca[i]]
+    ea = np.repeat(np.arange(len(va)), reps)
+    # entry e of A meets the run of B's entries with its index, in order
+    skip = (np.cumsum(cnt) - cnt)[ca[i]] - (np.cumsum(reps) - reps)
+    eb = np.argsort(cb[j], kind="stable")[np.arange(len(ea)) + skip[ea]]
+    dtype = object if _contraction_dtype(1, va, vb) is object else np.int64
+    prods = va[ea].astype(dtype) * vb[eb].astype(dtype)
+    if p is not None:
+        prods %= p
+    return ([c[eb] for c in cb[:j]] + [c[ea] for k, c in enumerate(ca) if k != i]
+            + [c[eb] for c in cb[j + 1:]]), prods
+
+
+def _cost(identity):
+    """(products, dense): the exact count of the products of nonzeros the
+    sparse route forms, a bincount dot over each contracted index, and the
+    multiply-adds of the dense route. products is counted only where the
+    sparse route could win with none (the rule grows with products)."""
+    dense = sum(prod(shape) * t.shape[j]
+                for chain, _ in identity for _, _, t, j, shape in _stages(chain))
+    products = 0
+    for chain, _ in identity if _sparse_route(0, dense) else ():
+        first = chain[0].sparse()[0]
+        # per nonzero of the first tensor, the products that reach it
+        weight = np.ones(len(first[0]), dtype=np.int64)
+        for s, _, t, j, _ in _stages(chain):
+            weight *= np.bincount(t.sparse()[0][j], minlength=t.shape[j])[first[s]]
+            products += int(weight.sum())
+    return products, dense
+
+
+def _sparse_route(products, dense):
+    """Sparse when 128 * products + 2**17 < dense. On a 2-core Xeon a sparse
+    product costs 100-200 ns, a dense float64 multiply-add 0.5-1 ns, the
+    sparse route's own numpy calls about 0.1 ms; on the witnesses of theorem
+    runs and a re-based sl3's LTS cube this is within 1% of the faster
+    route's total, and random tensors 10% nonzero (routes cross) stay dense."""
+    return 128 * products + 2**17 < dense
+
+
+def _chain_witness(identity, p, keep=None):
+    """The first nonzero (mod p), cut to keep indices, of an identity: a
+    list of (chain, uses). A chain (t0, (s, t, j), ...) of ExactTensors
+    contracts slot s of t0 with axis j of each next t in np.matmul's axis
+    order; (t0,) is t0. Its value sums coef * chain.transpose(perm)."""
+    if _sparse_route(*_cost(identity)):
+        w = _sparse_witness(identity, p)
+    else:
+        w = _dense_witness(identity, p)
+    return None if w is None else w[:keep]
+
+
+def _sparse_witness(identity, p):
+    terms = []
+    for chain, uses in identity:
+        shape = chain[0].shape
+        coords, vals = chain[0].sparse()
+        for _, pos, t, j, shape in _stages(chain):
+            coords, vals = _join((coords, vals), pos, t.sparse(), j, t.shape[j], p)
+        for coef, perm in uses:
+            out = tuple(shape[k] for k in perm)
+            lin = np.ravel_multi_index(tuple(coords[k] for k in perm), out)
+            terms.append((lin, _scaled(vals, coef)))
+    return _first_nonzero(out, terms, p)
+
+
+def _dense_witness(identity, p, dtype=None, out=None):
+    """_witness of the identity's sum, into out if given, on one exact
+    route: dtype, else the widest _contraction_dtype picks for any chain,
+    bounded for weight = sum of |coef| times each chain's products."""
+    weight = sum(abs(c) for _, uses in identity for c, _ in uses)
+    chains, routes = [(chain, uses, list(_stages(chain))) for chain, uses in identity], []
+    for chain, _, stages in chains if dtype is None else ():
+        # a plain tensor is a product with 1, summed in integers
+        vals = [chain[0].arr, *(t.arr for _, _, t, _, _ in stages), _ONE]
+        k = prod(t.shape[j] for _, _, t, j, _ in stages) * prod(map(_maxabs, vals[2:-1]))
+        routes += [_contraction_dtype(weight * k, vals[0], vals[1])] + [np.int64] * (not stages)
+    dtype = dtype or max(routes, key=(np.float64, np.int64, object).index)
+    res = None
+    for chain, uses, stages in chains:
+        arr = chain[0].arr.astype(dtype, copy=False)
+        for _, pos, t, j, _ in stages:
+            arr = _matmul(arr, pos, t.arr.astype(dtype, copy=False), j)
+        for coef, perm in uses:
+            x = arr.transpose(perm).astype(dtype, copy=False)
+            if abs(coef) != 1:
+                x = x * np.array(abs(coef), dtype=dtype)[()]
+            if res is None:
+                res = np.empty(x.shape, dtype) if out is None else out
+                np.negative(x, out=res) if coef < 0 else np.copyto(res, x)
+            elif coef < 0:
+                res -= x
+            else:
+                res += x
+        arr = x = None  # a third live array refaults its pages every call
+    return _witness(res, p)
 
 
 def _polarized_witness(t, s):
@@ -299,33 +453,34 @@ def alternating_witness(t):
     return _polarized_witness(t, 0)
 
 
+_ID4 = (0, 1, 2, 3)
+# the uses that sum a three-slot chain over the rotations of its slots
+_CYCLIC = [(1, _ID4), (1, (1, 2, 0, 3)), (1, (2, 0, 1, 3))]
+
+
+def _nested(t):
+    """The chain L[x, y, z, w] = coefficient of e_w in [e_x, [e_y, e_z]]."""
+    return (t, (2, t, 1))
+
+
 def left_nested(t):
     """L[x, y, z, w] = coefficient of e_w in [e_x, [e_y, e_z]], as raw
     integers carrying scale t.scale**2."""
-    c = t.arr
-    m = exact_tensordot(c, c, ([2], [1]), t.p)  # m[y, z, x, w]
-    return m.transpose(2, 0, 1, 3)
+    return exact_tensordot(t.arr, t.arr, ([2], [1]), t.p).transpose(2, 0, 1, 3)
 
 
 def leibniz_witness(t):
     """Defect of [x,[y,z]] = [[x,y],z] - [[x,z],y]; None when it holds."""
-    c = t.arr
-    u = exact_tensordot(c, c, ([2], [0]), t.p)  # u[x, y, z, w] = [[x,y],z]
-    res = left_nested(t) - u + u.transpose(0, 2, 1, 3)
-    w = _witness(res, t.p)
-    return None if w is None else w[:3]
-
-
-def _cyclic_witness(a, p):
-    """First (x, y, z) where a[x, y, z] + a[y, z, x] + a[z, x, y] != 0 for
-    a raw tensor a with three input slots; None when the sum vanishes."""
-    w = _witness(a + a.transpose(1, 2, 0, 3) + a.transpose(2, 0, 1, 3), p)
-    return None if w is None else w[:3]
+    # (t, (2, t, 0)) is u[x, y, z, w] = [[x,y],z]
+    return _chain_witness([
+        (_nested(t), [(1, _ID4)]),
+        ((t, (2, t, 0)), [(-1, _ID4), (1, (0, 2, 1, 3))]),
+    ], t.p, 3)
 
 
 def jacobi_witness(t):
     """Defect of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0; None when it holds."""
-    return _cyclic_witness(left_nested(t), t.p)
+    return _chain_witness([(_nested(t), _CYCLIC)], t.p, 3)
 
 
 def lts_pair_witness(t):
@@ -336,17 +491,20 @@ def lts_pair_witness(t):
 
 def lts_cyclic_witness(t):
     """Defect of {x,y,z} + {y,z,x} + {z,x,y} = 0; None when it holds."""
-    return _cyclic_witness(t.arr, t.p)
+    return _chain_witness([((t,), _CYCLIC)], t.p, 3)
 
 
 def _spanning_slabs(t):
     """The (a, b), in row-major order, of the slabs T[:, a, b, :] not in
     the span of the slabs before them: a greedy basis of the span of all
     slabs over the tensor's field. Each nonzero slab is one sparse row of
-    length d*d, read off np.nonzero of a transposed view of T (no copy)."""
+    length d*d, read off np.nonzero of a transposed view of T (no copy).
+    Picked once per tensor, and kept with it."""
     # linalg builds on this module, so it is imported at the call
     from .linalg import SpanAccumulator
 
+    if t._slabs is not None:
+        return t._slabs
     d = t.arr.shape[0]
     by_slab = t.arr.transpose(1, 2, 0, 3)
     a, b, x, y = nz = np.nonzero(by_slab)
@@ -356,7 +514,8 @@ def _spanning_slabs(t):
     SpanAccumulator(field, d * d).add_pairs(
         x * d + y, by_slab[nz], lens, picked=picked
     )
-    return [divmod(int(s), d) for s in slabs[picked]]
+    t._slabs = [divmod(int(s), d) for s in slabs[picked]]
+    return t._slabs
 
 
 def lts_derivation_witness(t):
@@ -369,41 +528,50 @@ def lts_derivation_witness(t):
     The defect is linear in the slab m = T[:, a, b, :], so the identity
     holds on every slab once it holds on a basis of their span: only the
     greedy spanning subset of _spanning_slabs is checked, which is exact.
-    The witness is the one a loop over every (a, b) would return, since
-    the first failing slab in (a, b) order is always a greedy pivot: a
-    slab in the span of earlier slabs that all pass passes too.
+    The witness is the one a loop over every (a, b) would return, since the
+    first failing slab in (a, b) order is always a greedy pivot: a slab in
+    the span of earlier slabs that all pass passes too.
 
-    Runs blocked over (a, b) so memory stays at d^4 instead of d^6. Each
-    defect entry is a sum of 4d products of two tensor entries, so the
-    exact route is chosen, and the tensor converted to it, once per call;
-    the four contractions are matmuls on reshaped views and accumulate
-    into one array."""
-    a4 = t.arr
-    d = a4.shape[0]
-    av = a4.astype(_contraction_dtype(4 * d, a4, a4), copy=False)
-    shape = (d, d, d, d)
-    by_first = av.reshape(d, d**3)
-    by_second = av.reshape(d, d, d * d)
-    by_third = av.reshape(d * d, d, d)
-    by_last = av.reshape(d**3, d)
-    for a, b in _spanning_slabs(t):
-        m = av[:, a, b, :]
-        res = (by_last @ m).reshape(shape)
-        res -= (m @ by_first).reshape(shape)
-        res -= (m @ by_second).reshape(shape)
-        res -= (m @ by_third).reshape(shape)
-        w = _witness(res, t.p)
+    The picked slabs are stacked as M[s, :, :] and the defect is indexed
+    (s, x, y, z, w), the slab first. The sparse route joins all of M at
+    once; the dense one runs a few slabs at a time, so memory stays at d^4."""
+    slabs = _spanning_slabs(t)
+    pa, pb = np.array(slabs, dtype=np.int64).reshape(-1, 2).T
+    m = np.ascontiguousarray(t.arr[:, pa, pb, :].transpose(1, 0, 2))
+
+    def defect(m, tt):  # tt: T, or T on the dense sum's route
+        m = ExactTensor(m, t.scale, t.p)
+        return [
+            ((tt, (3, m, 1)), [(1, (0, 1, 2, 3, 4))]),
+            ((m, (2, tt, 0)), [(-1, (0, 1, 2, 3, 4))]),
+            ((m, (2, tt, 1)), [(-1, (1, 0, 2, 3, 4))]),
+            ((m, (2, tt, 2)), [(-1, (2, 0, 1, 3, 4))]),
+        ]
+
+    whole = defect(m, t)
+    if _sparse_route(*_cost(whole)):
+        w = _sparse_witness(whole, t.p)
+        return None if w is None else (*w[1:4], *slabs[w[0]])
+    # the sum is exact on the route of 4d products of entries of T, which
+    # is converted once: each slab is then four matmuls into one array
+    dtype = _contraction_dtype(4 * len(t.arr), t.arr, t.arr)
+    tt = ExactTensor(t.arr.astype(dtype, copy=False), t.scale, t.p)
+    step = max(1, 2**15 // max(t.arr.size, 1))  # slabs a block: 2**15 entries, or one
+    out = np.empty((min(step, len(m)),) + t.shape, dtype)
+    for s in range(0, len(m), step):
+        block = m[s : s + step]
+        w = _dense_witness(defect(block, tt), t.p, dtype, out[: len(block)])
         if w is not None:
-            return (w[0], w[1], w[2], a, b)
+            return (*w[1:4], *slabs[s + w[0]])
     return None
 
 
 def derived_mismatch_witness(tern, bina):
     """First (x, y, z) where {x,y,z} != [x,[y,z]]; None when they agree."""
-    lhs = left_nested(bina)  # scale bina.scale**2
-    res = _scaled(lhs, tern.scale) - _scaled(tern.arr, bina.scale**2)
-    w = _witness(res, tern.p)
-    return None if w is None else w[:3]
+    return _chain_witness([
+        (_nested(bina), [(tern.scale, _ID4)]),
+        ((tern,), [(-bina.scale**2, _ID4)]),
+    ], tern.p, 3)
 
 
 def morphism_witness(ext, base, proj):
@@ -412,70 +580,54 @@ def morphism_witness(ext, base, proj):
     P[a, r] (coordinates of the image of the r-th basis vector); None when
     proj is a bracket morphism.
 
-    The right side contracts P into each slot of the base tensor in turn;
-    each contraction puts its new axis first, so the slot axes come out
-    reversed. The left side carries ext.scale * proj.scale, the right side
+    Both sides come out indexed (a, x, y, ...): the left side contracts P
+    into the output slot of ext, the right side into each slot of base in
+    turn. The left side carries ext.scale * proj.scale, the right side
     proj.scale**arity * base.scale: they are cross-multiplied."""
-    m = proj.arr
-    p = ext.p
     arity = base.arr.ndim - 1
-    lhs = exact_tensordot(ext.arr, m, ([arity], [1]), p)
-    rhs = base.arr
-    for slot in range(arity):
-        rhs = exact_tensordot(m, rhs, ([0], [slot]), p)
-    rhs = rhs.transpose(tuple(range(arity))[::-1] + (arity,))
-    res = (_scaled(lhs, proj.scale ** (arity - 1) * base.scale)
-           - _scaled(rhs, ext.scale))
-    w = _witness(res, p)
-    return None if w is None else w[:arity]
+    out = (*range(1, arity + 1), 0)
+    return _chain_witness([
+        ((ext, (arity, proj, 1)), [(proj.scale ** (arity - 1) * base.scale, out)]),
+        ((base, *((s, proj, 0) for s in range(arity))), [(-ext.scale, out)]),
+    ], ext.p, arity)
 
 
 def central_slot_witness(ext, zmat, slot):
     """First nonzero of the ext bracket with the rows of zmat substituted
     into the given slot; None when every such bracket vanishes."""
-    res = exact_tensordot(zmat.arr, ext.arr, ([1], [slot]), ext.p)
-    w = _witness(res, ext.p)
-    return None if w is None else w
+    # the contraction puts the slots of ext before this one first
+    perm = (slot, *range(slot), *range(slot + 1, ext.arr.ndim))
+    return _chain_witness([((zmat, (1, ext, slot)), [(1, perm)])], ext.p)
 
 
 def action_law_witness(act, bina):
     """Defect of (m*x)*y - (m*y)*x = m*[x,y] for an action tensor
     act[u, x, v] (coefficient of e_v in e_u * e_x); None when it holds."""
-    a = act.arr
-    c = bina.arr
-    p = act.p
-    lhs = exact_tensordot(a, a, ([2], [0]), p)  # (u, x, y, v)
-    rhs = exact_tensordot(c, a, ([2], [1]), p).transpose(2, 0, 1, 3)
-    left = lhs - lhs.transpose(0, 2, 1, 3)
-    res = _scaled(left, bina.scale) - _scaled(rhs, act.scale)
-    w = _witness(res, p)
-    return None if w is None else w[:3]
+    # (m*x)*y and m*[x,y], both indexed (u, x, y, v)
+    return _chain_witness([
+        ((act, (2, act, 0)), [(bina.scale, _ID4), (-bina.scale, (0, 2, 1, 3))]),
+        ((bina, (2, act, 1)), [(-act.scale, _ID4)]),
+    ], act.p, 3)
 
 
 def action_derivation_witness(act, tern):
     """Defect of {x,y,z}*g = {x*g,y,z} + {x,y*g,z} + {x,y,z*g} for an action
     on the carrier of the ternary algebra tern; None when it holds."""
-    a = act.arr
-    t = tern.arr
-    p = act.p
-    lhs = exact_tensordot(t, a, ([3], [0]), p)  # (x, y, z, g, v)
-    r1 = exact_tensordot(a, t, ([2], [0]), p).transpose(0, 2, 3, 1, 4)
-    r2 = exact_tensordot(a, t, ([2], [1]), p).transpose(2, 0, 3, 1, 4)
-    r3 = exact_tensordot(a, t, ([2], [2]), p).transpose(2, 3, 0, 1, 4)
-    # both sides carry the same scale factor, so no cross-multiplication
-    w = _witness(lhs - r1 - r2 - r3, p)
-    return None if w is None else w[:4]
+    # both sides carry the same scale factor, so no cross-multiplication;
+    # the left side is indexed (x, y, z, g, v)
+    return _chain_witness([
+        ((tern, (3, act, 0)), [(1, (0, 1, 2, 3, 4))]),
+        ((act, (2, tern, 0)), [(-1, (0, 2, 3, 1, 4))]),
+        ((act, (2, tern, 1)), [(-1, (0, 1, 3, 2, 4))]),
+        ((act, (2, tern, 2)), [(-1, (0, 1, 2, 3, 4))]),
+    ], act.p, 4)
 
 
 def equivariance_witness(act, fmat, bina):
     """Defect of f(m*x) = [f(m), x] for f given as a 2d tensor
     fmat[k, u] (coefficient of e_k in f(e_u)); None when it holds."""
-    a = act.arr
-    f = fmat.arr
-    c = bina.arr
-    p = act.p
-    e1 = exact_tensordot(a, f, ([2], [1]), p)  # (u, x, k)
-    e2 = exact_tensordot(f, c, ([0], [0]), p)  # (u, x, w)
-    res = _scaled(e1, bina.scale) - _scaled(e2, act.scale)
-    w = _witness(res, p)
-    return None if w is None else w[:2]
+    # f(m*x) is indexed (k, u, x), [f(m), x] (u, x, w)
+    return _chain_witness([
+        ((act, (2, fmat, 1)), [(bina.scale, (1, 2, 0))]),
+        ((fmat, (0, bina, 0)), [(-act.scale, (0, 1, 2))]),
+    ], act.p, 2)

@@ -170,10 +170,8 @@ def induced_leibniz_structure(ext, g):
 
     t = ext.algebra.tensor()
     if z.dim:
-        zt = z.basis()
-        sliced = t.arr[:, rows_i, rows_j, :]
-        hit = tops.exact_tensordot(zt.arr, sliced, ([1], [1]), t.p)
-        w = tops._witness(hit, t.p)
+        sliced = tops.ExactTensor(t.arr[:, rows_i, rows_j, :], t.scale, t.p)
+        w = tops.central_slot_witness(sliced, z.basis(), 1)
         if w is not None:
             raise ZActionNontrivial(
                 f"kernel vector {w[0]} moves carrier basis vector {w[1]}"

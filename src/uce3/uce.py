@@ -57,6 +57,7 @@ import numpy as np
 from .algebra import (
     CATEGORIES,
     bracket_span_dim,
+    check_ternary,
     require_category,
     wedge_index_pairs,
     wedge_map,
@@ -82,7 +83,6 @@ from .linalg import (
     left_kernel,
     quotient,
     right_inverse,
-    rref,
     take_generators,
 )
 from . import tensorops as tops
@@ -567,20 +567,19 @@ def _cube_cycles(n):
     return rot.ravel(), np.ones(rot.size, dtype=np.int64), np.full(len(rot), 3)
 
 
-def _slab_split(t, field):
+def _slab_split(t, field, slabs):
     """The split of the pairs a < b that _cube_fundamentals streams over:
     B, the (a, b) of the greedy basis, in row-major order, of the slabs
     T[:, a, b, :] of the raw n^4 tensor t, as two index arrays, and a basis
     of W = {u in F^C(n,2) : sum of u_ab T[:, a, b, :] = 0}, the rows of an
     integer array (over Q up to one positive scale, which leaves a span
-    unchanged). Both are read off the exact n^2 x C(n,2) matrix whose
-    column ab is the slab: B is its pivot columns, W its kernel."""
+    unchanged). B is check_ternary's pick (all a < b: T[:, b, a, :] =
+    -T[:, a, b, :]); W is the kernel of the n^2 x C(n,2) slab matrix."""
     n = t.arr.shape[0]
     a, b = np.triu_indices(n, 1)
-    slabs = t.arr[:, a, b, :].transpose(0, 2, 1).reshape(n * n, len(a))
-    m = Matrix.from_raw(field, slabs, t.scale)
-    piv = list(rref(m)[1])
-    return a[piv], b[piv], kernel(m).basis().arr
+    m = t.arr[:, a, b, :].transpose(0, 2, 1).reshape(n * n, len(a))
+    pa, pb = np.array(slabs, dtype=np.int64).reshape(-1, 2).T
+    return pa, pb, kernel(Matrix.from_raw(field, m, t.scale)).basis().arr
 
 
 def _cube_fundamentals(t, split):
@@ -672,7 +671,7 @@ def lts_tensor_cube(lts, force=False, rng=None):
     sign, hi, lo = np.sign(y - z), np.maximum(y, z), np.minimum(y, z)
     col = np.where(sign, x * (n * (n - 1) // 2) + hi * (hi - 1) // 2 + lo, 0)
     kept = (sign > 0).nonzero()[0]
-    split = _slab_split(t, lts.field)
+    split = _slab_split(t, lts.field, check_ternary(lts).slabs)
     red = _fold_relations(
         lts.field, len(kept),
         lambda: _signed(chain([_cube_cycles(n)], _cube_fundamentals(t.arr, split)),

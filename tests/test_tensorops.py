@@ -3,7 +3,9 @@
 tensorops picks float64 BLAS while a contraction's bound stays below 2**52,
 int64 below 2**62 and python ints beyond. Here each route that its bound
 allows is forced in turn and compared entry by entry with the python-int
-route, which is exact by construction.
+route, which is exact by construction. The identity witnesses also have a
+sparse route, from the nonzeros of their tensors: it is forced in turn
+against the dense one, and both against the naive checks.
 """
 
 import random
@@ -13,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import rebased_ternary
+from conftest import rebased_sl3, rebased_ternary
 from naive_checks import naive_derivation_witness
 
-from uce3 import QQ, PrimeField, catalog, derived_lts, field_of
+from uce3 import QQ, PrimeField, catalog, derived_lts, field_of, lts_tensor_cube
 from uce3 import tensorops
 from uce3.tensorops import (
     _F64_LIMIT,
@@ -64,6 +66,11 @@ def _allowed(k, a, b):
 def _forced(dtype):
     return mock.patch.object(tensorops, "_contraction_dtype",
                              lambda k, a, b: dtype)
+
+
+def _routed(sparse):
+    return mock.patch.object(tensorops, "_sparse_route",
+                             lambda products, dense: sparse)
 
 
 def _same(x, y):
@@ -150,11 +157,13 @@ def test_the_bound_reaches_every_route():
 
 def _witness_on_every_route(t):
     d = t.arr.shape[0]
-    with _forced(object):
+    with _forced(object), _routed(False):
         want = lts_derivation_witness(t)
     for dtype in _allowed(4 * d, t.arr, t.arr):
-        with _forced(dtype):
+        with _forced(dtype), _routed(False):
             assert lts_derivation_witness(t) == want, dtype
+    with _routed(True):
+        assert lts_derivation_witness(t) == want, "sparse"
     assert lts_derivation_witness(t) == want
     return want
 
@@ -277,3 +286,115 @@ def test_rescaled_is_the_exact_tensor_of_the_field_scalars(p, bits, seed, den,
     got = rescaled(f, raw.copy(), den)
     assert (got.scale, got.p, got.arr.dtype) == (want.scale, want.p, want.arr.dtype)
     assert _same(got.arr, want.arr)
+
+
+def _tensor(rng, shape, p, bits, density):
+    """A random ExactTensor of the given shape and density; over Q with a
+    random scale, which the witnesses cross-multiply."""
+    arr = _entries(rng, shape, p, bits)
+    arr[np.array([rng.random() > density for _ in range(arr.size)],
+                 dtype=bool).reshape(shape)] = 0
+    return ExactTensor(arr, 1 if p else rng.randint(1, 6), p)
+
+
+def _witness_calls(rng, p, bits, n, density):
+    """(name, call) for every witness with a sparse route, on random
+    tensors of dimension n (the carrier m of an extension one more)."""
+    def t(*shape):
+        return _tensor(rng, shape, p, bits, density)
+
+    m = n + 1
+    c, tern, act, small = t(n, n, n), t(n, n, n, n), t(m, n, m), t(n, n, n)
+    arity = rng.choice((2, 3))
+    ext, base, proj = t(*(m,) * (arity + 1)), t(*(n,) * (arity + 1)), t(n, m)
+    slot, cube, zmat, fmat = rng.randrange(3), t(m, m, m, m), t(2, m), t(n, m)
+    return [
+        ("leibniz", lambda: tensorops.leibniz_witness(c)),
+        ("jacobi", lambda: tensorops.jacobi_witness(c)),
+        ("lts_cyclic", lambda: tensorops.lts_cyclic_witness(tern)),
+        ("lts_derivation", lambda: lts_derivation_witness(tern)),
+        ("derived_mismatch", lambda: tensorops.derived_mismatch_witness(tern, c)),
+        ("morphism", lambda: tensorops.morphism_witness(ext, base, proj)),
+        ("central_slot", lambda: tensorops.central_slot_witness(cube, zmat, slot)),
+        ("action_law", lambda: tensorops.action_law_witness(act, c)),
+        ("action_derivation",
+         lambda: tensorops.action_derivation_witness(small, tern)),
+        ("equivariance", lambda: tensorops.equivariance_witness(act, fmat, c)),
+    ]
+
+
+@pytest.mark.parametrize("p,bits", CASES)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 4),
+       density=st.sampled_from([0.05, 0.2, 0.6, 1.0]))
+def test_sparse_and_dense_routes_give_one_witness(p, bits, seed, n, density):
+    # each witness of the same tensors, forced onto each route in turn
+    for name, call in _witness_calls(random.Random(seed), p, bits, n, density):
+        with _routed(False):
+            want = call()
+        with _routed(True):
+            assert call() == want, name
+
+
+def _corrupted(rng, arr, p):
+    """arr with one seeded entry moved by one (mod p)."""
+    bad = arr.copy()
+    ix = tuple(rng.randrange(len(arr)) for _ in range(4))
+    bad[ix] = (bad[ix] + 1) % p
+    return bad
+
+
+@pytest.mark.parametrize("name,spec,seed", [
+    ("sl3", "GF(3)", 0), ("sl3", "GF(3)", 1), ("sl4", "GF(2)", 2),
+])
+def test_both_routes_find_the_naive_witness_of_a_corrupted_lts(name, spec, seed):
+    # a derived LTS and its LTS cube, each with one entry moved
+    p = field_of(spec).characteristic
+    d = derived_lts(catalog(name, field_of(spec)))
+    cube = lts_tensor_cube(d, force=True).extension_algebra
+    rng = random.Random(seed)
+    for arr in (d.tensor().arr, cube.tensor().arr):
+        bad = _corrupted(rng, arr, p)
+        want = naive_derivation_witness(p, bad.tolist())
+        assert want is not None
+        for sparse in (False, True):
+            with _routed(sparse):
+                assert lts_derivation_witness(ExactTensor(bad, 1, p)) == want
+
+
+def _route_of_the_derivation_check(t):
+    routes = []
+    rule = tensorops._sparse_route
+
+    def spy(products, dense):
+        routes.append(rule(products, dense))
+        return routes[-1]
+
+    with mock.patch.object(tensorops, "_sparse_route", spy):
+        lts_derivation_witness(ExactTensor(t.arr.copy(), t.scale, t.p))
+    # the last call decides; _cost asks first whether counting can matter
+    return routes[-1:]
+
+
+def test_the_rule_takes_each_route_on_a_real_cube():
+    # the LTS cube of forced sl4 over GF(2) is 0.5% nonzero: sparse; the
+    # cube of the re-based sl3 over GF(3) is 2.5% nonzero, but its 7 slabs
+    # meet 828,188 pairs of nonzeros, against 15,059,072 multiply-adds
+    # dense: dense
+    sl4 = lts_tensor_cube(derived_lts(catalog("sl4", field_of("GF(2)"))), force=True)
+    assert _route_of_the_derivation_check(sl4.extension_algebra.tensor()) == [True]
+    cube = lts_tensor_cube(derived_lts(rebased_sl3(0))).extension_algebra
+    assert _route_of_the_derivation_check(cube.tensor()) == [False]
+
+
+def test_an_array_with_a_sparse_view_is_read_only():
+    arr = np.arange(8, dtype=np.int64).reshape(2, 2, 2) % 3
+    t = ExactTensor(arr, 1, 3)
+    arr[0, 0, 0] = 2
+    coords, vals = t.sparse()
+    assert vals.tolist() == [2, 1, 2, 1, 2, 1]
+    with pytest.raises(ValueError):
+        arr[0, 0, 1] = 0
+    with pytest.raises(ValueError):
+        t.arr += 1
+    assert t.sparse() is t.sparse()

@@ -283,7 +283,7 @@ def test_cube_slab_basis_is_the_witness_pick(make):
 
     d = make()
     t = d.tensor()
-    a, b, w = uce_mod._slab_split(t, d.field)
+    a, b, w = uce_mod._slab_split(t, d.field, check_ternary(d).slabs)
     assert list(zip(a.tolist(), b.tolist())) == tops._spanning_slabs(t)
     assert w.shape == (comb(d.dim, 2) - len(a), comb(d.dim, 2))
     ta, tb = np.triu_indices(d.dim, 1)
