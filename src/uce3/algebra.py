@@ -179,7 +179,6 @@ class TernaryFlags:
     is_lts: bool
     is_perfect: bool
     witnesses: dict = dc_field(default_factory=dict, compare=False)
-    slabs: list = dc_field(default_factory=list, compare=False)  # _spanning_slabs
 
 
 def bracket_span_dim(a):
@@ -244,7 +243,6 @@ def check_ternary(a):
         is_lts=pair is None and cyc is None and der is None,
         is_perfect=bracket_span_dim(a) == a.dim,
         witnesses=w,
-        slabs=tops._spanning_slabs(t),
     )
     return a._flags
 

@@ -25,9 +25,9 @@ arithmetics share it:
 Relation streams over Q are instead folded mod a prime by the GF(p)
 arithmetic, which picks generators that are independent over Q (see
 uce._fold_relations). When they span the kernel of the evaluation map ev,
-its K-form is read straight off ev and the free columns
-(``left_kernel``); otherwise the picked generators are folded exactly and
-certified block by block against K.
+its K-form is read off ev and the free columns by ``left_kernel``, as the
+cube's is off its quotient map (``quotient_kernel``); otherwise the picked
+generators are folded exactly and certified block by block against K.
 
 Dense vectors enter through one door, SpanAccumulator.add_vectors: an
 integer array goes straight in, anything else is read by exact_tensor
@@ -52,6 +52,7 @@ from .tensorops import (
     ExactTensor,
     _chain_witness,
     _maxabs,
+    _runs,
     _scaled,
     exact_tensor,
     exact_tensordot,
@@ -66,6 +67,7 @@ __all__ = [
     "QuotientSpace",
     "SpanAccumulator",
     "left_kernel",
+    "quotient_kernel",
     "take_generators",
     "span_incremental",
     "rref",
@@ -80,12 +82,8 @@ def take_generators(cols, vals, lens, idx):
     """The generators idx of a (cols, vals, lens) block, in that order, as
     a block of their own."""
     idx = np.asarray(idx, dtype=np.int64)
-    starts = np.cumsum(lens) - lens
-    out_lens = lens[idx]
-    out_starts = np.cumsum(out_lens) - out_lens
-    take = np.repeat(starts[idx] - out_starts, out_lens)
-    take += np.arange(len(take))
-    return cols[take], vals[take], out_lens
+    _, take = _runs((np.cumsum(lens) - lens)[idx], lens[idx])
+    return cols[take], vals[take], lens[idx]
 
 
 # the word of a packed GF(2) row
@@ -897,33 +895,42 @@ def kernel(m):
     return sub
 
 
-def left_kernel(arr, free):
-    """The subspace {x : x arr = 0} of Q^ambient for an integer matrix arr
-    (ambient x r) in canonical form, read off arr, when free (r ascending
-    columns) is its set of non-pivot columns; None when it is not.
-
-    With M = arr[free] invertible and D the lcm of the denominators of
-    M^-1, the row of pivot q is D e_q - Y[q] on the free columns, where
-    Y = arr[pivots] D M^-1: the rows lie in the kernel, which then has
-    dimension ambient - r, and are independent. They are its RREF, up to
-    the factor D, exactly when no row has a nonzero in a free column left
-    of its pivot; since the RREF is unique, these two exact checks are the
-    whole proof that free is the right set. The K-form is then Y over D."""
+def left_kernel(arr, free, field=QQ):
+    """{x : x arr = 0} in F^ambient, arr an integer matrix (ambient x r) over
+    field, as a canonical Subspace read off arr when free (r ascending rows)
+    is the RREF's free set; None when it is not. With M = arr[free]
+    invertible, M^-1 = N / D (D = 1 over GF(p)) and Y = arr[piv] N, the rows
+    D e_q - Y[q] lie in the kernel, of dimension ambient - r, and are its
+    RREF up to D exactly when no row has a nonzero in a free column left of
+    its pivot: as the RREF is unique, these two exact checks prove free."""
     n, r = arr.shape
     free = np.asarray(free, dtype=np.int64)
     if len(free) != r:
         return None
     try:
-        inv = right_inverse(Matrix.from_raw(QQ, arr[free])).tensor()
+        inv = right_inverse(Matrix.from_raw(field, arr[free])).tensor()
     except DimensionMismatch:
         return None
     piv = np.ones(n, dtype=bool)
     piv[free] = False
     piv = piv.nonzero()[0]
-    y = exact_tensordot(arr[piv], inv.arr, ([1], [0]))
+    y = exact_tensordot(arr[piv], inv.arr, ([1], [0]), inv.p)
     if (y[free[None, :] < piv[:, None]] != 0).any():
         return None
-    return Subspace(QQ, n, piv.tolist(), y, inv.scale)
+    return Subspace(field, n, piv.tolist(), y, inv.scale)
+
+
+def quotient_kernel(field, phi):
+    """{x : x phi = 0} for phi (ambient x r) of rank r, by left_kernel, which
+    must accept: column q of the kernel's RREF is a pivot exactly when row q
+    of phi is in the span of the later rows, so the free set is the greedy
+    pick of phi's rows from the last."""
+    n = phi.shape[0]
+    back = Subspace.from_vectors(field, n, phi[::-1].T)
+    out = left_kernel(phi, sorted(n - 1 - q for q in back.pivots), field)
+    if out is None:
+        raise InternalAssertionFailed("quotient-kernel-not-canonical", f"rank {back.dim}")
+    return out
 
 
 def _solve(m, b):

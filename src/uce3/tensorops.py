@@ -304,19 +304,23 @@ def _first_nonzero(shape, terms, p):
     return tuple(map(int, np.unravel_index(lin[heads[hit[0]]], shape))) if len(hit) else None
 
 
-def _stages(chain):
-    """Per contraction of a chain: the slot s of its first tensor, that
-    slot's axis pos so far, the next tensor t, its axis j, the new shape."""
-    shape, at = chain[0].shape, list(range(chain[0].arr.ndim))
-    for s, t, j in chain[1:]:
-        pos = at[s]
-        at = [j + a - (a > pos) for a in at]
-        shape = t.shape[:j] + shape[:pos] + shape[pos + 1:] + t.shape[j + 1:]
-        yield s, pos, t, j, shape
+def _staged(identity):
+    """(chain, uses, stages) per chain of an identity, stages per contraction:
+    the slot s of t0, its axis pos so far, the next t, its axis j, the shape."""
+    out = []
+    for chain, uses in identity:
+        shape, at, stages = chain[0].shape, list(range(chain[0].arr.ndim)), []
+        for s, t, j in chain[1:]:
+            pos = at[s]
+            at = [j + a - (a > pos) for a in at]
+            shape = t.shape[:j] + shape[:pos] + shape[pos + 1:] + t.shape[j + 1:]
+            stages.append((s, pos, t, j, shape))
+        out.append((chain, uses, stages))
+    return out
 
 
 def _matmul(a, pos, b, j):
-    """Axis pos of a contracted with axis j of b, in _stages' order, by one
+    """Axis pos of a contracted with axis j of b, in _staged's order, by one
     np.matmul: a is copied only when pos is not its last axis, b never."""
     n = a.shape[pos]
     if pos != a.ndim - 1:
@@ -327,17 +331,22 @@ def _matmul(a, pos, b, j):
     return c.reshape(b.shape[:j] + rest + b.shape[j + 1:])
 
 
+def _runs(start, count):
+    """The runs start[i], ..., start[i] + count[i] - 1, concatenated: the i
+    of each position, and the positions."""
+    e = np.repeat(np.arange(len(count)), count)
+    return e, start[e] + np.arange(len(e)) - (np.cumsum(count) - count)[e]
+
+
 def _join(a, i, b, j, n, p):
     """Axis i of A, as (coords, vals), contracted with axis j of B, both n
-    long: one coordinate (_stages' order) and exact product per pair of
+    long: one coordinate (_staged's order) and exact product per pair of
     entries sharing the index, unsummed, reduced mod p over GF(p)."""
     (ca, va), (cb, vb) = a, b
     cnt = np.bincount(cb[j], minlength=n)
-    reps = cnt[ca[i]]
-    ea = np.repeat(np.arange(len(va)), reps)
     # entry e of A meets the run of B's entries with its index, in order
-    skip = (np.cumsum(cnt) - cnt)[ca[i]] - (np.cumsum(reps) - reps)
-    eb = np.argsort(cb[j], kind="stable")[np.arange(len(ea)) + skip[ea]]
+    ea, at = _runs((np.cumsum(cnt) - cnt)[ca[i]], cnt[ca[i]])
+    eb = np.argsort(cb[j], kind="stable")[at]
     dtype = object if _contraction_dtype(1, va, vb) is object else np.int64
     prods = va[ea].astype(dtype) * vb[eb].astype(dtype)
     if p is not None:
@@ -346,19 +355,19 @@ def _join(a, i, b, j, n, p):
             + [c[eb] for c in cb[j + 1:]]), prods
 
 
-def _cost(identity):
+def _cost(staged):
     """(products, dense): the exact count of the products of nonzeros the
     sparse route forms, a bincount dot over each contracted index, and the
     multiply-adds of the dense route. products is counted only where the
     sparse route could win with none (the rule grows with products)."""
     dense = sum(prod(shape) * t.shape[j]
-                for chain, _ in identity for _, _, t, j, shape in _stages(chain))
+                for _, _, stages in staged for _, _, t, j, shape in stages)
     products = 0
-    for chain, _ in identity if _sparse_route(0, dense) else ():
+    for chain, _, stages in staged if _sparse_route(0, dense) else ():
         first = chain[0].sparse()[0]
         # per nonzero of the first tensor, the products that reach it
         weight = np.ones(len(first[0]), dtype=np.int64)
-        for s, _, t, j, _ in _stages(chain):
+        for s, _, t, j, _ in stages:
             weight *= np.bincount(t.sparse()[0][j], minlength=t.shape[j])[first[s]]
             products += int(weight.sum())
     return products, dense
@@ -378,19 +387,20 @@ def _chain_witness(identity, p, keep=None):
     list of (chain, uses). A chain (t0, (s, t, j), ...) of ExactTensors
     contracts slot s of t0 with axis j of each next t in np.matmul's axis
     order; (t0,) is t0. Its value sums coef * chain.transpose(perm)."""
-    if _sparse_route(*_cost(identity)):
-        w = _sparse_witness(identity, p)
+    staged = _staged(identity)
+    if _sparse_route(*_cost(staged)):
+        w = _sparse_witness(staged, p)
     else:
-        w = _dense_witness(identity, p)
+        w = _dense_witness(staged, p)
     return None if w is None else w[:keep]
 
 
-def _sparse_witness(identity, p):
+def _sparse_witness(staged, p):
     terms = []
-    for chain, uses in identity:
+    for chain, uses, stages in staged:
         shape = chain[0].shape
         coords, vals = chain[0].sparse()
-        for _, pos, t, j, shape in _stages(chain):
+        for _, pos, t, j, shape in stages:
             coords, vals = _join((coords, vals), pos, t.sparse(), j, t.shape[j], p)
         for coef, perm in uses:
             out = tuple(shape[k] for k in perm)
@@ -399,20 +409,20 @@ def _sparse_witness(identity, p):
     return _first_nonzero(out, terms, p)
 
 
-def _dense_witness(identity, p, dtype=None, out=None):
-    """_witness of the identity's sum, into out if given, on one exact
-    route: dtype, else the widest _contraction_dtype picks for any chain,
-    bounded for weight = sum of |coef| times each chain's products."""
-    weight = sum(abs(c) for _, uses in identity for c, _ in uses)
-    chains, routes = [(chain, uses, list(_stages(chain))) for chain, uses in identity], []
-    for chain, _, stages in chains if dtype is None else ():
+def _dense_witness(staged, p, dtype=None, out=None):
+    """_witness of the staged identity's sum, into out if given, on one
+    exact route: dtype, else the widest _contraction_dtype picks for any
+    chain, bounded for weight = sum of |coef| times each chain's products."""
+    weight = sum(abs(c) for _, uses, _ in staged for c, _ in uses)
+    routes = []
+    for chain, _, stages in staged if dtype is None else ():
         # a plain tensor is a product with 1, summed in integers
         vals = [chain[0].arr, *(t.arr for _, _, t, _, _ in stages), _ONE]
         k = prod(t.shape[j] for _, _, t, j, _ in stages) * prod(map(_maxabs, vals[2:-1]))
         routes += [_contraction_dtype(weight * k, vals[0], vals[1])] + [np.int64] * (not stages)
     dtype = dtype or max(routes, key=(np.float64, np.int64, object).index)
     res = None
-    for chain, uses, stages in chains:
+    for chain, uses, stages in staged:
         arr = chain[0].arr.astype(dtype, copy=False)
         for _, pos, t, j, _ in stages:
             arr = _matmul(arr, pos, t.arr.astype(dtype, copy=False), j)
@@ -548,7 +558,7 @@ def lts_derivation_witness(t):
             ((m, (2, tt, 2)), [(-1, (2, 0, 1, 3, 4))]),
         ]
 
-    whole = defect(m, t)
+    whole = _staged(defect(m, t))
     if _sparse_route(*_cost(whole)):
         w = _sparse_witness(whole, t.p)
         return None if w is None else (*w[1:4], *slabs[w[0]])
@@ -560,7 +570,7 @@ def lts_derivation_witness(t):
     out = np.empty((min(step, len(m)),) + t.shape, dtype)
     for s in range(0, len(m), step):
         block = m[s : s + step]
-        w = _dense_witness(defect(block, tt), t.p, dtype, out[: len(block)])
+        w = _dense_witness(_staged(defect(block, tt)), t.p, dtype, out[: len(block)])
         if w is not None:
             return (*w[1:4], *slabs[s + w[0]])
     return None

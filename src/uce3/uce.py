@@ -12,16 +12,12 @@ the structure tensor; repeated coordinates are summed by the fold:
               folded as the wedge image of the Leibniz relations (on a Lie
               algebra the two generators agree), x < y < z only: the
               generator is alternating in (x, y, z);
-  * LTS:      the three relation families on L (x) L (x) L: the polarized
-              squares, the cyclic sums, and the five-variable family
-              {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b}
-              - {x,y,z} (x) a (x) b. The squares span S = L (x) Sym^2 L, so
-              the other two are folded modulo S, in L (x) wedge^2 L, the
-              cycles with i < j < k only (see _cube_cycles), the others
-              with y < z and (a, b) in a basis of the slabs {., a, b} only,
-              plus L (x) (the slabs' linear relations) (see
-              _cube_fundamentals), and the span is lifted back to
-              L (x) L (x) L (see lts_tensor_cube).
+  * LTS:      the polarized squares, spanning S = L (x) Sym^2 L, the
+              cyclic sums and the five-variable family {x,a,b} (x) y (x) z
+              + x (x) {y,a,b} (x) z + x (x) y (x) {z,a,b} - {x,y,z} (x) a
+              (x) b, the last two folded modulo S + L (x) W (W the slabs'
+              linear relations) for i < j < k, y < z and (a, b) in a slab
+              basis only, and lifted back (see lts_tensor_cube).
 
 These reductions rest on the category's axioms, which each constructor
 checks by admit before it folds anything.
@@ -57,7 +53,6 @@ import numpy as np
 from .algebra import (
     CATEGORIES,
     bracket_span_dim,
-    check_ternary,
     require_category,
     wedge_index_pairs,
     wedge_map,
@@ -78,10 +73,10 @@ from .fields import PrimeField, ensure_same_field
 from .linalg import (
     Matrix,
     SpanAccumulator,
-    Subspace,
     kernel,
     left_kernel,
     quotient,
+    quotient_kernel,
     right_inverse,
     take_generators,
 )
@@ -102,11 +97,9 @@ __all__ = [
     "BINARY_DIM_GUARD",
 ]
 
-# desk-scale limits on the base dimension: the cube streams, for r
-# independent slabs {., a, b}, r dim C(dim, 2) + dim (C(dim, 2) - r)
-# five-variable relation generators, up to dim * C(dim, 2)**2, into
-# dim * C(dim, 2) of its dim**3 coordinates, the binary categories up to
-# dim**3 over dim**2
+# desk-scale limits on the base dimension: the cube folds up to r dim
+# C(dim, 2) generators, r <= C(dim, 2) the slabs' rank, into dim r of its
+# dim**3 coordinates, the binary categories up to dim**3 over dim**2
 LTS_DIM_GUARD = 12
 BINARY_DIM_GUARD = 25
 
@@ -310,27 +303,24 @@ def _fold_relations(field, ambient, blocks, stop_dim, ev, rng=None):
     yields them again when called again.
 
     ev is the evaluation map (see _finish_extension) and stop_dim the
-    dimension of its kernel; the relation span is contained in that kernel
-    (asserted afterwards on the echelon basis), so the fold stops the moment
-    it reaches stop_dim, also in the middle of a block, and later blocks are
-    never built.
+    dimension of its kernel, which contains the relation span (asserted
+    afterwards), so the fold stops the moment it reaches stop_dim, also in
+    the middle of a block, and later blocks are never built.
 
     Over Q the generators are folded mod SHADOW_PRIME by the GF(p) block
     fold, each block first checked exactly to evaluate to zero. A rank mod
     p is at most the rank over Q, so the generators that became pivots mod
     p (the picked ones) are independent over Q:
-      * when they reach stop_dim they span the kernel of ev, and its
-        canonical form is read off ev and the free columns mod p
-        (left_kernel), which checks exactly that those columns are right;
+      * when they reach stop_dim they span the kernel of ev, read off ev
+        and the free columns mod p by left_kernel, which checks them;
       * otherwise, or if they are not, the picked generators are folded
         exactly; short of stop_dim, the stream is replayed through the exact
         fold, which filters each block against the exact projection K and
         folds in what K does not kill. The span never depends on the prime.
 
-    rng, when given, shuffles the order of all the generators before
-    folding; the resulting subspace is order-independent by construction,
-    and the determinism tests exercise exactly that.
-    """
+    rng, when given, shuffles all the generators before folding; the
+    subspace does not depend on their order, which the determinism tests
+    exercise."""
     if rng is not None:
         shuffled = _shuffled(list(blocks()), rng)
 
@@ -496,11 +486,19 @@ def _leibniz_relations(c, x, y, z, yz=None):
     return _terms(families + [(r, local, x[r] * n + k, -val, cnt)])
 
 
-def _signed(blocks, col, sign):
-    """The blocks through the map e_c -> sign[c] e_col[c] (a term of sign 0
-    stays, with value 0)."""
+def _mapped(blocks, image):
+    """The blocks through the linear map image = (start, count, col, val):
+    e_c -> sum of val[j] e_col[j] over the count[c] entries j from start[c]."""
+    start, count, col, val = image
+    top = tops._maxabs(val)
     for cols, vals, lens in blocks:
-        yield col[cols], sign[cols] * vals, lens
+        num = count[cols]
+        e, at = tops._runs(start[cols], num)
+        vals = vals[e]
+        if vals.dtype != object and tops._maxabs(vals) * top >= tops._I64_LIMIT:
+            vals = vals.astype(object)
+        gen = np.repeat(np.arange(len(lens)), lens)
+        yield col[at], vals * val[at], np.bincount(gen, num, len(lens)).astype(np.int64)
 
 
 def leibniz_uce(g, rng=None):
@@ -538,6 +536,7 @@ def lie_uce(g, rng=None):
     w = wedge_map(n)
     # each row of the wedge map has at most one nonzero, a sign
     col, sign = np.abs(w).argmax(1), w.sum(1)
+    image = (np.arange(len(col)), np.ones_like(col), col, sign)
     # the Jacobi generator is alternating on a Lie algebra: x < y < z only
     xyz = _increasing_triples(n)
     ambient = w.shape[1]
@@ -545,7 +544,7 @@ def lie_uce(g, rng=None):
     i, j = wedge_index_pairs(n)
     ev = tops.ExactTensor(t.arr[i, j], t.scale, t.p)
     relations = _fold_relations(
-        g.field, ambient, lambda: _signed([_leibniz_relations(t.arr, *xyz)], col, sign),
+        g.field, ambient, lambda: _mapped([_leibniz_relations(t.arr, *xyz)], image),
         ambient - n, ev, rng,
     )
     return _finish_extension("lie", g, relations, ev)
@@ -567,66 +566,50 @@ def _cube_cycles(n):
     return rot.ravel(), np.ones(rot.size, dtype=np.int64), np.full(len(rot), 3)
 
 
-def _slab_split(t, field, slabs):
-    """The split of the pairs a < b that _cube_fundamentals streams over:
-    B, the (a, b) of the greedy basis, in row-major order, of the slabs
-    T[:, a, b, :] of the raw n^4 tensor t, as two index arrays, and a basis
-    of W = {u in F^C(n,2) : sum of u_ab T[:, a, b, :] = 0}, the rows of an
-    integer array (over Q up to one positive scale, which leaves a span
-    unchanged). B is check_ternary's pick (all a < b: T[:, b, a, :] =
-    -T[:, a, b, :]); W is the kernel of the n^2 x C(n,2) slab matrix."""
-    n = t.arr.shape[0]
+def _pair_quotient(evk, field, scale):
+    """The pairs modulo W = {u : D_u = 0}, for evk[:, p, :] the raw slab D_p
+    of pair p in sigma's order, off the RREF of the slab matrix in lex order
+    a < b: the greedy slab basis B, as (a, b) and as pairs, and tau (C(n,2) x
+    |B|, raw, over Q up to one positive scale), D_p = sum tau[p, i] D_B[i]."""
+    n, c = evk.shape[:2]
     a, b = np.triu_indices(n, 1)
-    m = t.arr[:, a, b, :].transpose(0, 2, 1).reshape(n * n, len(a))
-    pa, pb = np.array(slabs, dtype=np.int64).reshape(-1, 2).T
-    return pa, pb, kernel(Matrix.from_raw(field, m, t.scale)).basis().arr
+    lex = b * (b - 1) // 2 + a
+    m = evk[:, lex].transpose(0, 2, 1).reshape(n * n, c)
+    r, piv = Matrix.from_raw(field, m, scale).rref()
+    tau = r.tensor().arr.T[np.argsort(lex)]
+    return [(int(a[q]), int(b[q])) for q in piv], lex[list(piv)], tau
 
 
-def _cube_fundamentals(t, split):
+def _cube_fundamentals(t, slabs):
     """The five-variable family as lts_tensor_cube streams it, for the raw
-    n^4 tensor t of a Lie triple system and split = _slab_split(...) =
-    (B, a basis of W): first one block of the n dim W generators
-    e_i (x) w, i-major, then one block per (a, b) in B of the generators
+    n^4 tensor t of a Lie triple system and slabs, the (a, b) of a basis B
+    of the slab span: one block per (a, b) of the generators
     g(x,y,z;a,b) = {x,a,b} (x) y (x) z + x (x) {y,a,b} (x) z
     + x (x) y (x) {z,a,b} - {x,y,z} (x) a (x) b with y < z, (x, y, z) in
-    lex order. The e_i (x) w come first: they are sparse and independent,
-    so they give a fold n dim W pivots cheaply, and a fold that stops
-    early builds fewer blocks.
+    lex order. Modulo S + L (x) W, with S = L (x) Sym^2 L and W = {u :
+    D_u = 0} in the pairs' space, they span the whole family, in every
+    characteristic.
 
-    Modulo S = L (x) Sym^2 L, which lts_tensor_cube folds out and lifts
-    back, these span the whole family, in every characteristic.
+    First, y < z and a < b suffice: every D_ab = {., a, b} maps S into
+    itself, and the axioms {x,y,z} = -{x,z,y}, {x,y,y} = 0 and D_ba = -D_ab
+    put in S g(x,z,y;a,b) + g(x,y,z;a,b), g(x,y,y;a,b), g(x,y,z;a,a) and
+    g(x,y,z;a,b) + g(x,y,z;b,a) = -{x,y,z} (x) (a (x) b + b (x) a).
 
-    First, the pairs y < z and a < b suffice: every D_ab = {., a, b} maps S
-    into itself, and the axioms {x,y,z} = -{x,z,y}, {x,y,y} = 0 and
-    D_ba = -D_ab put in S:
-      * g(x,z,y;a,b) + g(x,y,z;a,b);
-      * g(x,y,y;a,b);
-      * g(x,y,z;a,b) + g(x,y,z;b,a) = -{x,y,z} (x) (a (x) b + b (x) a);
-      * g(x,y,z;a,a).
+    Then B suffices. The generator is linear in u = a (x) b: it is
+    G(x,y,z;u) = D_u(x (x) y (x) z) - {x,y,z} (x) u, D_u = sum u_ab D_ab
+    acting as a derivation on all three slots; the e_ab of B and W span
+    the u, and G(x,y,z;w) = -{x,y,z} (x) w for w in W.
 
-    Then the pairs in B suffice, plus L (x) W. The generator is linear in
-    a (x) b: for u = sum of u_ab e_a (x) e_b over a < b it is
-    G(x,y,z;u) = D_u(x (x) y (x) z) - {x,y,z} (x) u, with D_u = sum u_ab D_ab
-    acting as a derivation on all three slots. The e_ab for (a, b) in B
-    and W span the u, so the G(x,y,z;u) are spanned by the fundamentals of
-    B and the G(x,y,z;w) = -{x,y,z} (x) w for w in W, where D_w = 0. The
-    {x,y,z} with y < z span [L,L,L], which is L for the perfect systems
-    admit lets in, so the latter span L (x) W, the span of the e_i (x) w.
-    Conversely each e_i (x) w is such a combination of the family, and
-    evaluates to D_w(e_i) = 0.
+    Folding modulo L (x) W keeps the span, which contains it: the {x,y,z}
+    with y < z span [L,L,L], which is L for the perfect systems admit lets
+    in, so the G(x,y,z;w) span L (x) W. The relation span is the preimage
+    of the span of the cycles and these fundamentals modulo S + L (x) W.
 
     Term family s of a block puts a nonzero t[r, a, b, k] in slot s: the
     kept generators with r in slot s, the coordinates with k there
     instead."""
     n = t.shape[0]
     y, z = np.triu_indices(n, 1)
-    pa, pb, kw = split
-    if len(kw):
-        # coordinate q of w is the pair (y[q], z[q])
-        r, q, v, local, cnt = _row_nonzeros(kw)
-        i = np.arange(n)[:, None]
-        yield _terms([(i * len(kw) + r, local, (i * n + y[q]) * n + z[q], v,
-                       np.tile(cnt, n))])
     coords = [np.repeat(np.arange(n), len(y)), np.tile(y, n), np.tile(z, n)]
     flat = (coords[0] * n + coords[1]) * n + coords[2]
     # per slot: its weight in a coordinate, the slot index of every kept
@@ -638,15 +621,14 @@ def _cube_fundamentals(t, split):
         slots.append((w, coords[s], order, np.cumsum(num) - num, num))
     whole, wk, wv, wlocal, wcnt = _row_nonzeros(t.reshape(n**3, n)[flat])
     wv = -wv
-    for a, b in zip(pa.tolist(), pb.tolist()):
+    for a, b in slabs:
         r, k, v, local, cnt = _row_nonzeros(t[:, a, b, :])
         families = []
         for w, coord, order, start, num in slots:
             # the term of nonzero e for each kept generator with r[e] in
             # slot s, nonzeros in turn
-            reps = num[r]
-            e = np.repeat(np.arange(len(r)), reps)
-            gen = order[np.arange(len(e)) + (start[r] + reps - np.cumsum(reps))[e]]
+            e, at = tops._runs(start[r], num[r])
+            gen = order[at]
             families.append(
                 (gen, local[e], flat[gen] + ((k - r) * w)[e], v[e], cnt[coord])
             )
@@ -665,26 +647,29 @@ def lts_tensor_cube(lts, force=False, rng=None):
     ev = tops.ExactTensor(t.arr.reshape(ambient, n), t.scale, t.p)
     # sigma sends e_xyz to e_xyz for y > z, to -e_xzy for y < z and to 0
     # for y = z: its kernel is S = L (x) Sym^2 L, which ev kills by the
-    # axioms just checked. The kept coordinates (y > z) are numbered in the
-    # ambient's order, so sigma keeps the leading column of a generator
+    # axioms just checked. Kept coordinates (y > z) are in the ambient's
+    # order, pair hi (hi - 1) / 2 + lo of x; then tau, for ev kills
+    # L (x) W too: the fold runs on the n |B| coordinates (x, rep)
     x, y, z = np.indices((n, n, n)).reshape(3, -1)
     sign, hi, lo = np.sign(y - z), np.maximum(y, z), np.minimum(y, z)
-    col = np.where(sign, x * (n * (n - 1) // 2) + hi * (hi - 1) // 2 + lo, 0)
-    kept = (sign > 0).nonzero()[0]
-    split = _slab_split(t, lts.field, check_ternary(lts).slabs)
+    pair = np.where(sign, hi * (hi - 1) // 2 + lo, 0)
+    evk = t.arr[(slice(None),) + np.tril_indices(n, -1)]
+    slabs, reps, tau = _pair_quotient(evk, lts.field, ev.scale)
+    width = n * len(reps)
+    _, k, v, _, cnt = _row_nonzeros(tau)
+    num = cnt[pair] * (sign != 0)
+    e, at = tops._runs((np.cumsum(cnt) - cnt)[pair], num)
+    image = (np.cumsum(num) - num, num, x[e] * len(reps) + k[at], sign[e] * v[at])
     red = _fold_relations(
-        lts.field, len(kept),
-        lambda: _signed(chain([_cube_cycles(n)], _cube_fundamentals(t.arr, split)),
-                        col, sign),
-        len(kept) - n, tops.ExactTensor(ev.arr[kept], ev.scale, ev.p), rng,
+        lts.field, width,
+        lambda: _mapped(chain([_cube_cycles(n)], _cube_fundamentals(t.arr, slabs)), image),
+        width - n, tops.ExactTensor(evk[:, reps].reshape(width, n), ev.scale, ev.p), rng,
     )
-    # the relation span is sigma's preimage of red, in RREF: each y <= z and
-    # red's pivots are pivots, and K is sigma times red's projection
-    proj = red.projection()
-    piv = np.sort(np.concatenate([(sign <= 0).nonzero()[0], kept[list(red.pivots)]]))
-    relations = Subspace(lts.field, ambient, piv.tolist(),
-                         sign[piv, None] * proj.arr[col[piv]], proj.scale)
-    return _finish_extension("lts", lts, relations, ev)
+    # the relation span is red's preimage: the kernel of sigma tau P_red
+    proj = red.projection().arr.reshape(n, len(reps), -1)
+    phi = tops.exact_tensordot(tau, proj, ([1], [1]), t.p)[pair, x]
+    phi *= sign[:, None]
+    return _finish_extension("lts", lts, quotient_kernel(lts.field, phi), ev)
 
 
 def universal_map(u, e):

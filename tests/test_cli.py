@@ -6,6 +6,7 @@ import pytest
 from conftest import build_sl2_dual, rebased_sl3
 
 from uce3 import dumps_algebra, catalog, field_of
+from uce3.catalog import _sl
 from uce3.cli import main
 
 
@@ -163,6 +164,24 @@ def test_forced_sl4_json_bytes_are_pinned(capsys, cmd, field):
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == GOLDEN_SL4_JSON[cmd, field]
+
+
+# forced sl5 (cube ambient 13824), past the catalog's range: the input is
+# catalog._sl(5, ...) written out, and the output UceResult.to_json() and a
+# newline, whose cube is folded modulo S + L (x) W and lifted back
+GOLDEN_SL5_JSON = {
+    "GF(3)": "39bc3ac6740f0ae19ccea51c0b26820b984bf65907325835fc4394141dbb8b13",
+    "Q": "04c852ac342512cedcc6e847279af4c654fbe4b8fde04a33fca015413307d97d",
+}
+
+
+@pytest.mark.parametrize("field", sorted(GOLDEN_SL5_JSON))
+def test_forced_sl5_cube_json_bytes_are_pinned(capsys, tmp_path, field):
+    path = tmp_path / "sl5.json"
+    path.write_text(dumps_algebra(_sl(5, field_of(field), "sl5")), encoding="ascii")
+    code, out, _ = run(capsys, "uce", str(path), "--force", "--category", "lts", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_SL5_JSON[field]
 
 
 # the same pin off the catalog basis: the cube of sl3/GF(3) in a seeded

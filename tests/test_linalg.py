@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -579,6 +580,26 @@ def test_left_kernel_is_the_exact_fold(seed, ambient, rank, bits):
     assume(Matrix(QQ, arr.tolist()).rank() == rank)
     want = _left_kernel_by_fold(arr)
     _assert_same_subspace(rng, left_kernel(arr, want.free), want)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(2147483647)"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), ambient=st.integers(1, 9), rank=st.integers(1, 9))
+def test_left_kernel_over_gfp_is_the_fold(spec, seed, ambient, rank):
+    # over GF(p) too, left_kernel reads off arr what the fold reaches, takes
+    # only the canonical free rows, and quotient_kernel picks those itself
+    f = field_of(spec)
+    rng = random.Random(seed)
+    rank = min(rank, ambient)
+    arr = np.array([[rng.randrange(f.p) for _ in range(rank)] for _ in range(ambient)],
+                   dtype=np.int64)
+    assume(Matrix.from_raw(f, arr).rank() == rank)
+    want = kernel(Matrix.from_raw(f, arr.T.copy()))
+    _assert_same_subspace(rng, left_kernel(arr, want.free, f), want)
+    _assert_same_subspace(rng, linalg.quotient_kernel(f, arr), want)
+    others = [c for c in combinations(range(ambient), rank) if c != want.free]
+    for free in rng.sample(others, min(len(others), 12)):
+        assert left_kernel(arr, free, f) is None, free
 
 
 @pytest.mark.parametrize("column", [[2**70, 1], [1, 2**70], [3, 2**64 + 1]])

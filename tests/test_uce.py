@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 import pytest
@@ -42,7 +42,6 @@ from uce3 import (
     NotLie,
     NotOverSameBase,
     NotPerfect,
-    SpanAccumulator,
     Subspace,
     TernaryAlgebra,
     UceResult,
@@ -202,72 +201,84 @@ def test_relation_streams_match_naive_generators(monkeypatch, name, spec):
             if x < y < z]
     assert Counter(got) == Counter(_sparse_rows(want))
     u, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
-    got = _sparse_generators(blocks, p, d.tensor().scale)
+    got = _normalized(p, _sparse_generators(blocks, p, d.tensor().scale))
     n = d.dim
     want = _wedged_cube_rows(p, n, _sparse_rows(naive_cube_relation_rows(p, t)))
     # the oracle's rows are n**2 + n**3 squares, which map to zero, then the
     # cycles, indexed (i, j, k), then the fundamentals, one (a, b) block
-    # each, indexed (a, b, x, y, z). The stream is the cycles, the
-    # generators e_i (x) w for w in W, the pairs' combinations whose slabs
-    # cancel, then the fundamentals of the r pairs of the slab basis B
+    # each, indexed (a, b, x, y, z). The stream is the cycles, then the
+    # fundamentals of the r pairs of the slab basis B, both through tau
+    # onto the n r coordinates (x, pair of B), up to tau's scale
     basis = tops._spanning_slabs(d.tensor())
     r, pairs = len(basis), comb(n, 2)
+    tau = _naive_tau(d, basis)
     cycles, fundamentals = comb(n, 3), r * n * pairs
-    assert len(got) == cycles + n * (pairs - r) + fundamentals
-    assert Counter(got[:cycles]) == Counter(
+    assert len(got) == cycles + fundamentals
+    assert max(c for row in got for c, _ in row) < n * r
+    assert Counter(got[:cycles]) == Counter(_normalized(p, _through_tau(p, tau, r, [
         row for (i, j, k), row in zip(product(range(n), repeat=3),
                                       want[n**2 + n**3 : -n**5])
         if i < j < k
-    )
-    assert Counter(got[len(got) - fundamentals :]) == Counter(
+    ])))
+    assert Counter(got[cycles:]) == Counter(_normalized(p, _through_tau(p, tau, r, [
         row for (a, b, x, y, z), row in zip(product(range(n), repeat=5),
                                             want[-n**5 :])
         if (a, b) in basis and y < z
-    )
-    # each e_i (x) w evaluates to zero and lies in the oracle's span
-    kept = [xyz for xyz in product(range(n), repeat=3) if xyz[1] > xyz[2]]
-    rest = got[cycles : len(got) - fundamentals]
-    for row in rest:
-        image = [sum(v * t[x][y][z][w] for c, v in row for x, y, z in [kept[c]])
-                 for w in range(n)]
-        assert row and not any(s % p if p else s for s in image)
-    width = n * pairs
-    assert _sparse_span(f, width, rest).is_subspace_of(_sparse_span(f, width, want))
+    ])))
     # the rank oracle takes minutes on the sl3 cube over Q, and
     # test_cube_relation_rank_matches_naive_over_gfp runs it on sl3/GF(2)
     if (name, spec) not in (("sl3", "Q"), ("sl3", "GF(2)")):
         assert u.relations.dim == naive_cube_relation_rank(p, t)
 
 
-def _sparse_span(field, width, rows):
-    """The span of sparse (coordinate, field value) rows, each scaled to
-    integers."""
-    rows = [row for row in rows if row]
-    acc = SpanAccumulator(field, width)
-    if rows:
-        den = [lcm(*(Fraction(x).denominator for _, x in row)) for row in rows]
-        acc.add_pairs(
-            [c for row in rows for c, _ in row],
-            np.array([int(x * m) for row, m in zip(rows, den) for _, x in row],
-                     dtype=object),
-            [len(row) for row in rows],
-        )
-    return acc.to_subspace()
+def _naive_tau(d, basis):
+    """Per pair (hi, lo), hi > lo, in the cube's order hi (hi - 1) / 2 + lo:
+    the field scalars c with {., hi, lo} = sum of c_i {., a_i, b_i} over the
+    pairs (a_i, b_i) of basis, solved entry by entry on the naive tensor."""
+    from uce3.linalg import solve_columns
+
+    n, t = d.dim, tolists3(d)
+    slab = lambda a, b: [t[x][a][b][w] for x in range(n) for w in range(n)]
+    m = Matrix(d.field, [list(row) for row in zip(*(slab(a, b) for a, b in basis))])
+    hi, lo = np.tril_indices(n, -1)
+    return solve_columns(m, [slab(h, l) for h, l in zip(hi.tolist(), lo.tolist())])
+
+
+def _through_tau(p, tau, r, rows):
+    """Sparse rows over the kept coordinates x C(n,2) + pair, sent to the
+    coordinates x r + i by pair -> sum of tau[pair][i] e_i, mod p over
+    GF(p)."""
+    out = []
+    for row in rows:
+        v = Counter()
+        for c, x in row:
+            q, pair = divmod(c, len(tau))
+            for i, s in enumerate(tau[pair]):
+                v[q * r + i] += x * s
+        v = {c: x % p if p else x for c, x in v.items()}
+        out.append(tuple(sorted((c, x) for c, x in v.items() if x)))
+    return out
+
+
+def _normalized(p, rows):
+    """Each sparse row divided by its leading value, mod p over GF(p)."""
+    return [tuple((c, x * pow(row[0][1], -1, p) % p if p else x / row[0][1])
+                  for c, x in row) if row else row for row in rows]
 
 
 def test_cube_streams_only_the_independent_fundamentals(monkeypatch):
-    # C(n,3) cycles, n (C(n,2) - r) generators e_i (x) w and the n C(n,2)
-    # fundamentals of each of the r pairs of a slab basis, not n**3 cycles
-    # and n**5 fundamentals, and no squares: the stream lives on the
-    # n C(n,2) coordinates of L (x) wedge^2 L
+    # C(n,3) cycles and the n C(n,2) fundamentals of each of the r pairs of
+    # a slab basis, not n**3 cycles and n**5 fundamentals, and no squares:
+    # the stream lives on the n r coordinates of L (x) wedge^2 L modulo
+    # L (x) W
     d = derived_lts(catalog("sl3", field_of("GF(2)")))
     n, r = d.dim, len(tops._spanning_slabs(d.tensor()))
     _, blocks = _folded_blocks(monkeypatch, lambda: lts_tensor_cube(d))
-    # 56 + 160 + 1792 = 2008 on sl3 (r = 8), against 512 cycles and 32768
+    # 56 + 1792 = 1848 on sl3 (r = 8), against 512 cycles and 32768
     # fundamentals in the full families
-    count = comb(n, 3) + n * (comb(n, 2) - r) + r * n * comb(n, 2)
-    assert sum(len(lens) for _, _, lens in blocks) == count == 2008
-    assert max(int(cols.max()) for cols, _, _ in blocks) < n * comb(n, 2)
+    count = comb(n, 3) + r * n * comb(n, 2)
+    assert sum(len(lens) for _, _, lens in blocks) == count == 1848
+    assert max(int(cols.max()) for cols, _, _ in blocks) < n * r == 64
 
 
 @pytest.mark.parametrize("make", [
@@ -276,18 +287,23 @@ def test_cube_streams_only_the_independent_fundamentals(monkeypatch):
     lambda: derived_lts(build_sl2_dual()),
 ], ids=["sl3-gf3", "sl3-q-rebased", "takiff-q"])
 def test_cube_slab_basis_is_the_witness_pick(make):
-    # the fundamentals' pairs B are the greedy slab basis the derivation
-    # witness checks, and the rest of the pairs' space is W, whose
-    # combinations of slabs vanish
+    # the representatives of the pairs modulo W are the greedy slab basis B
+    # the derivation witness checks, in the cube's pair order, and tau
+    # writes every slab as their combination, up to one scale
     import uce3.uce as uce_mod
 
     d = make()
-    t = d.tensor()
-    a, b, w = uce_mod._slab_split(t, d.field, check_ternary(d).slabs)
-    assert list(zip(a.tolist(), b.tolist())) == tops._spanning_slabs(t)
-    assert w.shape == (comb(d.dim, 2) - len(a), comb(d.dim, 2))
-    ta, tb = np.triu_indices(d.dim, 1)
-    sums = np.tensordot(w.astype(object), t.arr[:, ta, tb, :].astype(object), ([1], [1]))
+    t, n = d.tensor(), d.dim
+    hi, lo = np.tril_indices(n, -1)
+    slabs = t.arr[:, hi, lo, :].astype(object)
+    pairs, reps, tau = uce_mod._pair_quotient(slabs, d.field, t.scale)
+    assert pairs == tops._spanning_slabs(t)
+    assert reps.tolist() == [b * (b - 1) // 2 + a for a, b in pairs]
+    assert tau.shape == (comb(n, 2), len(reps))
+    s = tau[reps[0], 0]
+    assert s > 0 and np.array_equal(tau[reps], s * np.eye(len(reps), dtype=np.int64))
+    combined = np.tensordot(slabs[:, reps], tau.T.astype(object), ([1], [0]))
+    sums = s * slabs - combined.transpose(0, 2, 1)
     assert not (sums % t.p if t.p else sums).any()
 
 
