@@ -8,12 +8,12 @@ import numpy as np
 
 from .algebra import BinaryAlgebra
 from .errors import UnknownAlgebra
-from .fields import QQ, field_of
+from .fields import QQ, decimal_int, field_of
 from .uce import dimension_guard
 
 __all__ = ["catalog", "catalog_names"]
 
-_SL_RE = re.compile(r"sl\(?([0-9]+)\)?")
+_SL_RE = re.compile(r"sl(\()?([0-9]+)(?(1)\))")
 _ABELIAN_RE = re.compile(r"abelian\(([0-9]+)\)")
 
 
@@ -60,13 +60,13 @@ def catalog(name, field=QQ, force=False):
     s = name.strip()
     m = _SL_RE.fullmatch(s)
     if m:
-        n = int(m.group(1))
+        n = decimal_int(m.group(2), UnknownAlgebra)
         if not 2 <= n <= 4:
             raise UnknownAlgebra(f"sl({n}) is outside the built-in range 2..4")
         return _sl(n, f, f"sl{n}")
     m = _ABELIAN_RE.fullmatch(s)
     if m:
-        n = int(m.group(1))
+        n = decimal_int(m.group(1), UnknownAlgebra)
         if n < 1:
             raise UnknownAlgebra("abelian(n) needs n >= 1")
         dimension_guard(n, "lie", force)

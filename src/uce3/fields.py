@@ -32,6 +32,16 @@ __all__ = [
 _MODULUS_LIMIT = 2**31
 
 
+def decimal_int(digits, error):
+    """int(digits) for a string of ASCII decimal digits, with an optional
+    sign. Past the interpreter's limit on digits read (4,300 by default on
+    Python 3.11) int raises a plain ValueError; that is raised as error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"an integer of {len(digits)} digits is too long to read")
+
+
 def _is_prime(p):
     """Deterministic Miller-Rabin: the bases 2, 3, 5 and 7 decide every p
     below 3215031751, the least strong pseudoprime to all four, so every
@@ -101,8 +111,8 @@ class Rationals(Field):
         m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s.strip())
         if not m:
             raise SemanticError(f"bad rational coefficient {s!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        num = decimal_int(m.group(1), SemanticError)
+        den = decimal_int(m.group(2), SemanticError) if m.group(2) else 1
         if den == 0:
             raise SemanticError(f"zero denominator in coefficient {s!r}")
         return Fraction(num, den)
@@ -152,9 +162,9 @@ class PrimeField(Field):
         m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s.strip())
         if not m:
             raise SemanticError(f"bad coefficient {s!r} for GF({self.p})")
-        num = int(m.group(1))
+        num = decimal_int(m.group(1), SemanticError)
         if m.group(2):
-            den = int(m.group(2)) % self.p
+            den = decimal_int(m.group(2), SemanticError) % self.p
             if not den:
                 raise DivisionByZero(f"inverse of 0 in GF({self.p})")
             num *= pow(den, -1, self.p)
@@ -192,7 +202,7 @@ def field_of(spec):
         return QQ
     m = _FIELD_RE.fullmatch(s)
     if m:
-        return PrimeField(int(m.group(1)))
+        return PrimeField(decimal_int(m.group(1), SemanticError))
     raise SemanticError(f"unrecognized field {spec!r} (expected Q or GF(p))")
 
 

@@ -140,6 +140,9 @@ def loads_algebra(text, force=False):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError:
+        # an integer literal past the interpreter's limit on digits read
+        raise FormatError("invalid JSON: an integer literal is too long to read")
     return algebra_from_dict(doc, force)
 
 

@@ -322,8 +322,9 @@ def _factor_through(mat, q):
     return Matrix.from_raw(mat.field, t.arr[:, list(q.coset_coords)], t.scale)
 
 
-def _quotient_as_lts_extension(u_leib, j, base_lts):
-    """U_Leib/J with the ternary bracket {a,b,c} = class([a,[b,c]]), as a
+def _quotient_by_jacobiator_span(u_leib, j):
+    """U_Leib/J with the ternary bracket {a,b,c} = class([a,[b,c]]): the
+    quotient, then the algebra, projection and section that make U_Leib/J a
     central extension of the derived triple system of the base."""
     f = u_leib.base.field
     qj = quotient(u_leib.carrier_dim, j)
@@ -339,8 +340,7 @@ def _quotient_as_lts_extension(u_leib, j, base_lts):
     st = u_leib.section_s.tensor()
     sec_raw = tops.exact_tensordot(k.arr, st.arr, ([0], [0]), k.p)
     sec = Matrix.from_raw(f, sec_raw, k.scale * st.scale)
-    ext = CentralExtension("lts", base_lts, alg, proj, sec)
-    return qj, ext
+    return qj, alg, proj, sec
 
 
 def _checked_ternary(alg, checked):
@@ -353,11 +353,33 @@ def _checked_ternary(alg, checked):
     return alg._flags
 
 
+class _Refuted(Exception):
+    """A claim that does not hold; args are its fact and the verdict it
+    refutes, or None."""
+
+
+def _need(ok, fact, verdict=None):
+    if not ok:
+        raise _Refuted(fact, verdict)
+
+
+def _canonical_map(u, algebra, projection, section, fact, verdict):
+    """universal_map from the UCE u into the extension of u.base, in
+    u.category, by algebra with this projection and section. A target that
+    is not central, or not one the map is well defined into, refutes fact."""
+    target = CentralExtension(u.category, u.base, algebra, projection, section)
+    try:
+        return universal_map(u, target)
+    except (NotCentral, WellDefinednessFailed) as e:
+        raise _Refuted(f"{fact}: {e}", verdict)
+
+
 def verify_main_theorem(g, force=False):
     """Build the three universal central extensions of a perfect Lie
     algebra and verify how they compare: U_LTS is isomorphic to U_Leib/J in
     every characteristic, to U_Leib itself in characteristic 2 (where J
-    vanishes), and to U_Lie away from characteristic 2."""
+    vanishes), and to U_Lie away from characteristic 2. The claims run in
+    that order; a verdict turns True once all its claims hold."""
     dimension_guard(g.dim, "lts", force)
     admit(g, "lie")
     f = g.field
@@ -394,124 +416,76 @@ def verify_main_theorem(g, force=False):
         "i": i.dim,
     }
 
-    def fail(fact):
-        report.failed_fact = fact
-        return report
-
-    report.doubling_ok = doubling["j_equals_2i"] and doubling["char_branch"]
-    if not doubling["j_equals_2i"]:
-        return fail("jacobiator-span-not-twice-symmetric-span")
-    if not doubling["char_branch"]:
-        return fail(
-            "jacobiator-span-not-zero"
-            if p == 2
-            else "jacobiator-span-differs-from-symmetric-span"
-        )
-
-    report.j_subset_i = j.is_subspace_of(i)
-    if not report.j_subset_i:
-        return fail("jacobiator-span-escapes-symmetric-span")
-    if not j.is_subspace_of(u_leib.h2):
-        return fail("jacobiator-span-escapes-projection-kernel")
-    if not i.is_subspace_of(u_leib.h2):
-        return fail("symmetric-span-escapes-projection-kernel")
-
-    # the upgraded cube receives the canonical map from the Leibniz UCE
-    upgraded = CentralExtension(
-        "leibniz", g, cert.leibniz_bracket, u_lts.projection_b, u_lts.section_s
-    )
+    dbl, iso, branch = "doubling_ok", "iso_lts_leib_mod_j", "char_branch_ok"
     try:
-        phi = universal_map(u_leib, upgraded)
-    except (NotCentral, WellDefinednessFailed) as e:
-        report.iso_lts_leib_mod_j = False
-        return fail(f"upgraded-cube-not-a-leibniz-extension: {e}")
+        _need(doubling["j_equals_2i"], "jacobiator-span-not-twice-symmetric-span", dbl)
+        _need(doubling["char_branch"], "jacobiator-span-not-zero" if p == 2
+              else "jacobiator-span-differs-from-symmetric-span", dbl)
+        report.doubling_ok = True
 
-    report.maps["phi"] = phi
-    report.i_prime = i.image_under(phi)
-    report.dims["i_prime"] = report.i_prime.dim
+        _need(j.is_subspace_of(i), "jacobiator-span-escapes-symmetric-span",
+              "j_subset_i")
+        report.j_subset_i = True
+        _need(j.is_subspace_of(u_leib.h2), "jacobiator-span-escapes-projection-kernel")
+        _need(i.is_subspace_of(u_leib.h2), "symmetric-span-escapes-projection-kernel")
 
-    ker_phi = kernel(phi)
-    if not ker_phi.equals(j):
-        report.iso_lts_leib_mod_j = False
-        return fail("kernel-of-canonical-map-differs-from-jacobiator-span")
-    if phi.rank() != u_lts.carrier_dim:
-        report.iso_lts_leib_mod_j = False
-        return fail("canonical-map-to-cube-not-surjective")
+        # the upgraded cube receives the canonical map from the Leibniz UCE
+        phi = _canonical_map(u_leib, cert.leibniz_bracket, u_lts.projection_b,
+                             u_lts.section_s, "upgraded-cube-not-a-leibniz-extension",
+                             iso)
+        report.maps["phi"] = phi
+        report.i_prime = i.image_under(phi)
+        report.dims["i_prime"] = report.i_prime.dim
 
-    try:
-        qj, quot_ext = _quotient_as_lts_extension(u_leib, j, base_lts)
-        tflags = _checked_ternary(quot_ext.algebra, u_lts.extension_algebra)
-        if not tflags.is_lts:
-            report.iso_lts_leib_mod_j = False
-            return fail("quotient-by-jacobiator-span-not-a-triple-system")
-        quot_ext.verify()
-        psi = universal_map(u_lts, quot_ext)
-    except (NotCentral, WellDefinednessFailed) as e:
-        report.iso_lts_leib_mod_j = False
-        return fail(f"quotient-by-jacobiator-span-fails: {e}")
+        ker_phi = kernel(phi)
+        _need(ker_phi.equals(j),
+              "kernel-of-canonical-map-differs-from-jacobiator-span", iso)
+        _need(phi.rank() == u_lts.carrier_dim,
+              "canonical-map-to-cube-not-surjective", iso)
 
-    phi_bar = _factor_through(phi, qj)
-    report.maps["psi"] = psi
-    report.maps["phi_bar"] = phi_bar
-    idq = Matrix.identity(f, qj.dim)
-    idu = Matrix.identity(f, u_lts.carrier_dim)
-    report.iso_lts_leib_mod_j = (
-        psi @ phi_bar == idq and phi_bar @ psi == idu
-    )
-    if not report.iso_lts_leib_mod_j:
-        return fail("canonical-maps-not-mutually-inverse")
+        qj, quot_alg, *quot_maps = _quotient_by_jacobiator_span(u_leib, j)
+        tflags = _checked_ternary(quot_alg, u_lts.extension_algebra)
+        _need(tflags.is_lts, "quotient-by-jacobiator-span-not-a-triple-system", iso)
+        psi = _canonical_map(u_lts, quot_alg, *quot_maps,
+                             "quotient-by-jacobiator-span-fails", iso)
+        phi_bar = _factor_through(phi, qj)
+        report.maps["psi"] = psi
+        report.maps["phi_bar"] = phi_bar
+        idq = Matrix.identity(f, qj.dim)
+        idu = Matrix.identity(f, u_lts.carrier_dim)
+        _need(psi @ phi_bar == idq and phi_bar @ psi == idu,
+              "canonical-maps-not-mutually-inverse", iso)
+        report.iso_lts_leib_mod_j = True
 
-    if p == 2:
-        report.char_branch_ok = (
-            u_lts.carrier_dim == u_leib.carrier_dim
-            and ker_phi.dim == 0
-            and phi.rank() == u_leib.carrier_dim
-        )
-        if not report.char_branch_ok:
-            return fail("cube-not-isomorphic-to-leibniz-uce")
-        return report
+        if p == 2:
+            _need(u_lts.carrier_dim == u_leib.carrier_dim and ker_phi.dim == 0
+                  and phi.rank() == u_leib.carrier_dim,
+                  "cube-not-isomorphic-to-leibniz-uce", branch)
+        else:
+            # away from characteristic 2 the Lie UCE joins the picture
+            theta = _canonical_map(u_leib, u_lie.extension_algebra, u_lie.projection_b,
+                                   u_lie.section_s, "lie-uce-not-a-leibniz-extension",
+                                   branch)
+            report.maps["theta"] = theta
+            _need(kernel(theta).equals(i),
+                  "kernel-of-map-to-lie-uce-differs-from-symmetric-span", branch)
+            _need(theta.rank() == u_lie.carrier_dim,
+                  "canonical-map-to-lie-uce-not-surjective", branch)
 
-    # away from characteristic 2 the Lie UCE joins the picture
-    as_leib = CentralExtension(
-        "leibniz", g, u_lie.extension_algebra, u_lie.projection_b, u_lie.section_s
-    )
-    try:
-        theta = universal_map(u_leib, as_leib)
-    except (NotCentral, WellDefinednessFailed) as e:
-        report.char_branch_ok = False
-        return fail(f"lie-uce-not-a-leibniz-extension: {e}")
-
-    report.maps["theta"] = theta
-    if not kernel(theta).equals(i):
-        report.char_branch_ok = False
-        return fail("kernel-of-map-to-lie-uce-differs-from-symmetric-span")
-    if theta.rank() != u_lie.carrier_dim:
-        report.char_branch_ok = False
-        return fail("canonical-map-to-lie-uce-not-surjective")
-
-    derived_top = derived_lts(u_lie.extension_algebra)
-    lie_as_lts = CentralExtension(
-        "lts", base_lts, derived_top, u_lie.projection_b, u_lie.section_s
-    )
-    try:
-        chi = universal_map(u_lts, lie_as_lts)
-    except (NotCentral, WellDefinednessFailed) as e:
-        report.char_branch_ok = False
-        return fail(f"derived-lie-uce-not-an-lts-extension: {e}")
-
-    report.maps["chi"] = chi
-    if not kernel(chi).equals(report.i_prime):
-        report.char_branch_ok = False
-        return fail("kernel-of-map-to-lie-uce-differs-from-image-span")
-    if theta != chi @ phi:
-        report.char_branch_ok = False
-        return fail("comparison-triangle-does-not-commute")
-
-    report.char_branch_ok = (
-        u_lts.carrier_dim == u_lie.carrier_dim
-        and report.i_prime.dim == 0
-        and chi.rank() == u_lie.carrier_dim
-    )
-    if not report.char_branch_ok:
-        return fail("cube-not-isomorphic-to-lie-uce")
+            derived_top = derived_lts(u_lie.extension_algebra)
+            chi = _canonical_map(u_lts, derived_top, u_lie.projection_b,
+                                 u_lie.section_s, "derived-lie-uce-not-an-lts-extension",
+                                 branch)
+            report.maps["chi"] = chi
+            _need(kernel(chi).equals(report.i_prime),
+                  "kernel-of-map-to-lie-uce-differs-from-image-span", branch)
+            _need(theta == chi @ phi, "comparison-triangle-does-not-commute", branch)
+            _need(u_lts.carrier_dim == u_lie.carrier_dim
+                  and report.i_prime.dim == 0 and chi.rank() == u_lie.carrier_dim,
+                  "cube-not-isomorphic-to-lie-uce", branch)
+        report.char_branch_ok = True
+    except _Refuted as refuted:
+        report.failed_fact, verdict = refuted.args
+        if verdict:
+            setattr(report, verdict, False)
     return report

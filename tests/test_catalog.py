@@ -99,7 +99,8 @@ def test_abelian():
 
 
 def test_unknown_names():
-    for bad in ("so3", "sl5", "sl1", "abelian(0)", "abelian(x)", ""):
+    for bad in ("so3", "sl5", "sl1", "abelian(0)", "abelian(x)", "", "sl(3",
+                "sl3)", "sl" + "9" * 4301, "abelian(" + "9" * 4301 + ")"):
         with pytest.raises(UnknownAlgebra):
             catalog(bad, QQ)
 

@@ -297,6 +297,30 @@ def test_exit_code_semantic_errors(capsys, tmp_path):
     assert code == 3
 
 
+def test_overlong_integers_are_one_line_errors(capsys, tmp_path):
+    # past 4,300 digits int() and json.loads raise a plain ValueError
+    big = "9" * 4301
+    texts = {
+        "literal": '{"field": "Q", "dim": %s, "binary": []}',
+        "coefficient": '{"field": "Q", "dim": 1, "binary": [[0, 0, [[0, "%s"]]]]}',
+        "field": '{"field": "GF(%s)", "dim": 1, "binary": []}',
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text % big, encoding="ascii")
+    cases = [
+        ([str(tmp_path / "literal.json")], 2),
+        ([str(tmp_path / "coefficient.json")], 3),
+        ([str(tmp_path / "field.json")], 3),
+        (["catalog:sl2", "--field", f"GF({big})"], 3),
+        ([f"catalog:sl{big}"], 3),
+        ([f"catalog:abelian({big})"], 3),
+    ]
+    for argv, want in cases:
+        code, out, err = run(capsys, "check", *argv)
+        assert code == want and out == "", argv
+        assert err.startswith("error [") and err.count("\n") == 1, argv
+
+
 def test_exit_code_non_ascii_field_spec(capsys):
     # an Arabic-Indic three used to run as GF(3)
     for spec in ("GF(\u0663)", "GF(3)\u2003"):
@@ -441,6 +465,25 @@ def test_verdict_failure_maps_to_exit_1(capsys, monkeypatch):
     assert "J=2I: FAIL" in out
     assert "U_LTS = U_Leib/J: skipped" in out
     assert "failed fact: made-up-failure" in out
+
+
+def test_refuted_claim_maps_to_exit_1(capsys, monkeypatch):
+    import uce3.theorem as theorem_mod
+    from uce3 import NotCentral
+
+    def refuse(u, e):
+        raise NotCentral("injected")
+
+    monkeypatch.setattr(theorem_mod, "universal_map", refuse)
+    code, out, err = run(capsys, "theorem", "catalog:sl2", "--field", "GF(3)",
+                         "--json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["failed_fact"] == "upgraded-cube-not-a-leibniz-extension: injected"
+    assert doc["verdicts"] == {"doubling_ok": True, "j_subset_i": True,
+                               "iso_lts_leib_mod_j": False,
+                               "char_branch_ok": None}
 
 
 def test_selftest_runs(capsys):

@@ -21,7 +21,7 @@ def test_field_of_parsing():
     assert field_of(QQ) is QQ
     # int() reads any Unicode digit, so the specs accept ASCII only
     for bad in ("GF(4)", "R", "GF(-3)", "gf(5) extras", "GF(\u0663)",
-                "GF(\uff17)", "Q\u00a0", "\u2003GF(3)"):
+                "GF(\uff17)", "Q\u00a0", "\u2003GF(3)", "GF(" + "9" * 4301 + ")"):
         with pytest.raises((SemanticError, NonPrimeModulus)):
             field_of(bad)
     with pytest.raises(SemanticError):

@@ -109,6 +109,11 @@ def test_format_errors(doc):
         {"field": "Z", "dim": 1, "binary": []},  # unknown field
         {"field": "Q", "dim": -1, "binary": []},  # negative dim
         {"field": "Q", "dim": 2, "ternary": [[0, 1, 2, [[0, 1]]]]},  # k range
+        # past the interpreter's 4,300-digit limit on reading an integer
+        {"field": "Q", "dim": 1, "binary": [[0, 0, [[0, "9" * 4301]]]]},
+        {"field": "Q", "dim": 1, "binary": [[0, 0, [[0, "1/" + "9" * 4301]]]]},
+        {"field": "GF(3)", "dim": 1, "binary": [[0, 0, [[0, "9" * 4301]]]]},
+        {"field": "GF(" + "9" * 4301 + ")", "dim": 1, "binary": []},
     ],
 )
 def test_semantic_errors(doc):
@@ -122,6 +127,19 @@ def test_loads_reports_json_position():
     with pytest.raises(FormatError) as exc:
         loads_algebra("{ not json }")
     assert "line" in str(exc.value)
+
+
+@pytest.mark.parametrize("literal", ["dim", "index", "coefficient"])
+def test_loads_refuses_an_overlong_integer_literal(literal):
+    # json.loads raises a plain ValueError past 4,300 digits
+    big = "9" * 4301
+    doc = {"dim": "1", "index": "0", "coefficient": "1"}
+    doc[literal] = big
+    text = ('{"field": "Q", "dim": %(dim)s, "binary": [[0, 0, [[%(index)s, '
+            '%(coefficient)s]]]]}' % doc)
+    with pytest.raises(FormatError) as exc:
+        loads_algebra(text)
+    assert "too long" in str(exc.value)
 
 
 def test_load_algebra_file(tmp_path):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from conftest import THEOREM_CASES, build_sl2_dual, tolists2, tolists3
@@ -8,11 +10,13 @@ from uce3 import (
     QQ,
     CentralExtension,
     Matrix,
+    NotCentral,
     NotLie,
     NotOverSameBase,
     NotPerfect,
     PrimeField,
     Rationals,
+    Subspace,
     WrongCategory,
     catalog,
     check_binary,
@@ -322,3 +326,162 @@ def test_pipeline_uses_no_per_scalar_field_arithmetic(spec):
     assert report.ok, report.failed_fact
     h = homology(report.u_lts)
     assert h.h2_dim == report.dims["h2_lts"] == len(h.h2_basis)
+
+
+def _refuse(real, *args):
+    raise NotCentral("injected")
+
+
+def _false(real, *args):
+    return False
+
+
+def _whole_space(real, m):
+    return Subspace.from_vectors(m.field, m.ncols, np.eye(m.ncols, dtype=np.int64))
+
+
+def _doubled(real, *args):
+    # over GF(3), twice a nonzero map is another map with the same kernel
+    m = real(*args)
+    t = m.tensor()
+    return Matrix.from_raw(m.field, 2 * t.arr, t.scale)
+
+
+def _not_lts(real, alg, checked):
+    return dataclasses.replace(real(alg, checked), is_lts=False)
+
+
+def _not_doubled(real, u):
+    return {**real(u), "j_equals_2i": False}
+
+
+def _off_branch(real, u):
+    return {**real(u), "char_branch": False}
+
+
+# (base, field, patched callable, the call that goes wrong, what it does)
+# -> (failed_fact, doubling_ok, j_subset_i, iso_lts_leib_mod_j,
+#     char_branch_ok, sorted map names, ok). theorem.kernel's 1st call is
+# the upgrade's wedge kernel and its 2nd ker(phi); theorem._factor_through's
+# 2nd call is phi_bar; the 4th universal_map is chi.
+FAILURE_PATHS = [
+    ("sl2", "GF(3)", "theorem.universal_map", 1, _refuse,
+     ("upgraded-cube-not-a-leibniz-extension: injected",
+      True, True, False, None, [], False)),
+    ("sl2", "GF(3)", "theorem.universal_map", 2, _refuse,
+     ("quotient-by-jacobiator-span-fails: injected",
+      True, True, False, None, ["phi"], False)),
+    ("sl2", "GF(3)", "theorem.universal_map", 3, _refuse,
+     ("lie-uce-not-a-leibniz-extension: injected",
+      True, True, True, False, ["phi", "phi_bar", "psi"], False)),
+    ("sl2", "GF(3)", "theorem.universal_map", 4, _refuse,
+     ("derived-lie-uce-not-an-lts-extension: injected",
+      True, True, True, False, ["phi", "phi_bar", "psi", "theta"], False)),
+    ("sl2", "GF(3)", "theorem.universal_map", 4, _doubled,
+     ("comparison-triangle-does-not-commute",
+      True, True, True, False, ["chi", "phi", "phi_bar", "psi", "theta"], False)),
+    ("sl2", "GF(3)", "Subspace.is_subspace_of", 1, _false,
+     ("jacobiator-span-escapes-symmetric-span",
+      True, False, None, None, [], False)),
+    ("sl2", "GF(3)", "Subspace.is_subspace_of", 2, _false,
+     ("jacobiator-span-escapes-projection-kernel",
+      True, True, None, None, [], False)),
+    ("sl2", "GF(3)", "Subspace.is_subspace_of", 3, _false,
+     ("symmetric-span-escapes-projection-kernel",
+      True, True, None, None, [], False)),
+    ("sl2", "GF(3)", "theorem.verify_jacobiator_doubling", 1, _not_doubled,
+     ("jacobiator-span-not-twice-symmetric-span",
+      False, None, None, None, [], False)),
+    ("sl2", "GF(3)", "theorem.verify_jacobiator_doubling", 1, _off_branch,
+     ("jacobiator-span-differs-from-symmetric-span",
+      False, None, None, None, [], False)),
+    ("sl2", "GF(3)", "theorem.kernel", 2, _whole_space,
+     ("kernel-of-canonical-map-differs-from-jacobiator-span",
+      True, True, False, None, ["phi"], False)),
+    ("sl2", "GF(3)", "theorem.kernel", 3, _whole_space,
+     ("kernel-of-map-to-lie-uce-differs-from-symmetric-span",
+      True, True, True, False, ["phi", "phi_bar", "psi", "theta"], False)),
+    ("sl2", "GF(3)", "theorem.kernel", 4, _whole_space,
+     ("kernel-of-map-to-lie-uce-differs-from-image-span",
+      True, True, True, False, ["chi", "phi", "phi_bar", "psi", "theta"], False)),
+    ("sl2", "GF(3)", "theorem._checked_ternary", 1, _not_lts,
+     ("quotient-by-jacobiator-span-not-a-triple-system",
+      True, True, False, None, ["phi"], False)),
+    ("sl2", "GF(3)", "theorem._factor_through", 2, _doubled,
+     ("canonical-maps-not-mutually-inverse",
+      True, True, False, None, ["phi", "phi_bar", "psi"], False)),
+    ("sl3", "GF(2)", "theorem.universal_map", 1, _refuse,
+     ("upgraded-cube-not-a-leibniz-extension: injected",
+      True, True, False, None, [], False)),
+    ("sl3", "GF(2)", "theorem.universal_map", 2, _refuse,
+     ("quotient-by-jacobiator-span-fails: injected",
+      True, True, False, None, ["phi"], False)),
+    ("sl3", "GF(2)", "Subspace.is_subspace_of", 1, _false,
+     ("jacobiator-span-escapes-symmetric-span",
+      True, False, None, None, [], False)),
+    ("sl3", "GF(2)", "Subspace.is_subspace_of", 2, _false,
+     ("jacobiator-span-escapes-projection-kernel",
+      True, True, None, None, [], False)),
+    ("sl3", "GF(2)", "Subspace.is_subspace_of", 3, _false,
+     ("symmetric-span-escapes-projection-kernel",
+      True, True, None, None, [], False)),
+    ("sl3", "GF(2)", "theorem.verify_jacobiator_doubling", 1, _not_doubled,
+     ("jacobiator-span-not-twice-symmetric-span",
+      False, None, None, None, [], False)),
+    ("sl3", "GF(2)", "theorem.verify_jacobiator_doubling", 1, _off_branch,
+     ("jacobiator-span-not-zero", False, None, None, None, [], False)),
+    ("sl3", "GF(2)", "theorem.kernel", 2, _whole_space,
+     ("kernel-of-canonical-map-differs-from-jacobiator-span",
+      True, True, False, None, ["phi"], False)),
+    ("sl3", "GF(2)", "theorem._checked_ternary", 1, _not_lts,
+     ("quotient-by-jacobiator-span-not-a-triple-system",
+      True, True, False, None, ["phi"], False)),
+]
+
+
+@pytest.mark.parametrize("name,spec,target,call,wrong,want", FAILURE_PATHS)
+def test_each_refuted_claim_is_reported(monkeypatch, name, spec, target,
+                                        call, wrong, want):
+    import uce3.theorem as theorem_mod
+
+    owner, attr = target.split(".")
+    owner = {"theorem": theorem_mod, "Subspace": Subspace}[owner]
+    real = getattr(owner, attr)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return wrong(real, *args) if len(calls) == call else real(*args)
+
+    monkeypatch.setattr(owner, attr, patched)
+    rep = verify_main_theorem(catalog(name, field_of(spec)))
+    assert len(calls) >= call
+    got = (rep.failed_fact, rep.doubling_ok, rep.j_subset_i,
+           rep.iso_lts_leib_mod_j, rep.char_branch_ok, sorted(rep.maps), rep.ok)
+    assert got == want
+
+
+def test_refuted_claim_counts_under_optimize_flag():
+    # python -O strips assert statements; a refuted claim must still be
+    # recorded as the report's failed fact
+    import os
+    import subprocess
+    import sys
+
+    import uce3
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(uce3.__file__))
+    code = (
+        "from uce3 import catalog, field_of, verify_main_theorem\n"
+        "from uce3.linalg import Subspace\n"
+        "Subspace.is_subspace_of = lambda self, other: False\n"
+        "rep = verify_main_theorem(catalog('sl2', field_of('GF(3)')))\n"
+        "print(rep.failed_fact, rep.ok)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "jacobiator-span-escapes-symmetric-span False\n"
