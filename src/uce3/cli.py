@@ -68,9 +68,9 @@ def _yesno(b):
 def _load_input(args):
     src = args.input
     if src.startswith("catalog:"):
-        f = field_of(args.field) if args.field else QQ
+        f = QQ if args.field is None else field_of(args.field)
         return catalog(src[len("catalog:"):], f, args.force)
-    if args.field:
+    if args.field is not None:
         raise SemanticError(
             "--field cannot override the field fixed by an input file"
         )
@@ -127,7 +127,7 @@ def cmd_uce(args):
     else:
         print(f"category: {u.category}")
         print(
-            f"carrier {u.carrier_dim}, H2 {u.h2.dim}, "
+            f"carrier {u.carrier_dim}, H2 {u.kernel.dim}, "
             f"relations {u.relations.dim}"
         )
     return 0

@@ -52,6 +52,7 @@ from .tensorops import (
     ExactTensor,
     _chain_witness,
     _maxabs,
+    _run_heads,
     _runs,
     _scaled,
     exact_tensor,
@@ -64,15 +65,11 @@ from .tensorops import (
 __all__ = [
     "Matrix",
     "Subspace",
-    "QuotientSpace",
     "SpanAccumulator",
     "left_kernel",
     "quotient_kernel",
     "take_generators",
-    "span_incremental",
-    "rref",
     "kernel",
-    "quotient",
     "solve_columns",
     "right_inverse",
 ]
@@ -88,13 +85,6 @@ def take_generators(cols, vals, lens, idx):
 
 # the word of a packed GF(2) row
 _WORD = np.dtype("<u8")
-
-
-def _run_heads(g):
-    """The start of each run of equal values in g."""
-    head = np.ones(len(g), dtype=bool)
-    np.not_equal(g[1:], g[:-1], out=head[1:])
-    return head.nonzero()[0]
 
 
 class _EchelonGFp:
@@ -561,6 +551,10 @@ class Subspace:
     ``pivots`` (sorted), ``free`` (the other columns, ascending) and ``k``,
     the canonical ExactTensor of -R[:, free], one row per pivot.
 
+    It also presents the quotient F^ambient / self: the coset coordinates
+    are the free columns, ``project`` maps a vector to them through the
+    ``projection`` K and ``section`` embeds them back.
+
     Built from raw, an integer array with raw / den = -R[:, free], which
     becomes the subspace's own, so the caller passes a temporary."""
 
@@ -571,6 +565,7 @@ class Subspace:
         piv = set(self.pivots)
         self.free = tuple(c for c in range(ambient) if c not in piv)
         self.k = rescaled(field, raw, den)
+        self._projection = None
 
     @classmethod
     def zero(cls, field, ambient):
@@ -607,19 +602,48 @@ class Subspace:
     def projection(self):
         """The ExactTensor (ambient x codim) of v -> v K / scale, the
         residual of v on the free columns: scale * e_j in the row of the
-        j-th free column, K in the pivot rows."""
+        j-th free column, K in the pivot rows. Built once and kept."""
+        if self._projection is None:
+            self._projection = self._spread()
+        return self._projection
+
+    def _spread(self):
+        """The tensor of projection, built anew."""
         out = self._zeros((self.ambient, len(self.free)))
         out[list(self.free), np.arange(len(self.free))] = self.k.scale
         out[list(self.pivots)] = self.k.arr
         return ExactTensor(out, self.k.scale, self.k.p)
 
+    def project(self, v):
+        """The coordinates of v's class in the quotient by this subspace,
+        one per free column: v K / scale."""
+        return _times(self.field, v, self.projection())
+
+    def section(self, x):
+        """The vector supported on the free columns with coordinates x, so
+        that project(section(x)) == x on the nose."""
+        if len(x) != len(self.free):
+            raise DimensionMismatch(f"coset vector length {len(x)} != {len(self.free)}")
+        v = [self.field.zero] * self.ambient
+        for c, val in zip(self.free, x):
+            v[c] = val
+        return v
+
     def reduce(self, v):
         """Canonical residual of v modulo this subspace: v K / scale on the
         free columns, zero on the pivots."""
-        out = [self.field.zero] * self.ambient
-        for c, x in zip(self.free, _times(self.field, v, self.projection())):
-            out[c] = x
-        return out
+        return self.section(self.project(v))
+
+    def kill_witness(self, fmap):
+        """None when fmap, an ExactTensor with one row per ambient
+        coordinate, kills this subspace; otherwise the pivot column of a
+        basis vector that fmap does not send to zero. fmap kills it exactly
+        when scale * fmap == K fmap[free], checked as one product."""
+        k = self.projection()
+        cols = ExactTensor(fmap.arr[list(self.free)], 1, k.p)
+        w = _chain_witness([((fmap,), [(k.scale, (0, 1))]),
+                            ((k, (1, cols, 0)), [(-1, (0, 1))])], k.p)
+        return None if w is None else w[0]
 
     def contains(self, v):
         return not any(self.reduce(v))
@@ -691,64 +715,6 @@ class Subspace:
         return f"<Subspace dim {self.dim} of F^{self.ambient} over {self.field.spec_str()}>"
 
 
-class QuotientSpace:
-    """Coordinates for ambient/killed with an explicit coordinate section.
-
-    Coset coordinates are the non-pivot columns C of the killed subspace in
-    increasing order; ``section`` embeds a coset vector back supported on
-    exactly those columns, so project(section(x)) == x on the nose.
-
-    Projection is one exact matrix K (``projection``, an ExactTensor of
-    shape ambient x dim) spread out of the killed subspace's K-form: row
-    c_j of K is scale * e_j, and row p_i, for the RREF row R_i with pivot
-    column p_i, is -R_i[C] * scale. Then project(v) = v K / scale exactly,
-    and a map F (one row per ambient coordinate) kills the killed subspace
-    exactly when scale * F == K F[C], which ``kill_witness`` checks as one
-    product.
-    """
-
-    def __init__(self, killed):
-        self.killed = killed
-        self.field = killed.field
-        self.ambient = killed.ambient
-        self.coset_coords = killed.free
-        self.dim = len(self.coset_coords)
-        self._projection = None
-
-    @property
-    def projection(self):
-        if self._projection is None:
-            self._projection = self.killed.projection()
-        return self._projection
-
-    def project(self, v):
-        return _times(self.field, v, self.projection)
-
-    def kill_witness(self, fmap):
-        """None when fmap, an ExactTensor with one row per ambient
-        coordinate, kills the killed subspace; otherwise the pivot column
-        of a killed basis vector that fmap does not send to zero."""
-        k = self.projection
-        cols = ExactTensor(fmap.arr[list(self.coset_coords)], 1, k.p)
-        w = _chain_witness([((fmap,), [(k.scale, (0, 1))]),
-                            ((k, (1, cols, 0)), [(-1, (0, 1))])], k.p)
-        return None if w is None else w[0]
-
-    def section(self, x):
-        if len(x) != self.dim:
-            raise DimensionMismatch(f"coset vector length {len(x)} != {self.dim}")
-        v = [self.field.zero] * self.ambient
-        for c, val in zip(self.coset_coords, x):
-            v[c] = val
-        return v
-
-    def __repr__(self):
-        return (
-            f"<QuotientSpace F^{self.ambient}/(dim {self.killed.dim}) "
-            f"over {self.field.spec_str()}>"
-        )
-
-
 def _times(field, v, k):
     """v K / scale, exactly, for a vector v of field scalars and the
     projection K of a subspace."""
@@ -757,18 +723,6 @@ def _times(field, v, k):
     vt = exact_tensor(field, v)
     raw = exact_tensordot(vt.arr, k.arr, ([0], [0]), k.p)
     return unscale(field, raw, vt.scale * k.scale)
-
-
-def quotient(ambient, killed):
-    if killed.ambient != ambient:
-        raise DimensionMismatch(
-            f"killed subspace lives in F^{killed.ambient}, not F^{ambient}"
-        )
-    return QuotientSpace(killed)
-
-
-def span_incremental(field, ambient, vectors):
-    return Subspace.from_vectors(field, ambient, vectors)
 
 
 class Matrix:
@@ -870,16 +824,8 @@ class Matrix:
         b = sub.basis()
         return Matrix.from_raw(self.field, b.arr, b.scale), sub.pivots
 
-    def kernel(self):
-        return kernel(self)
-
     def __repr__(self):
         return f"<Matrix {self.nrows}x{self.ncols} over {self.field.spec_str()}>"
-
-
-def rref(m):
-    """Unique reduced row echelon form of m (zero rows dropped) and pivots."""
-    return m.rref()
 
 
 def kernel(m):
@@ -887,7 +833,8 @@ def kernel(m):
     projection of m's row space is, up to its scale, the kernel vector of
     the j-th free column: 1 there and -R[:, j] on the pivots."""
     rows = m._row_space()
-    sub = Subspace.from_vectors(m.field, m.ncols, rows.projection().arr.T)
+    # a temporary: m keeps its row space, which need not keep this
+    sub = Subspace.from_vectors(m.field, m.ncols, rows._spread().arr.T)
     if sub.dim != m.ncols - rows.dim:
         raise InternalAssertionFailed(
             "rank-nullity-violated", f"kernel dim {sub.dim}, rank {rows.dim}"

@@ -139,13 +139,13 @@ def _check_shuffles(rng):
                 a.carrier_dim == b.carrier_dim,
                 "carrier dim under shuffle",
             )
-            _require(a.h2.dim == b.h2.dim, "H2 dim under shuffle")
+            _require(a.kernel.dim == b.kernel.dim, "H2 dim under shuffle")
             _require(
                 a.relations.equals(b.relations),
                 "relation span under shuffle",
             )
             _require(
-                a.extension_algebra == b.extension_algebra,
+                a.algebra == b.algebra,
                 f"{a.category} bracket under shuffle",
             )
 
@@ -200,7 +200,7 @@ def _check_universal_map_identity(rng):
     f = _random_field(rng, allow_two=False)
     g = catalog("sl2", f)
     for u in (leibniz_uce(g), lie_uce(g), lts_tensor_cube(derived_lts(g))):
-        m = universal_map(u, u.as_extension())
+        m = universal_map(u, u)
         _require(
             m == Matrix.identity(u.base.field, u.carrier_dim),
             "universal map into itself is the identity",

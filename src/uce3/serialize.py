@@ -143,6 +143,8 @@ def loads_algebra(text, force=False):
     except ValueError:
         # an integer literal past the interpreter's limit on digits read
         raise FormatError("invalid JSON: an integer literal is too long to read")
+    except RecursionError:
+        raise FormatError("invalid JSON: arrays or objects nested too deeply to read")
     return algebra_from_dict(doc, force)
 
 

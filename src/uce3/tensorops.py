@@ -198,9 +198,7 @@ def escaping_generators(cols, vals, lens, m):
         last = max(int(np.searchsorted(ends, t + room, "right")) - 1, int(gen[t]))
         e = int(ends[last])
         g = gen[t:e]
-        head = np.ones(len(g), dtype=bool)
-        np.not_equal(g[1:], g[:-1], out=head[1:])
-        heads = head.nonzero()[0]
+        heads = _run_heads(g)
         part = m[cols[t:e]]
         part *= vals[t:e, None]
         sums = np.add.reduceat(part, heads, axis=0)
@@ -336,6 +334,13 @@ def _runs(start, count):
     of each position, and the positions."""
     e = np.repeat(np.arange(len(count)), count)
     return e, start[e] + np.arange(len(e)) - (np.cumsum(count) - count)[e]
+
+
+def _run_heads(g):
+    """The start of each run of equal values in g."""
+    head = np.ones(len(g), dtype=bool)
+    np.not_equal(g[1:], g[:-1], out=head[1:])
+    return head.nonzero()[0]
 
 
 def _join(a, i, b, j, n, p):

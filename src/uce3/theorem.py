@@ -52,7 +52,6 @@ from .linalg import (
     SpanAccumulator,
     Subspace,
     kernel,
-    quotient,
     right_inverse,
 )
 from .uce import (
@@ -217,7 +216,7 @@ def jacobiator_subspace(u):
     """Span of [x,[y,z]] + [z,[x,y]] + [y,[z,x]] over carrier basis triples;
     trilinear, so basis triples generate."""
     _require_leibniz_result(u)
-    et = u.extension_algebra.tensor()
+    et = u.algebra.tensor()
     lhs = tops.left_nested(et)
     jac = lhs + lhs.transpose(2, 0, 1, 3) + lhs.transpose(1, 2, 0, 3)
     q = u.carrier_dim
@@ -230,7 +229,7 @@ def symmetric_subspace(u):
     """Span of [x,y] + [y,x] over unordered carrier basis pairs, i = j
     included (that row is 2[x,x])."""
     _require_leibniz_result(u)
-    et = u.extension_algebra.tensor()
+    et = u.algebra.tensor()
     sym = et.arr + et.arr.transpose(1, 0, 2)
     i, j = np.triu_indices(u.carrier_dim)
     return Subspace.from_vectors(u.base.field, u.carrier_dim, sym[i, j])
@@ -316,31 +315,31 @@ class TheoremReport:
         }
 
 
-def _factor_through(mat, q):
-    """Restrict a matrix that kills q.killed to coset coordinates."""
+def _factor_through(mat, killed):
+    """Restrict a matrix that kills the subspace killed to its coset
+    coordinates."""
     t = mat.tensor()
-    return Matrix.from_raw(mat.field, t.arr[:, list(q.coset_coords)], t.scale)
+    return Matrix.from_raw(mat.field, t.arr[:, list(killed.free)], t.scale)
 
 
 def _quotient_by_jacobiator_span(u_leib, j):
     """U_Leib/J with the ternary bracket {a,b,c} = class([a,[b,c]]): the
-    quotient, then the algebra, projection and section that make U_Leib/J a
-    central extension of the derived triple system of the base."""
+    algebra, projection and section that make U_Leib/J a central extension
+    of the derived triple system of the base."""
     f = u_leib.base.field
-    qj = quotient(u_leib.carrier_dim, j)
-    k = qj.projection
-    et = u_leib.extension_algebra.tensor()
-    c = list(qj.coset_coords)
+    k = j.projection()
+    et = u_leib.algebra.tensor()
+    c = list(j.free)
     nested = tops.left_nested(et)[np.ix_(c, c, c)]
     raw = tops.exact_tensordot(nested, k.arr, ([3], [0]), k.p)
     alg = TernaryAlgebra.from_raw(
-        f, raw, et.scale**2 * k.scale, name=f"{u_leib.extension_algebra.name}/J"
+        f, raw, et.scale**2 * k.scale, name=f"{u_leib.algebra.name}/J"
     )
-    proj = _factor_through(u_leib.projection_b, qj)
-    st = u_leib.section_s.tensor()
+    proj = _factor_through(u_leib.projection, j)
+    st = u_leib.section.tensor()
     sec_raw = tops.exact_tensordot(k.arr, st.arr, ([0], [0]), k.p)
     sec = Matrix.from_raw(f, sec_raw, k.scale * st.scale)
-    return qj, alg, proj, sec
+    return alg, proj, sec
 
 
 def _checked_ternary(alg, checked):
@@ -409,9 +408,9 @@ def verify_main_theorem(g, force=False):
         "u_lie": u_lie.carrier_dim,
         "u_leib": u_leib.carrier_dim,
         "u_lts": u_lts.carrier_dim,
-        "h2_lie": u_lie.h2.dim,
-        "h2_leib": u_leib.h2.dim,
-        "h2_lts": u_lts.h2.dim,
+        "h2_lie": u_lie.kernel.dim,
+        "h2_leib": u_leib.kernel.dim,
+        "h2_lts": u_lts.kernel.dim,
         "j": j.dim,
         "i": i.dim,
     }
@@ -426,13 +425,12 @@ def verify_main_theorem(g, force=False):
         _need(j.is_subspace_of(i), "jacobiator-span-escapes-symmetric-span",
               "j_subset_i")
         report.j_subset_i = True
-        _need(j.is_subspace_of(u_leib.h2), "jacobiator-span-escapes-projection-kernel")
-        _need(i.is_subspace_of(u_leib.h2), "symmetric-span-escapes-projection-kernel")
+        _need(j.is_subspace_of(u_leib.kernel), "jacobiator-span-escapes-projection-kernel")
+        _need(i.is_subspace_of(u_leib.kernel), "symmetric-span-escapes-projection-kernel")
 
         # the upgraded cube receives the canonical map from the Leibniz UCE
-        phi = _canonical_map(u_leib, cert.leibniz_bracket, u_lts.projection_b,
-                             u_lts.section_s, "upgraded-cube-not-a-leibniz-extension",
-                             iso)
+        phi = _canonical_map(u_leib, cert.leibniz_bracket, u_lts.projection,
+                             u_lts.section, "upgraded-cube-not-a-leibniz-extension", iso)
         report.maps["phi"] = phi
         report.i_prime = i.image_under(phi)
         report.dims["i_prime"] = report.i_prime.dim
@@ -443,15 +441,15 @@ def verify_main_theorem(g, force=False):
         _need(phi.rank() == u_lts.carrier_dim,
               "canonical-map-to-cube-not-surjective", iso)
 
-        qj, quot_alg, *quot_maps = _quotient_by_jacobiator_span(u_leib, j)
-        tflags = _checked_ternary(quot_alg, u_lts.extension_algebra)
+        quot_alg, *quot_maps = _quotient_by_jacobiator_span(u_leib, j)
+        tflags = _checked_ternary(quot_alg, u_lts.algebra)
         _need(tflags.is_lts, "quotient-by-jacobiator-span-not-a-triple-system", iso)
         psi = _canonical_map(u_lts, quot_alg, *quot_maps,
                              "quotient-by-jacobiator-span-fails", iso)
-        phi_bar = _factor_through(phi, qj)
+        phi_bar = _factor_through(phi, j)
         report.maps["psi"] = psi
         report.maps["phi_bar"] = phi_bar
-        idq = Matrix.identity(f, qj.dim)
+        idq = Matrix.identity(f, quot_alg.dim)
         idu = Matrix.identity(f, u_lts.carrier_dim)
         _need(psi @ phi_bar == idq and phi_bar @ psi == idu,
               "canonical-maps-not-mutually-inverse", iso)
@@ -463,8 +461,8 @@ def verify_main_theorem(g, force=False):
                   "cube-not-isomorphic-to-leibniz-uce", branch)
         else:
             # away from characteristic 2 the Lie UCE joins the picture
-            theta = _canonical_map(u_leib, u_lie.extension_algebra, u_lie.projection_b,
-                                   u_lie.section_s, "lie-uce-not-a-leibniz-extension",
+            theta = _canonical_map(u_leib, u_lie.algebra, u_lie.projection,
+                                   u_lie.section, "lie-uce-not-a-leibniz-extension",
                                    branch)
             report.maps["theta"] = theta
             _need(kernel(theta).equals(i),
@@ -472,9 +470,9 @@ def verify_main_theorem(g, force=False):
             _need(theta.rank() == u_lie.carrier_dim,
                   "canonical-map-to-lie-uce-not-surjective", branch)
 
-            derived_top = derived_lts(u_lie.extension_algebra)
-            chi = _canonical_map(u_lts, derived_top, u_lie.projection_b,
-                                 u_lie.section_s, "derived-lie-uce-not-an-lts-extension",
+            derived_top = derived_lts(u_lie.algebra)
+            chi = _canonical_map(u_lts, derived_top, u_lie.projection,
+                                 u_lie.section, "derived-lie-uce-not-an-lts-extension",
                                  branch)
             report.maps["chi"] = chi
             _need(kernel(chi).equals(report.i_prime),

@@ -23,10 +23,10 @@ These reductions rest on the category's axioms, which each constructor
 checks by admit before it folds anything.
 
 The quotient comes with one exact projection matrix K (ambient x carrier,
-read off the RREF of the relation span; see QuotientSpace). The bracket on
-the quotient is the images under the evaluation map, re-tensored and
-projected: one slotwise contraction of K with the image matrix, not a loop
-over basis tuples. The projection to the base is the evaluation map itself,
+read off the RREF of the relation span; see Subspace.projection). The
+bracket on the quotient is the images under the evaluation map,
+re-tensored and projected: one slotwise contraction of K with the image
+matrix, not a loop over basis tuples. The projection to the base is the evaluation map itself,
 and the kernel of that projection is the second homology of the base.
 
 Everything a proof would normally guarantee is instead asserted on the
@@ -75,7 +75,6 @@ from .linalg import (
     SpanAccumulator,
     kernel,
     left_kernel,
-    quotient,
     quotient_kernel,
     right_inverse,
     take_generators,
@@ -239,28 +238,15 @@ class UceResult(CentralExtension):
     """A constructed universal central extension, verified as a
     CentralExtension when it is built.
 
-    carrier: the quotient presentation (coset coordinates over the tensor
-    ambient); relations: the relation span it is the quotient by. The rest
-    reads the extension's own fields: extension_algebra (its algebra) is
-    the induced bracket on the coset coordinates, projection_b (its
-    projection) evaluation onto the base, h2 (its kernel) the kernel of
-    projection_b, and section_s (its section) a linear splitting of it.
+    relations: the relation span in the tensor ambient; the extension is
+    the quotient by it, on the coset coordinates relations.free. algebra is
+    the induced bracket there, projection evaluation onto the base, section
+    a linear splitting of it, and kernel, the kernel of projection, is H2.
     """
 
-    def __init__(self, category, base, carrier, extension_algebra, projection_b,
-                 relations, h2, section_s):
-        super().__init__(category, base, extension_algebra, projection_b, section_s)
-        self.carrier = carrier
+    def __init__(self, category, base, algebra, projection, section, relations):
+        super().__init__(category, base, algebra, projection, section)
         self.relations = relations
-        self.kernel = h2
-
-    extension_algebra = property(lambda self: self.algebra)
-    projection_b = property(lambda self: self.projection)
-    section_s = property(lambda self: self.section)
-    h2 = property(lambda self: self.kernel)
-
-    def as_extension(self):
-        return self
 
     def to_json(self):
         """The result as JSON text in json.dumps(..., sort_keys=True,
@@ -270,10 +256,10 @@ class UceResult(CentralExtension):
         return json_object({
             "category": json.dumps(self.category),
             "base": json.dumps(self.base.name),
-            "carrier_dim": json.dumps(self.carrier.dim),
-            "h2_dim": json.dumps(self.h2.dim),
+            "carrier_dim": json.dumps(self.carrier_dim),
+            "h2_dim": json.dumps(self.kernel.dim),
             "relation_dim": json.dumps(self.relations.dim),
-            "algebra": dumps_algebra(self.extension_algebra),
+            "algebra": dumps_algebra(self.algebra),
         })
 
     def to_dict(self):
@@ -283,16 +269,16 @@ class UceResult(CentralExtension):
     def __repr__(self):
         return (
             f"<UceResult {self.category} over {self.base.name or 'base'}: "
-            f"carrier {self.carrier.dim}, h2 {self.h2.dim}>"
+            f"carrier {self.carrier_dim}, h2 {self.kernel.dim}>"
         )
 
 
 def homology(u):
     """H1 = coker of the bracket span, H2 = kernel of the projection."""
-    lifts = tuple(tuple(u.carrier.section(v)) for v in u.h2.basis_vectors())
+    lifts = tuple(tuple(u.relations.section(v)) for v in u.kernel.basis_vectors())
     return HomologyReport(
         h1_dim=u.base.dim - bracket_span_dim(u.base),
-        h2_dim=u.h2.dim,
+        h2_dim=u.kernel.dim,
         h2_basis=lifts,
     )
 
@@ -421,8 +407,7 @@ def _finish_extension(category, base, relations, ev):
     """
     f = base.field
     n = base.dim
-    q = quotient(relations.ambient, relations)
-    col = q.kill_witness(ev)
+    col = relations.kill_witness(ev)
     if col is not None:
         # the quotient bracket factors slotwise through ev, so this one
         # check is also the ideal property of the relation span
@@ -430,23 +415,24 @@ def _finish_extension(category, base, relations, ev):
             "relations-escape-evaluation-kernel",
             f"the relation with pivot column {col} evaluates to a nonzero vector",
         )
-    if q.dim == 0:
+    dim = len(relations.free)
+    if dim == 0:
         raise InternalAssertionFailed(
             "quotient-collapsed", "carrier of a perfect base cannot be zero"
         )
-    images = ev.arr[list(q.coset_coords)]
+    images = ev.arr[list(relations.free)]
     proj = Matrix.from_raw(f, images.T, ev.scale)
 
-    k = q.projection
+    k = relations.projection()
     cls, check = CATEGORIES[category][:2]
     arity = cls.arity
     if category == "lie":
         # lift K through the wedge map to an antisymmetric n x n x dim
         # tensor, so that class(u ^ v) = sum u_a v_b K[a, b] like Leibniz
         kt = tops.exact_tensordot(wedge_map(n), k.arr, ([1], [0]), k.p)
-        kt = kt.reshape(n, n, q.dim)
+        kt = kt.reshape(n, n, dim)
     else:
-        kt = k.arr.reshape((n,) * arity + (q.dim,))
+        kt = k.arr.reshape((n,) * arity + (dim,))
     # no local keeps the raw table alive past the constructor: it would
     # sit on top of the axiom checks' peak memory
     ext = cls.from_raw(
@@ -460,7 +446,7 @@ def _finish_extension(category, base, relations, ev):
         section = right_inverse(proj)
     except DimensionMismatch as e:
         raise InternalAssertionFailed("projection-not-surjective", str(e))
-    u = UceResult(category, base, q, ext, proj, relations, None, section)
+    u = UceResult(category, base, ext, proj, section, relations)
     try:
         u.verify()
     except NotCentral as e:
@@ -695,19 +681,19 @@ def universal_map(u, e):
     else:
         rows = grid.reshape(-1, e.carrier_dim)
     # phi has one row per ambient coordinate of u: the image of that tensor
-    col = u.carrier.kill_witness(tops.ExactTensor(rows, scale, et.p))
+    col = u.relations.kill_witness(tops.ExactTensor(rows, scale, et.p))
     if col is not None:
         raise WellDefinednessFailed(
             f"the relation with pivot column {col} does not map to zero; the "
             "target is not a central extension or the source is not universal"
         )
-    coset = rows[list(u.carrier.coset_coords)]
+    coset = rows[list(u.relations.free)]
     mat = Matrix.from_raw(f, coset.T, scale)
-    wit = tops.morphism_witness(u.extension_algebra.tensor(), et, mat.tensor())
+    wit = tops.morphism_witness(u.algebra.tensor(), et, mat.tensor())
     if wit is not None:
         raise InternalAssertionFailed(
             "universal-map-not-a-morphism", f"basis tuple {wit}"
         )
-    if e.projection @ mat != u.projection_b:
+    if e.projection @ mat != u.projection:
         raise InternalAssertionFailed("universal-map-breaks-projections")
     return mat

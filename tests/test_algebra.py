@@ -161,7 +161,7 @@ def test_contraction_tables_match_per_tuple_formulas(name, spec):
 def test_derived_lts_rejects_non_jacobi(sl2_dual):
     # this Leibniz cover is perfect but its jacobiator is nonzero
     u = leibniz_uce(sl2_dual)
-    e = u.extension_algebra
+    e = u.algebra
     flags = check_binary(e)
     assert flags.is_leibniz and not flags.satisfies_jacobi
     with pytest.raises(JacobiFails):

@@ -293,8 +293,10 @@ def test_exit_code_semantic_errors(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(dumps_algebra(catalog("sl2", field_of("GF(3)"))),
                     encoding="ascii")
-    code, _, err = run(capsys, "check", str(good), "--field", "Q")
-    assert code == 3
+    for spec in ("Q", ""):
+        code, _, err = run(capsys, "check", str(good), "--field", spec)
+        assert code == 3
+        assert "error [SemanticError]" in err
 
 
 def test_overlong_integers_are_one_line_errors(capsys, tmp_path):
@@ -321,9 +323,19 @@ def test_overlong_integers_are_one_line_errors(capsys, tmp_path):
         assert err.startswith("error [") and err.count("\n") == 1, argv
 
 
+def test_deeply_nested_json_is_a_one_line_error(capsys, tmp_path):
+    # json.loads raises RecursionError on arrays nested this deep
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": "Q", "dim": 1, "binary": %s}'
+                    % ("[" * 100_000 + "]" * 100_000), encoding="ascii")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error [FormatError]:") and err.count("\n") == 1
+
+
 def test_exit_code_non_ascii_field_spec(capsys):
-    # an Arabic-Indic three used to run as GF(3)
-    for spec in ("GF(\u0663)", "GF(3)\u2003"):
+    # an Arabic-Indic three used to run as GF(3), and an empty spec as Q
+    for spec in ("GF(\u0663)", "GF(3)\u2003", "", " "):
         code, out, err = run(capsys, "theorem", "catalog:sl2", "--field", spec)
         assert code == 3 and out == ""
         assert err.startswith("error [SemanticError]:")

@@ -142,6 +142,16 @@ def test_loads_refuses_an_overlong_integer_literal(literal):
     assert "too long" in str(exc.value)
 
 
+@pytest.mark.parametrize("open_, close", [("[", "]"), ('{"a": ', "}")])
+def test_loads_refuses_deeply_nested_json(open_, close):
+    # json.loads raises RecursionError, not a ValueError, this deep
+    depth = 100_000
+    text = '{"field": "Q", "dim": 1, "binary": %s0%s}' % (open_ * depth, close * depth)
+    with pytest.raises(FormatError) as exc:
+        loads_algebra(text)
+    assert "nested too deeply" in str(exc.value)
+
+
 def test_load_algebra_file(tmp_path):
     g = catalog("sl2", field_of("GF(7)"))
     path = tmp_path / "alg.json"
@@ -183,7 +193,7 @@ def test_nonzero_walk_matches_the_nested_table_walk(case):
         alg = _rescaled_sl2()
         assert alg.tensor().scale > 1
     elif name == "takiff-lts":
-        alg = lts_tensor_cube(derived_lts(build_sl2_dual())).extension_algebra
+        alg = lts_tensor_cube(derived_lts(build_sl2_dual())).algebra
     else:
         alg = catalog(name, field_of(spec))
     arity = 2 if isinstance(alg, BinaryAlgebra) else 3

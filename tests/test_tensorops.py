@@ -351,7 +351,7 @@ def test_both_routes_find_the_naive_witness_of_a_corrupted_lts(name, spec, seed)
     # a derived LTS and its LTS cube, each with one entry moved
     p = field_of(spec).characteristic
     d = derived_lts(catalog(name, field_of(spec)))
-    cube = lts_tensor_cube(d, force=True).extension_algebra
+    cube = lts_tensor_cube(d, force=True).algebra
     rng = random.Random(seed)
     for arr in (d.tensor().arr, cube.tensor().arr):
         bad = _corrupted(rng, arr, p)
@@ -382,8 +382,8 @@ def test_the_rule_takes_each_route_on_a_real_cube():
     # meet 828,188 pairs of nonzeros, against 15,059,072 multiply-adds
     # dense: dense
     sl4 = lts_tensor_cube(derived_lts(catalog("sl4", field_of("GF(2)"))), force=True)
-    assert _route_of_the_derivation_check(sl4.extension_algebra.tensor()) == [True]
-    cube = lts_tensor_cube(derived_lts(rebased_sl3(0))).extension_algebra
+    assert _route_of_the_derivation_check(sl4.algebra.tensor()) == [True]
+    cube = lts_tensor_cube(derived_lts(rebased_sl3(0))).algebra
     assert _route_of_the_derivation_check(cube.tensor()) == [False]
 
 

@@ -56,7 +56,6 @@ from uce3 import (
     leibniz_uce,
     lie_uce,
     lts_tensor_cube,
-    quotient,
     universal_map,
     verify_main_theorem,
 )
@@ -92,7 +91,7 @@ def test_frozen_dimensions(name, spec):
     for category, (carrier, h2) in FROZEN[(name, spec)].items():
         u = build(category, g)
         assert u.carrier_dim == carrier, (name, spec, category)
-        assert u.h2.dim == h2, (name, spec, category)
+        assert u.kernel.dim == h2, (name, spec, category)
 
 
 def test_relation_space_dims_sl3_gf2():
@@ -373,7 +372,7 @@ def test_relation_streams_carry_object_values_over_q():
     for category, relation_dim in (("lie", 0), ("leibniz", 6), ("lts", 24)):
         for rng in (None, random.Random(7)):
             u = build(category, big, rng=rng)
-            assert u.carrier_dim == 3 and u.h2.dim == 0, category
+            assert u.carrier_dim == 3 and u.kernel.dim == 0, category
             assert u.relations.dim == relation_dim, category
 
 
@@ -382,10 +381,9 @@ def test_extension_verifies_and_is_perfect():
         g = catalog(name, field_of(spec))
         for category in ("lie", "leibniz", "lts"):
             u = build(category, g)
-            ext = u.as_extension()
-            assert ext.verify() is ext
+            assert u.verify() is u
             # projection splits the section on the nose
-            assert u.projection_b @ u.section_s == Matrix.identity(
+            assert u.projection @ u.section == Matrix.identity(
                 g.field, g.dim
             )
 
@@ -394,15 +392,15 @@ def test_nondegenerate_case_sl2_dual():
     g = build_sl2_dual()
     u_lie, u_leib = lie_uce(g), leibniz_uce(g)
     u_lts = lts_tensor_cube(derived_lts(g))
-    assert (u_lie.carrier_dim, u_lie.h2.dim) == (6, 0)
-    assert (u_leib.carrier_dim, u_leib.h2.dim) == (7, 1)
-    assert (u_lts.carrier_dim, u_lts.h2.dim) == (6, 0)
+    assert (u_lie.carrier_dim, u_lie.kernel.dim) == (6, 0)
+    assert (u_leib.carrier_dim, u_leib.kernel.dim) == (7, 1)
+    assert (u_lts.carrier_dim, u_lts.kernel.dim) == (6, 0)
     # the Leibniz cover is perfect, genuinely non-Lie, and self-covering
-    e = u_leib.extension_algebra
+    e = u_leib.algebra
     flags = check_binary(e)
     assert flags.is_leibniz and flags.is_perfect and not flags.is_lie
     again = leibniz_uce(e)
-    assert again.carrier_dim == 7 and again.h2.dim == 0
+    assert again.carrier_dim == 7 and again.kernel.dim == 0
 
 
 def test_homology_report():
@@ -429,7 +427,7 @@ def test_constructor_preconditions():
     # lie_uce wants an honest Lie bracket
     u = leibniz_uce(build_sl2_dual())
     with pytest.raises(NotLie):
-        lie_uce(u.extension_algebra)
+        lie_uce(u.algebra)
     with pytest.raises(NotPerfect):
         lts_tensor_cube(derived_lts(catalog("sl2", field_of("GF(2)"))))
 
@@ -472,15 +470,35 @@ def test_to_json_is_the_canonical_encoding(category, case):
     u = build(category, g)
     t = u.to_json()
     assert json.dumps(json.loads(t), sort_keys=True, indent=1) == t
-    assert u.to_dict()["algebra"] == naive_algebra_doc(u.extension_algebra)
+    assert u.to_dict()["algebra"] == naive_algebra_doc(u.algebra)
 
 
 def test_universal_map_identity():
     for category in ("lie", "leibniz", "lts"):
         g = catalog("sl2", field_of("GF(5)"))
         u = build(category, g)
-        m = universal_map(u, u.as_extension())
+        m = universal_map(u, u)
         assert m == Matrix.identity(g.field, u.carrier_dim)
+
+
+@pytest.mark.parametrize("category", ["lie", "leibniz", "lts"])
+def test_relation_projection_is_built_once(monkeypatch, category):
+    # the construction builds the relation span's projection and
+    # universal_map reuses it
+    built = Counter()
+    projection = Subspace.projection
+
+    def counting(self):
+        built[id(self)] += self._projection is None
+        return projection(self)
+
+    monkeypatch.setattr(Subspace, "projection", counting)
+    u = build(category, catalog("sl2", field_of("GF(5)")))
+    universal_map(u, u)
+    s = u.relations
+    assert built[id(s)] == 1
+    assert s.projection() is s.projection()
+    assert built[id(s)] == 1
 
 
 def test_universal_map_into_padded_extension():
@@ -507,9 +525,9 @@ def test_universal_map_error_paths():
     g = catalog("sl2", QQ)
     u_lie, u_leib = lie_uce(g), leibniz_uce(g)
     with pytest.raises(WrongCategory):
-        universal_map(u_lie, u_leib.as_extension())
+        universal_map(u_lie, u_leib)
     with pytest.raises(NotOverSameBase):
-        universal_map(u_lie, lie_uce(catalog("sl3", QQ)).as_extension())
+        universal_map(u_lie, lie_uce(catalog("sl3", QQ)))
 
 
 def test_extension_verify_catches_noncentral_kernel():
@@ -571,7 +589,7 @@ def test_shuffled_generators_same_result():
             u = build(cat, g, rng=rng)
             assert u.carrier_dim == u0.carrier_dim
             assert u.relations.equals(u0.relations)
-            assert u.extension_algebra == u0.extension_algebra
+            assert u.algebra == u0.algebra
 
 
 def test_universal_map_to_trivial_extension_is_projection():
@@ -582,7 +600,7 @@ def test_universal_map_to_trivial_extension_is_projection():
         base = u.base
         ident = Matrix.identity(QQ, base.dim)
         triv = CentralExtension(category, base, base, ident, ident)
-        assert universal_map(u, triv) == u.projection_b
+        assert universal_map(u, triv) == u.projection
 
 
 def test_universal_map_independent_of_section_choice():
@@ -735,7 +753,7 @@ def test_a_generator_outside_the_evaluation_kernel_is_caught(monkeypatch, name):
                     ev, rng)
 
     g = Q_CASES[name]()
-    assert leibniz_uce(g).h2.dim == (name == "takiff")
+    assert leibniz_uce(g).kernel.dim == (name == "takiff")
     monkeypatch.setattr(uce_mod, "_fold_relations", bad_first)
     with pytest.raises(InternalAssertionFailed) as exc:
         leibniz_uce(g)
@@ -749,12 +767,9 @@ def test_universal_map_rejects_source_killing_too_much():
     u = leibniz_uce(g)
     rel = u.relations.sum_with(Subspace.from_vectors(QQ, 9, [_e0_e1(3)]))
     assert rel.dim == u.relations.dim + 1
-    fake = UceResult(
-        "leibniz", g, quotient(9, rel), u.extension_algebra, u.projection_b,
-        rel, u.h2, u.section_s,
-    )
+    fake = UceResult("leibniz", g, u.algebra, u.projection, u.section, rel)
     with pytest.raises(WellDefinednessFailed, match="pivot column"):
-        universal_map(fake, u.as_extension())
+        universal_map(fake, u)
 
 
 @pytest.mark.parametrize("build", [
@@ -789,14 +804,14 @@ def test_morphism_witness_matches_the_naive_oracles(spec, category):
         g = catalog("sl2" if spec == "GF(3)" else "sl3", field_of(spec))
     u = build(category, g)
     f, p = g.field, char_of(g.field)
-    ext, base = u.extension_algebra, u.base
+    ext, base = u.algebra, u.base
     if spec == "Q":
-        assert u.projection_b.tensor().scale > 1
+        assert u.projection.tensor().scale > 1
     naive = naive_ternary_morphism if category == "lts" else naive_binary_morphism
     rng = random.Random(17)
     verdicts = []
     for trial in range(6):
-        rows = [list(r) for r in u.projection_b.rows]
+        rows = [list(r) for r in u.projection.rows]
         if trial:
             i, j = rng.randrange(len(rows)), rng.randrange(ext.dim)
             rows[i][j] = f.coerce(rows[i][j] + (f.random_scalar(rng) or f.one))
