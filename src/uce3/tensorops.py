@@ -21,13 +21,16 @@ Contractions pick the fastest exact route available: float64 BLAS while
 k*max|A|*max|B| stays below 2**52 (integer-valued floats are exact below
 2**53), int64 below 2**62, and object-dtype python integers beyond that.
 The same routes serve the gather-sums of sparse relation generators
-against an integer matrix (escaping_generators). Identity witnesses also
-have an exact sparse route for mostly-zero tensors: each product of two
-cached nonzeros (ExactTensor.sparse) that share a contracted index is
-formed once, reduced mod p over GF(p), and the signed products are summed
-by one sort of their indices. It is taken when an exact count of those
-products, times 128, plus 2**17, is below the dense multiply-adds
-(_sparse_route); both routes give the same witness tuple.
+against an integer matrix (escaping_generators).
+
+One engine evaluates identities (_chain_witness) and tables (_chain_table,
+whose one-stage case is exact_tensordot) as chains of contractions, with
+an exact sparse route for mostly-zero tensors: each product of two cached
+nonzeros (ExactTensor.sparse) sharing a contracted index is formed once,
+reduced mod p over GF(p), and the products are summed by one sort of their
+indices. It is taken when an exact count of them, times 128, plus 2**17,
+is below the dense multiply-adds (_sparse_route); both routes give the
+same witness tuple and the same table.
 """
 
 from __future__ import annotations
@@ -99,7 +102,8 @@ class ExactTensor:
         read-only, so an in-place write cannot leave the view stale."""
         if self._nonzeros is None:
             self.arr.flags.writeable = False
-            coords = np.nonzero(self.arr)
+            # np.nonzero's order, and several times faster on a sparse arr
+            coords = np.unravel_index(np.flatnonzero(self.arr != 0), self.arr.shape)
             self._nonzeros = coords, self.arr[coords]
         return self._nonzeros
 
@@ -160,19 +164,21 @@ def _contraction_dtype(k, a, b):
 
 
 def exact_tensordot(a, b, axes, p=None):
-    """np.tensordot with the result guaranteed exact (reduced mod p if given)."""
-    k = prod(a.shape[ax] for ax in axes[0]) if axes[0] else 1
-    dtype = _contraction_dtype(k, a, b)
-    c = np.tensordot(a.astype(dtype, copy=False), b.astype(dtype, copy=False), axes)
-    if dtype is np.float64:
-        c = np.rint(c, out=c).astype(np.int64)
-    if p is not None:
-        if c.dtype == object:
-            c = (c % p).astype(np.int64)
-        else:
-            # in place: the result can be the largest array of a whole check
-            np.remainder(c, p, out=c)
-    return c
+    """np.tensordot with the result guaranteed exact (reduced mod p if
+    given): the one-stage chain of _chain_table."""
+    ia, ib = axes
+    if len(ia) != 1:
+        # the contracted axes as one, a's last and b's first
+        k = prod(a.shape[x] for x in ia)
+        a = np.moveaxis(a, ia, range(-len(ia), 0)).reshape([*np.delete(a.shape, ia), k])
+        b = np.moveaxis(b, ib, range(len(ib))).reshape([k, *np.delete(b.shape, ib)])
+        ia, ib = [a.ndim - 1], [0]
+    # views: the sparse route's cache makes its array read-only
+    chain = (ExactTensor(a.view(), 1, p), (ia[0], ExactTensor(b.view(), 1, p), ib[0]))
+    j, rest = ib[0], a.ndim - 1
+    # _staged's order is b's axes before j, a's free axes, b's axes after j
+    return _chain_table(chain, p, (*range(j, j + rest), *range(j),
+                                   *range(j + rest, rest + b.ndim - 1)))
 
 
 def escaping_generators(cols, vals, lens, m):
@@ -286,22 +292,6 @@ def _witness(res, p):
     return tuple(int(ax[0]) for ax in np.nonzero(res))
 
 
-def _first_nonzero(shape, terms, p):
-    """_witness of the sum of the sparse terms (lin, vals), linear indices
-    into shape and values: one sort of the indices, one sum per index."""
-    lin, vals = (np.concatenate(x) for x in zip(*terms))
-    if vals.dtype != object and _maxabs(vals) * len(vals) >= _I64_LIMIT:
-        vals = vals.astype(object)
-    order = np.argsort(lin)
-    lin = lin[order]
-    heads = np.flatnonzero(np.diff(lin, prepend=-1))
-    sums = np.add.reduceat(vals[order], heads)
-    if p is not None:
-        sums %= p
-    hit = np.flatnonzero(sums)
-    return tuple(map(int, np.unravel_index(lin[heads[hit[0]]], shape))) if len(hit) else None
-
-
 def _staged(identity):
     """(chain, uses, stages) per chain of an identity, stages per contraction:
     the slot s of t0, its axis pos so far, the next t, its axis j, the shape."""
@@ -360,20 +350,30 @@ def _join(a, i, b, j, n, p):
             + [c[eb] for c in cb[j + 1:]]), prods
 
 
+def _counts(t, axes):
+    """The nonzeros of t per index of the given axes, in that order: from its
+    cached nonzeros if any, else by one pass that lists no coordinates."""
+    if t._nonzeros is None:
+        return np.einsum(t.arr != 0, range(t.arr.ndim), axes, dtype=np.intp)
+    coords, shape = t._nonzeros[0], tuple(t.shape[a] for a in axes)
+    lin = np.ravel_multi_index(tuple(coords[a] for a in axes), shape)
+    return np.bincount(lin, minlength=prod(shape)).reshape(shape)
+
+
 def _cost(staged):
     """(products, dense): the exact count of the products of nonzeros the
-    sparse route forms, a bincount dot over each contracted index, and the
-    multiply-adds of the dense route. products is counted only where the
-    sparse route could win with none (the rule grows with products)."""
+    sparse route forms, and the multiply-adds of the dense route. products
+    is counted only where the sparse route could win with none (the rule
+    grows with products), from per-index nonzero counts."""
     dense = sum(prod(shape) * t.shape[j]
                 for _, _, stages in staged for _, _, t, j, shape in stages)
     products = 0
     for chain, _, stages in staged if _sparse_route(0, dense) else ():
-        first = chain[0].sparse()[0]
-        # per nonzero of the first tensor, the products that reach it
-        weight = np.ones(len(first[0]), dtype=np.int64)
-        for s, _, t, j, _ in stages:
-            weight *= np.bincount(t.sparse()[0][j], minlength=t.shape[j])[first[s]]
+        # per index of the first tensor's contracted slots, the products
+        # that reach its nonzeros there
+        weight = _counts(chain[0], [s for s, *_ in stages]) if stages else 0
+        for k, (_, _, t, j, _) in enumerate(stages):
+            weight = weight * np.expand_dims(_counts(t, [j]), tuple(range(1, len(stages) - k)))
             products += int(weight.sum())
     return products, dense
 
@@ -400,7 +400,10 @@ def _chain_witness(identity, p, keep=None):
     return None if w is None else w[:keep]
 
 
-def _sparse_witness(staged, p):
+def _sparse_sums(staged, p):
+    """(shape, lin, sums) of a staged identity on the sparse route: its
+    distinct linear indices, ascending, and the sum at each (mod p if
+    given), in python ints where the sums could pass 2**62."""
     terms = []
     for chain, uses, stages in staged:
         shape = chain[0].shape
@@ -411,7 +414,45 @@ def _sparse_witness(staged, p):
             out = tuple(shape[k] for k in perm)
             lin = np.ravel_multi_index(tuple(coords[k] for k in perm), out)
             terms.append((lin, _scaled(vals, coef)))
-    return _first_nonzero(out, terms, p)
+    lin, vals = (np.concatenate(x) for x in zip(*terms))
+    if vals.dtype != object and _maxabs(vals) * len(vals) >= _I64_LIMIT:
+        vals = vals.astype(object)
+    order = np.argsort(lin)
+    lin = lin[order]
+    heads = np.flatnonzero(np.diff(lin, prepend=-1))
+    sums = np.add.reduceat(vals[order], heads)
+    if p is not None:
+        sums = np.remainder(sums, p).astype(np.int64)
+    return out, lin[heads], sums
+
+
+def _sparse_witness(staged, p):
+    out, lin, sums = _sparse_sums(staged, p)
+    hit = np.flatnonzero(sums)
+    return tuple(map(int, np.unravel_index(lin[hit[0]], out))) if len(hit) else None
+
+
+def _chain_table(chain, p, perm):
+    """The raw table chain.transpose(perm), a chain as in _chain_witness:
+    its sparse sums scattered into one zeroed table, or its stages
+    contracted densely (_matmul), each on its exact route, mod p if given."""
+    staged = _staged([(chain, [(1, perm)])])
+    if _sparse_route(*_cost(staged)):
+        out, lin, sums = _sparse_sums(staged, p)
+        table = np.zeros(prod(out), dtype=sums.dtype)
+        table[lin] = sums
+        return table.reshape(out)
+    arr = chain[0].arr
+    for _, pos, t, j, _ in staged[0][2]:
+        dtype = _contraction_dtype(arr.shape[pos], arr, t.arr)
+        arr = _matmul(arr.astype(dtype, copy=False), pos, t.arr.astype(dtype, copy=False), j)
+        if dtype is np.float64:
+            arr = np.rint(arr, out=arr).astype(np.int64)
+        if p is not None:
+            # in place where it can be: the table can be the largest array of a check
+            arr = ((arr % p).astype(np.int64) if arr.dtype == object
+                   else np.remainder(arr, p, out=arr))
+    return arr.transpose(perm)
 
 
 def _dense_witness(staged, p, dtype=None, out=None):
@@ -481,7 +522,7 @@ def _nested(t):
 def left_nested(t):
     """L[x, y, z, w] = coefficient of e_w in [e_x, [e_y, e_z]], as raw
     integers carrying scale t.scale**2."""
-    return exact_tensordot(t.arr, t.arr, ([2], [1]), t.p).transpose(2, 0, 1, 3)
+    return _chain_table(_nested(t), t.p, _ID4)
 
 
 def leibniz_witness(t):

@@ -57,6 +57,7 @@ from .linalg import (
 from .uce import (
     CentralExtension,
     UceResult,
+    _slotwise,
     admit,
     dimension_guard,
     leibniz_uce,
@@ -101,18 +102,17 @@ def _bracket_splitting(g):
 def _action_from_splitting(ext, g, sigma):
     """The g-action on the extension carrier: x * v = sum over the splitting
     sigma(v) = sum a_i (x) b_i of {x, s(a_i), s(b_i)}."""
-    n = g.dim
+    n, m = g.dim, ext.carrier_dim
     t = ext.algebra.tensor()
     st = ext.section.tensor()
     sg = sigma.tensor()
-    u1 = tops.exact_tensordot(st.arr, t.arr, ([0], [1]), t.p)
-    u2 = tops.exact_tensordot(st.arr, u1, ([0], [2]), t.p)
-    # u2[b, a, x, w] = {e_x, s(e_a), s(e_b)}_w
-    sr = sg.arr.reshape(n, n, n)
-    acted = tops.exact_tensordot(sr, u2, ([0, 1], [1, 0]), t.p)
+    # s2[i, j, v]: coefficient of e_i (x) e_j in (s (x) s)(sigma(e_v))
+    s2 = _slotwise(sg.arr.reshape(n, n, n), st.arr, 2, t.p)
+    acted = tops.exact_tensordot(t.arr.reshape(m, m * m, m), s2.reshape(m * m, n),
+                                 ([1], [0]), t.p)
     den = sg.scale * st.scale**2 * t.scale
-    # acted[v, x] is the vector e_x * e_v; the action tensor is indexed [x, v]
-    return ModuleAction.from_raw(g, acted.transpose(1, 0, 2), den)
+    # acted[x, w, v] is coordinate w of e_x * e_v; the action is indexed [x, v, w]
+    return ModuleAction.from_raw(g, acted.transpose(0, 2, 1), den)
 
 
 def _reversed_right_inverse(mu):
@@ -159,12 +159,10 @@ def induced_leibniz_structure(ext, g):
     # kernel of (carrier ^ carrier) -> g, x ^ y |-> [pi x, pi y]
     pt = ext.projection.tensor()
     gt = g.tensor()
-    b1 = tops.exact_tensordot(pt.arr, gt.arr, ([0], [0]), gt.p)
-    b2 = tops.exact_tensordot(pt.arr, b1, ([0], [1]), gt.p)
+    # b[i, j] is [pi e_i, pi e_j]: one column of zmap per wedge pair
+    b = _slotwise(gt.arr, pt.arr.T, 2, gt.p)
     rows_i, rows_j = wedge_index_pairs(m)
-    den = pt.scale**2 * gt.scale
-    # b2[j, i] is [pi e_i, pi e_j]: one column of zmap per wedge pair
-    zmap = Matrix.from_raw(f, b2[rows_j, rows_i].T, den)
+    zmap = Matrix.from_raw(f, b[rows_i, rows_j].T, pt.scale**2 * gt.scale)
     z = kernel(zmap)
 
     t = ext.algebra.tensor()

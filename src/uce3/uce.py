@@ -380,9 +380,10 @@ def _shuffled(blocks, rng):
 
 def _slotwise(t, m, arity, p):
     """out[r_1..r_a, w] = sum over i of m[r_1, i_1]..m[r_a, i_a] t[i_1..i_a, w]."""
-    for _ in range(arity):
-        t = tops.exact_tensordot(t, m, ([0], [1]), p)
-    return np.moveaxis(t, 0, -1)
+    m = tops.ExactTensor(m.view(), 1, p)
+    chain = (tops.ExactTensor(t.view(), 1, p), *((s, m, 1) for s in range(arity)))
+    # the chain leaves the slots reversed, (r_a, .., r_1, w)
+    return tops._chain_table(chain, p, (*range(arity - 1, -1, -1), arity))
 
 
 def admit(base, category):

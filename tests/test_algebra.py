@@ -12,6 +12,7 @@ from uce3 import (
     BinaryAlgebra,
     DimensionMismatch,
     FieldMismatch,
+    InternalAssertionFailed,
     JacobiFails,
     Matrix,
     ModuleAction,
@@ -175,6 +176,24 @@ def test_derived_lts_rejects_non_leibniz():
     assert not flags.is_leibniz
     with pytest.raises((NotLeibniz, JacobiFails)):
         derived_lts(bad)
+
+
+def test_derived_lts_checks_its_table(monkeypatch):
+    # one entry of the nested bracket moved: {e_0, e_0, e_0} = [e_0, [e_0,
+    # e_0]] is no longer 0, so the table is not an LTS
+    import uce3.tensorops as tops
+
+    nested = tops.left_nested
+
+    def corrupted(t):
+        out = nested(t).copy()
+        out[0, 0, 0, 0] = (out[0, 0, 0, 0] + 1) % 3
+        return out
+
+    monkeypatch.setattr(tops, "left_nested", corrupted)
+    with pytest.raises(InternalAssertionFailed) as exc:
+        derived_lts(catalog("sl2", field_of("GF(3)")))
+    assert exc.value.fact == "derived-bracket-is-lts"
 
 
 @pytest.mark.parametrize("variant", ["tensor", "wedge"])

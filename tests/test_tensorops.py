@@ -3,12 +3,14 @@
 tensorops picks float64 BLAS while a contraction's bound stays below 2**52,
 int64 below 2**62 and python ints beyond. Here each route that its bound
 allows is forced in turn and compared entry by entry with the python-int
-route, which is exact by construction. The identity witnesses also have a
-sparse route, from the nonzeros of their tensors: it is forced in turn
-against the dense one, and both against the naive checks.
+route, which is exact by construction. The identity witnesses and the
+tables also have a sparse route, from the nonzeros of their tensors: it is
+forced in turn against the dense one, and both against the naive checks or
+an exact einsum.
 """
 
 import random
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -334,6 +336,123 @@ def test_sparse_and_dense_routes_give_one_witness(p, bits, seed, n, density):
             want = call()
         with _routed(True):
             assert call() == want, name
+
+
+def _table_calls(rng, p, bits, density, dims):
+    """(name, call, operands, einsum) for tables of the engine on random
+    tensors: chains of _chain_table (the nested bracket, slotwise images in
+    two and three slots, a chain contracting two slots of its first tensor)
+    and exact_tensordot on one axis, on a middle axis and on two axes. Any
+    dimension may be 0, and density 0 makes every operand zero."""
+    def t(*shape):
+        return _tensor(rng, shape, p, bits, density)
+
+    n0, n1, n2, n3 = dims
+    nest, sw, sw3, m = t(n1, n1, n1), t(n1, n1, n2), t(n1, n1, n1, n2), t(n0, n1)
+    a, b, c = t(n0, n1, n2), t(n3, n1), t(n2, n0)
+    x, y, z, w = t(n0, n1), t(n1, n2), t(n3, n1, n2), t(n1, n2, n3)
+
+    def chain(links, perm):
+        return lambda: tensorops._chain_table(links, p, perm)
+
+    def dot(u, v, axes):
+        return lambda: exact_tensordot(u.arr, v.arr, axes, p)
+
+    return [
+        ("nested", chain((nest, (2, nest, 1)), (0, 1, 2, 3)), [nest, nest],
+         "yzk,xkw->xyzw"),
+        ("slotwise2", chain((sw, (0, m, 1), (1, m, 1)), (1, 0, 2)), [sw, m, m],
+         "abw,ra,sb->rsw"),
+        ("slotwise3", chain((sw3, (0, m, 1), (1, m, 1), (2, m, 1)), (2, 1, 0, 3)),
+         [sw3, m, m, m], "abcw,ra,sb,tc->rstw"),
+        ("two-slot", chain((a, (1, b, 1), (2, c, 0)), (1, 0, 2)), [a, b, c],
+         "xyz,uy,zv->xuv"),
+        ("tensordot", dot(x, y, ([1], [0])), [x, y], "ik,kj->ij"),
+        ("middle", dot(x, z, ([1], [1])), [x, z], "ik,ukv->iuv"),
+        ("two-axes", dot(a, w, ([1, 2], [0, 1])), [a, w], "xyz,yzv->xv"),
+    ]
+
+
+# GF(2), the packed fold's field, besides the moduli and bit sizes above
+TABLE_CASES = [(2, None)] + CASES
+
+
+@pytest.mark.parametrize("p,bits", TABLE_CASES)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), dims=st.tuples(*[st.integers(0, 4)] * 4),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_sparse_and_dense_routes_give_one_table(p, bits, seed, dims, density):
+    # each table forced onto each route, against the exact einsum of the
+    # operands in python ints (residues over GF(p), where the table holds
+    # int64 residues already), and as canonical tensors of the product scale
+    f = QQ if p is None else PrimeField(p)
+    for name, call, ops, spec in _table_calls(random.Random(seed), p, bits,
+                                              density, dims):
+        den = prod(o.scale for o in ops) if p is None else 1
+        exact = np.einsum(spec, *(o.arr.astype(object) for o in ops))
+        if p is not None:
+            exact %= p
+        want = rescaled(f, exact, den)
+        for sparse in (False, True):
+            with _routed(sparse):
+                raw = call()
+            assert _same(raw, exact) and (p is None or raw.dtype == np.int64), (name, sparse)
+            got = rescaled(f, raw, den)
+            assert (got.scale, got.arr.dtype) == (want.scale, want.arr.dtype), name
+            assert _same(got.arr, want.arr), (name, sparse)
+
+
+def test_table_sums_past_2_62_stay_exact():
+    # each product of 2**30 + 1 and 2**31 - 1 fits int64, the sum of 8 of
+    # them does not: the scatter sums them in python ints
+    a = np.full((2, 8), 2**30 + 1, dtype=np.int64)
+    b = np.full((8, 3), 2**31 - 1, dtype=np.int64)
+    want = np.full((2, 3), 8 * (2**30 + 1) * (2**31 - 1), dtype=object)
+    assert want[0, 0] >= 2**63
+    for sparse in (False, True):
+        with _routed(sparse):
+            assert _same(exact_tensordot(a, b, ([1], [0])), want), sparse
+
+
+def _table_routes(build):
+    """The route each left_nested and uce._slotwise call of build() took:
+    the last decision of the rule inside the call, in a list that is empty
+    when the call asked the rule nothing."""
+    import uce3.uce as uce_mod
+
+    decisions, taken = [], {"left_nested": [], "_slotwise": []}
+    rule = tensorops._sparse_route
+
+    def spy(products, dense):
+        decisions.append(rule(products, dense))
+        return decisions[-1]
+
+    def recorded(name, builder):
+        def call(*args):
+            start = len(decisions)
+            out = builder(*args)
+            taken[name].append(decisions[start:][-1:])
+            return out
+        return call
+
+    with mock.patch.object(tensorops, "_sparse_route", spy), \
+            mock.patch.object(tensorops, "left_nested",
+                              recorded("left_nested", tensorops.left_nested)), \
+            mock.patch.object(uce_mod, "_slotwise",
+                              recorded("_slotwise", uce_mod._slotwise)):
+        build()
+    return taken
+
+
+def test_the_rule_takes_each_route_on_real_tables():
+    # forced sl4 over GF(2): its derived table and the cube's quotient
+    # table are sparse; the re-based sl3 over GF(3), the dense-gf3
+    # benchmark's input, stays dense for both
+    sl4 = catalog("sl4", field_of("GF(2)"))
+    assert _table_routes(lambda: lts_tensor_cube(derived_lts(sl4), force=True)) == {
+        "left_nested": [[True]], "_slotwise": [[True]]}
+    assert _table_routes(lambda: lts_tensor_cube(derived_lts(rebased_sl3(0)))) == {
+        "left_nested": [[False]], "_slotwise": [[False]]}
 
 
 def _corrupted(rng, arr, p):

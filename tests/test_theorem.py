@@ -8,9 +8,12 @@ from conftest import THEOREM_CASES, build_sl2_dual, tolists2, tolists3
 
 from uce3 import (
     QQ,
+    AxiomPrecondition,
     CentralExtension,
     Matrix,
+    ModuleAction,
     NotCentral,
+    NotEquivariant,
     NotLie,
     NotOverSameBase,
     NotPerfect,
@@ -140,6 +143,39 @@ def test_induced_structure_rejects_wrong_base():
         induced_leibniz_structure(cube, catalog("sl3", QQ))
     with pytest.raises(WrongCategory):
         induced_leibniz_structure(lie_uce(g), g)
+
+
+@pytest.mark.parametrize("call", [1, 2])
+def test_a_corrupted_action_is_refused_before_the_bracket_checks(monkeypatch,
+                                                                 call):
+    # every one-entry change of the action of the first splitting, or of
+    # the second, breaks the module law or equivariance, which
+    # equivariant_leibniz checks before the induced bracket is compared
+    # with the ternary one or with the other splitting's
+    import uce3.theorem as theorem_mod
+
+    g = catalog("sl2", field_of("GF(3)"))
+    cube = lts_tensor_cube(derived_lts(g))
+    real = theorem_mod._action_from_splitting
+    state = {}
+
+    def corrupted(ext, base, sigma):
+        act = real(ext, base, sigma)
+        state["calls"] += 1
+        if state["calls"] != call:
+            return act
+        t = act.tensor()
+        arr = t.arr.copy()
+        arr[state["at"]] = (arr[state["at"]] + state["by"]) % 3
+        return ModuleAction.from_raw(base, arr, t.scale)
+
+    monkeypatch.setattr(theorem_mod, "_action_from_splitting", corrupted)
+    for at in np.ndindex(3, 3, 3):
+        for by in (1, 2):
+            state.update(calls=0, at=at, by=by)
+            with pytest.raises((AxiomPrecondition, NotEquivariant)):
+                induced_leibniz_structure(cube, g)
+            assert state["calls"] == call
 
 
 @pytest.mark.parametrize("spec", ["GF(3)", "GF(2)"])

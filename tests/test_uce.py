@@ -792,6 +792,27 @@ def test_construction_checks_the_quotient_bracket(monkeypatch, build):
     assert exc.value.fact == "quotient-not-a-central-extension"
 
 
+def test_universal_map_checks_the_morphism(monkeypatch):
+    # the Lie UCE of sl2 is sl2 on the wedge square, which has no relations
+    # to check: with the lift of e_0 ^ e_1 moved by one, the map is well
+    # defined but no longer a bracket morphism
+    import uce3.uce as uce_mod
+
+    u = lie_uce(catalog("sl2", field_of("GF(3)")))
+    assert u.relations.dim == 0
+    slotwise = uce_mod._slotwise
+
+    def corrupted(t, m, arity, p):
+        out = slotwise(t, m, arity, p).copy()
+        out[0, 1, 0] = (out[0, 1, 0] + 1) % p
+        return out
+
+    monkeypatch.setattr(uce_mod, "_slotwise", corrupted)
+    with pytest.raises(InternalAssertionFailed) as exc:
+        universal_map(u, u)
+    assert exc.value.fact == "universal-map-not-a-morphism"
+
+
 @pytest.mark.parametrize("category", CATEGORIES)
 @pytest.mark.parametrize("spec", ["Q", "GF(2)", "GF(3)"])
 def test_morphism_witness_matches_the_naive_oracles(spec, category):
