@@ -392,6 +392,12 @@ class ModuleAction:
     def tensor(self):
         return self._tensor
 
+    def __eq__(self, other):
+        if not isinstance(other, ModuleAction):
+            return NotImplemented
+        a, b = self._tensor, other._tensor
+        return (self.algebra, a.scale) == (other.algebra, b.scale) and np.array_equal(a.arr, b.arr)
+
     def __repr__(self):
         return (
             f"<ModuleAction F^{self.carrier_dim} * {self.algebra.name or 'g'} "

@@ -425,7 +425,10 @@ class _EchelonRationals(_EchelonGFp):
             self._rtop = (d + top) * top if res.dtype != object else _maxabs(res[i + 1 :])
         s, k = self.scale, self._k
         if k.dtype != object and not self._fits(d + top, s * top):
-            k = self._k = k.astype(object)
+            # the running bound on v is loose: read it exactly first
+            top = _maxabs(v)
+            if not self._fits(d + top, s * top):
+                k = self._k = k.astype(object)
         if v.dtype != k.dtype:
             v = v.astype(k.dtype)
         if rank:
@@ -733,7 +736,7 @@ class Matrix:
     comparisons and solves are exact contractions and array operations, and
     ``rows`` reads the entries back as field scalars."""
 
-    __slots__ = ("field", "_t", "_span")
+    __slots__ = ("field", "_t", "_span", "_kernel")
 
     def __init__(self, field, rows, ncols=None):
         rows = list(rows)
@@ -746,8 +749,9 @@ class Matrix:
     def _init(self, field, t):
         self.field = field
         self._t = t
-        # the row space, folded once for rank, rref and kernel
-        self._span = None
+        # the row space, folded once for rank, rref and kernel, and the
+        # kernel, computed once by kernel
+        self._span = self._kernel = None
         return self
 
     @classmethod
@@ -829,16 +833,29 @@ class Matrix:
 
 
 def kernel(m):
-    """Null space of m as a canonical Subspace of F^ncols. Column j of the
-    projection of m's row space is, up to its scale, the kernel vector of
-    the j-th free column: 1 there and -R[:, j] on the pivots."""
+    """Null space of m as a canonical Subspace of F^ncols, computed once and
+    kept with m, read off m's row space R from the smaller side:
+      * when the nullity is more than twice the rank, as {x : x R^T = 0}
+        by quotient_kernel of R's basis, which folds rank rows and then
+        rank more for an inverse;
+      * otherwise by folding the nullity vectors read off R's projection:
+        its column j is, up to its scale, the kernel vector of the j-th free
+        column, 1 there and -R[:, j] on the pivots."""
+    if m._kernel is not None:
+        return m._kernel
     rows = m._row_space()
-    # a temporary: m keeps its row space, which need not keep this
-    sub = Subspace.from_vectors(m.field, m.ncols, rows._spread().arr.T)
-    if sub.dim != m.ncols - rows.dim:
+    nullity = m.ncols - rows.dim
+    # a zero matrix has no rows to pick from: its kernel is the fold's
+    if nullity > 2 * rows.dim > 0:
+        sub = quotient_kernel(m.field, rows.basis().arr.T)
+    else:
+        # a temporary: m keeps its row space, which need not keep this
+        sub = Subspace.from_vectors(m.field, m.ncols, rows._spread().arr.T)
+    if sub.dim != nullity:
         raise InternalAssertionFailed(
             "rank-nullity-violated", f"kernel dim {sub.dim}, rank {rows.dim}"
         )
+    m._kernel = sub
     return sub
 
 
@@ -867,16 +884,18 @@ def left_kernel(arr, free, field=QQ):
     return Subspace(field, n, piv.tolist(), y, inv.scale)
 
 
-def quotient_kernel(field, phi):
+def quotient_kernel(field, phi, rows=None):
     """{x : x phi = 0} for phi (ambient x r) of rank r, by left_kernel, which
     must accept: column q of the kernel's RREF is a pivot exactly when row q
     of phi is in the span of the later rows, so the free set is the greedy
-    pick of phi's rows from the last."""
-    n = phi.shape[0]
-    back = Subspace.from_vectors(field, n, phi[::-1].T)
-    out = left_kernel(phi, sorted(n - 1 - q for q in back.pivots), field)
+    pick of phi's rows from the last. rows, ascending, when given, are the
+    only rows that can be free, every other row being in the span of the
+    rows after it: the pick then reads those alone."""
+    back = np.arange(len(phi))[::-1] if rows is None else np.asarray(rows)[::-1]
+    pick = Subspace.from_vectors(field, len(back), phi[back].T)
+    out = left_kernel(phi, np.sort(back[list(pick.pivots)]), field)
     if out is None:
-        raise InternalAssertionFailed("quotient-kernel-not-canonical", f"rank {back.dim}")
+        raise InternalAssertionFailed("quotient-kernel-not-canonical", f"rank {pick.dim}")
     return out
 
 

@@ -23,8 +23,9 @@ k*max|A|*max|B| stays below 2**52 (integer-valued floats are exact below
 The same routes serve the gather-sums of sparse relation generators
 against an integer matrix (escaping_generators).
 
-One engine evaluates identities (_chain_witness) and tables (_chain_table,
-whose one-stage case is exact_tensordot) as chains of contractions, with
+One engine evaluates identities (_chain_witness), their nonzero sums
+(_chain_terms) and tables (_chain_table, whose one-stage case is
+exact_tensordot) as chains of contractions, with
 an exact sparse route for mostly-zero tensors: each product of two cached
 nonzeros (ExactTensor.sparse) sharing a contracted index is formed once,
 reduced mod p over GF(p), and the products are summed by one sort of their
@@ -55,6 +56,7 @@ __all__ = [
     "alternating_witness",
     "leibniz_witness",
     "jacobi_witness",
+    "jacobiator_terms",
     "lts_pair_witness",
     "lts_cyclic_witness",
     "lts_derivation_witness",
@@ -84,7 +86,7 @@ class ExactTensor:
     Over GF(p) the scale is always 1 and entries are residues in [0, p).
     """
 
-    __slots__ = ("arr", "scale", "p", "_nonzeros", "_slabs")
+    __slots__ = ("arr", "scale", "p", "_nonzeros", "_slabs", "_counted")
 
     def __init__(self, arr, scale, p):
         self.arr = arr
@@ -92,6 +94,8 @@ class ExactTensor:
         self.p = p
         self._nonzeros = None
         self._slabs = None
+        # axes -> the nonzeros per index of those axes (_counts)
+        self._counted = {}
 
     @property
     def shape(self):
@@ -273,6 +277,15 @@ def _witness(res, p):
 
     res must be a temporary of the caller's: over GF(p) it is reduced in
     place, so a caller holding a view of stored data passes a copy."""
+    res = _reduced(res, p)
+    # vanishing is the common case, and cheaper to confirm than nonzero
+    if not res.any():
+        return None
+    return tuple(int(ax[0]) for ax in np.nonzero(res))
+
+
+def _reduced(res, p):
+    """The temporary res reduced mod p, in place where its dtype allows."""
     if p is not None:
         if res.dtype == object:
             res = res % p
@@ -286,10 +299,7 @@ def _witness(res, p):
                 res &= 1
             else:
                 np.remainder(res, p, out=res)
-    # vanishing is the common case, and cheaper to confirm than nonzero
-    if not res.any():
-        return None
-    return tuple(int(ax[0]) for ax in np.nonzero(res))
+    return res
 
 
 def _staged(identity):
@@ -351,27 +361,43 @@ def _join(a, i, b, j, n, p):
 
 
 def _counts(t, axes):
-    """The nonzeros of t per index of the given axes, in that order: from its
-    cached nonzeros if any, else by one pass that lists no coordinates."""
-    if t._nonzeros is None:
-        return np.einsum(t.arr != 0, range(t.arr.ndim), axes, dtype=np.intp)
-    coords, shape = t._nonzeros[0], tuple(t.shape[a] for a in axes)
-    lin = np.ravel_multi_index(tuple(coords[a] for a in axes), shape)
-    return np.bincount(lin, minlength=prod(shape)).reshape(shape)
+    """The nonzeros of t per index of the given axes, in that order (their
+    total for no axes): from its cached nonzeros if any, else by one pass
+    that lists no coordinates. Counted once per axes and kept with t; arr
+    turns read-only, as for sparse."""
+    axes = tuple(axes)
+    got = t._counted.get(axes)
+    if got is None:
+        t.arr.flags.writeable = False
+        if t._nonzeros is None:
+            got = np.einsum(t.arr != 0, range(t.arr.ndim), axes, dtype=np.intp)
+        else:
+            (coords, vals), shape = t._nonzeros, tuple(t.shape[a] for a in axes)
+            lin = (np.ravel_multi_index(tuple(coords[a] for a in axes), shape) if axes
+                   else np.zeros(len(vals), dtype=np.intp))
+            got = np.bincount(lin, minlength=prod(shape)).reshape(shape)
+        t._counted[axes] = got
+    return got
 
 
 def _cost(staged):
     """(products, dense): the exact count of the products of nonzeros the
-    sparse route forms, and the multiply-adds of the dense route. products
-    is counted only where the sparse route could win with none (the rule
-    grows with products), from per-index nonzero counts."""
-    dense = sum(prod(shape) * t.shape[j]
-                for _, _, stages in staged for _, _, t, j, shape in stages)
+    sparse route forms, and the multiply-adds of the dense route; a plain
+    tensor counts its size per use densely and its nonzeros per use as
+    products. products is counted only where the sparse route could win
+    with none (the rule grows with products), from per-index nonzero
+    counts."""
+    dense = sum(sum(prod(shape) * t.shape[j] for _, _, t, j, shape in stages)
+                if stages else chain[0].arr.size * len(uses)
+                for chain, uses, stages in staged)
     products = 0
-    for chain, _, stages in staged if _sparse_route(0, dense) else ():
+    for chain, uses, stages in staged if _sparse_route(0, dense) else ():
+        if not stages:
+            products += int(_counts(chain[0], ())) * len(uses)
+            continue
         # per index of the first tensor's contracted slots, the products
         # that reach its nonzeros there
-        weight = _counts(chain[0], [s for s, *_ in stages]) if stages else 0
+        weight = _counts(chain[0], [s for s, *_ in stages])
         for k, (_, _, t, j, _) in enumerate(stages):
             weight = weight * np.expand_dims(_counts(t, [j]), tuple(range(1, len(stages) - k)))
             products += int(weight.sum())
@@ -396,8 +422,26 @@ def _chain_witness(identity, p, keep=None):
     if _sparse_route(*_cost(staged)):
         w = _sparse_witness(staged, p)
     else:
-        w = _dense_witness(staged, p)
+        w = _witness(_dense_sum(staged), p)
     return None if w is None else w[:keep]
+
+
+def _chain_terms(identity, p):
+    """The nonzero sums (mod p) of an identity, as in _chain_witness, as
+    (rows, cols, vals) in row-major order: the index of a sum over every
+    axis but the last, raveled, its last index and its value. Taken on the
+    route _sparse_route picks; values are int64, or python ints where the
+    sums could pass 2**62."""
+    staged = _staged(identity)
+    if _sparse_route(*_cost(staged)):
+        out, lin, sums = _sparse_sums(staged, p)
+        hit = np.flatnonzero(sums)
+        return (*np.divmod(lin[hit], out[-1]), sums[hit])
+    res = _reduced(_dense_sum(staged), p)
+    flat = res.reshape(-1, res.shape[-1])
+    rows, cols = flat.nonzero()
+    vals = flat[rows, cols]
+    return rows, cols, vals.astype(np.int64) if vals.dtype == np.float64 else vals
 
 
 def _sparse_sums(staged, p):
@@ -455,10 +499,10 @@ def _chain_table(chain, p, perm):
     return arr.transpose(perm)
 
 
-def _dense_witness(staged, p, dtype=None, out=None):
-    """_witness of the staged identity's sum, into out if given, on one
-    exact route: dtype, else the widest _contraction_dtype picks for any
-    chain, bounded for weight = sum of |coef| times each chain's products."""
+def _dense_sum(staged, dtype=None, out=None):
+    """The staged identity's sum, into out if given, on one exact route:
+    dtype, else the widest _contraction_dtype picks for any chain, bounded
+    for weight = sum of |coef| times each chain's products."""
     weight = sum(abs(c) for _, uses, _ in staged for c, _ in uses)
     routes = []
     for chain, _, stages in staged if dtype is None else ():
@@ -484,7 +528,7 @@ def _dense_witness(staged, p, dtype=None, out=None):
             else:
                 res += x
         arr = x = None  # a third live array refaults its pages every call
-    return _witness(res, p)
+    return res
 
 
 def _polarized_witness(t, s):
@@ -537,6 +581,13 @@ def leibniz_witness(t):
 def jacobi_witness(t):
     """Defect of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0; None when it holds."""
     return _chain_witness([(_nested(t), _CYCLIC)], t.p, 3)
+
+
+def jacobiator_terms(t):
+    """The nonzero jacobiators [x,[y,z]] + [y,[z,x]] + [z,[x,y]] of basis
+    triples, as raw integers carrying scale t.scale**2, in _chain_terms's
+    (rows, cols, vals): row (x d + y) d + z, column the output coordinate."""
+    return _chain_terms([(_nested(t), _CYCLIC)], t.p)
 
 
 def lts_pair_witness(t):
@@ -616,7 +667,7 @@ def lts_derivation_witness(t):
     out = np.empty((min(step, len(m)),) + t.shape, dtype)
     for s in range(0, len(m), step):
         block = m[s : s + step]
-        w = _dense_witness(_staged(defect(block, tt)), t.p, dtype, out[: len(block)])
+        w = _witness(_dense_sum(_staged(defect(block, tt)), dtype, out[: len(block)]), t.p)
         if w is not None:
             return (*w[1:4], *slabs[s + w[0]])
     return None

@@ -299,6 +299,19 @@ def naive_derived_table(p, c):
     ]
 
 
+def naive_i_j_dims(p, c):
+    """Ranks of the symmetric rows [x,y] + [y,x] and of the jacobiator rows
+    [x,[y,z]] + [z,[x,y]] + [y,[z,x]] of a binary table."""
+    n = len(c)
+    sym = [vadd(p, c[x][y], c[y][x]) for x in range(n) for y in range(x, n)]
+    jac = [
+        vadd(p, bracket_iv(p, c, x, c[y][z]),
+             vadd(p, bracket_iv(p, c, z, c[x][y]), bracket_iv(p, c, y, c[z][x])))
+        for x in range(n) for y in range(n) for z in range(n)
+    ]
+    return naive_rank(p, sym), naive_rank(p, jac)
+
+
 def naive_leibniz_relation_rows(p, c):
     """The generators [x,y](x)z - [x,z](x)y - x(x)[y,z] in F^(n*n), one
     dense row per basis triple."""

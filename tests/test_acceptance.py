@@ -12,16 +12,15 @@ import time
 
 from conftest import THEOREM_CASES, build_sl2_dual, char_of, tolists2, tolists3
 from naive_checks import (
-    bracket_iv,
     naive_binary_flags,
     naive_cube_relation_rank,
     naive_derived_table,
+    naive_i_j_dims,
     naive_leibniz_relation_rank,
     naive_lie_relation_rank,
     naive_rank,
     naive_ternary_flags,
     naive_ternary_morphism,
-    vadd,
 )
 
 from uce3 import (
@@ -151,19 +150,6 @@ def test_criterion_3_sl2_cube_and_wedge_by_hand():
           f"({elapsed:.2f}s < 5s)")
 
 
-def _naive_i_j_dims(p, c):
-    """Ranks of the symmetric rows [x,y] + [y,x] and of the jacobiator rows
-    [x,[y,z]] + [z,[x,y]] + [y,[z,x]] of a binary table."""
-    n = len(c)
-    sym = [vadd(p, c[x][y], c[y][x]) for x in range(n) for y in range(x, n)]
-    jac = [
-        vadd(p, bracket_iv(p, c, x, c[y][z]),
-             vadd(p, bracket_iv(p, c, z, c[x][y]), bracket_iv(p, c, y, c[z][x])))
-        for x in range(n) for y in range(n) for z in range(n)
-    ]
-    return naive_rank(p, sym), naive_rank(p, jac)
-
-
 def test_criterion_4_jacobiator_doubling():
     lines = []
     for name, spec in (("sl2", "Q"), ("sl2", "GF(3)"), ("sl2", "GF(5)"),
@@ -188,7 +174,7 @@ def test_criterion_4_jacobiator_doubling():
         # both spans re-derived from the carrier's table by the oracle
         p = char_of(g.field)
         c = tolists2(u.algebra)
-        assert (out["i_dim"], out["j_dim"]) == _naive_i_j_dims(p, c), (name, spec)
+        assert (out["i_dim"], out["j_dim"]) == naive_i_j_dims(p, c), (name, spec)
         lines.append(f"{name}/{spec} J={out['j_dim']} I={out['i_dim']} "
                      f"{elapsed:.2f}s")
     print("\nACCEPTANCE 4 PASS: J = 2I on all eight cases, J = 0 in "

@@ -151,6 +151,8 @@ GOLDEN_SL4_JSON = {
     ("theorem", "GF(2)"): "e404ea7bc2b413ff2704a2481d17a5de0585f18d6e75e707bfcc51c61b3d5d5a",
     ("uce", "GF(2)"): "16a79a82d68662a04a141a6f90efadc802e8ba1391212d28787b1860e104ca38",
     ("theorem", "GF(2147483647)"): "a529091caf0256f6fc180ed85f80baffb5b015dec63f3c93321f31d4e0c6ea39",
+    ("theorem", "GF(3)"): "c9ad3c0e71240e6940843488465929996c3627701b142ba8f48eaa7ecee5e5d3",
+    ("theorem", "Q"): "983f89be89b0459915cc061dc4960e0d406b2da1a872e3a58e6595f2c0d0001e",
     ("uce", "GF(3)"): "a274cddaaf5a41271e31ad0ebb1a4899aa633aea288f8988b9c0ed245e89d999",
     ("uce", "Q"): "2ed0ea96521ae48708b4e5cf1020542000095a455c190b80cd1585a83e7e559f",
 }
@@ -164,6 +166,32 @@ def test_forced_sl4_json_bytes_are_pinned(capsys, cmd, field):
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == GOLDEN_SL4_JSON[cmd, field]
+
+
+# the theorem report on the benchmark's ladder: J from the Jacobi
+# identity's sums, U_Leib/J and every canonical map must not move a byte
+GOLDEN_THEOREM_JSON = {
+    "sl2/Q": "ddbfabda407695ce3d5ed8fea4bb91bba196385352341702e5d9c7ea1016028d",
+    "sl3/GF(2)": "40b88b12b948b3258047f372f7a5944d43cbb0eae1493642d76e5e6ccbe5b468",
+    "sl3/GF(3)": "5d5976472397345d4d6375be1442d71329e99c4d9c9592db621f44ac4b34544d",
+    "sl3/GF(5)": "8a19b1caa3d9f90528818793d7730dd1b4c912a3aa271bced2a0b7a379e79ca2",
+    "sl3/Q": "4225a925ba8dcd1117ca0dc4756ded3757d62a0ea89ff4f374a392d35048bafa",
+    "takiff": "dd9a5a5bc281c089782fed627d07810ddacedc8b2f229667e355e8e99f052933",
+}
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN_THEOREM_JSON))
+def test_theorem_json_bytes_are_pinned(capsys, tmp_path, source):
+    if source == "takiff":
+        path = tmp_path / "takiff.json"
+        path.write_text(dumps_algebra(build_sl2_dual()), encoding="ascii")
+        argv = [str(path)]
+    else:
+        name, field = source.split("/")
+        argv = ["catalog:" + name, "--field", field]
+    code, out, _ = run(capsys, "theorem", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_THEOREM_JSON[source]
 
 
 # forced sl5 (cube ambient 13824), past the catalog's range: the input is

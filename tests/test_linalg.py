@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,6 +14,7 @@ from naive_checks import _norm, naive_rank, naive_reduce, naive_rref, vadd, vsca
 from uce3 import (
     QQ,
     DimensionMismatch,
+    InternalAssertionFailed,
     Matrix,
     SpanAccumulator,
     Subspace,
@@ -551,9 +553,15 @@ def _assert_same_subspace(rng, got, want):
     assert a.scale == b.scale and np.array_equal(a.arr, b.arr)
 
 
+def _transposed_fold(m):
+    """The kernel of m by the exact fold of the vectors read off the
+    projection of its row space, whatever side kernel picks."""
+    return Subspace.from_vectors(m.field, m.ncols, m._row_space()._spread().arr.T)
+
+
 def _left_kernel_by_fold(arr):
     """{x : x arr = 0} by the exact fold: the kernel of arr's transpose."""
-    return kernel(Matrix(QQ, arr.T.tolist(), arr.shape[0]))
+    return _transposed_fold(Matrix(QQ, arr.T.tolist(), arr.shape[0]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -588,7 +596,7 @@ def test_left_kernel_over_gfp_is_the_fold(spec, seed, ambient, rank):
     arr = np.array([[rng.randrange(f.p) for _ in range(rank)] for _ in range(ambient)],
                    dtype=np.int64)
     assume(Matrix.from_raw(f, arr).rank() == rank)
-    want = kernel(Matrix.from_raw(f, arr.T.copy()))
+    want = _transposed_fold(Matrix.from_raw(f, arr.T.copy()))
     _assert_same_subspace(rng, left_kernel(arr, want.free, f), want)
     _assert_same_subspace(rng, linalg.quotient_kernel(f, arr), want)
     others = [c for c in combinations(range(ambient), rank) if c != want.free]
@@ -741,3 +749,101 @@ def test_dense_layer_against_textbook_algebra(spec, seed, nrows, ncols, big):
     assert image == Subspace.from_vectors(
         f, other.ncols, [other.transpose().apply(v) for v in u.basis_vectors()]
     )
+
+
+def _product_of_rank(f, rng, nrows, ncols, rank):
+    """A random nrows x ncols matrix that is a product through rank
+    coordinates: of rank at most rank, a third of its factors' entries 0."""
+    def factor(r, c):
+        return np.array([[0 if rng.random() < 0.33 else rng.randint(-9, 9)
+                          for _ in range(c)] for _ in range(r)], dtype=object)
+
+    rows = factor(nrows, rank).dot(factor(rank, ncols))
+    return Matrix(f, [[f.coerce(int(x)) for x in row] for row in rows], ncols)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(2147483647)", "Q"])
+@pytest.mark.parametrize("wide", [False, True])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), rank=st.integers(1, 4),
+       extra=st.integers(0, 5), spare=st.integers(0, 2))
+def test_kernel_on_either_side_is_the_transposed_fold(spec, wide, seed, rank,
+                                                      extra, spare):
+    # past nullity 2 * rank the kernel is read off the row space's basis by
+    # quotient_kernel, up to it by the transposed fold: one subspace either
+    # way, and kept with the matrix
+    f = field_of(spec)
+    rng = random.Random(seed)
+    nullity = 2 * rank + 1 + extra if wide else min(extra, 2 * rank)
+    m = _product_of_rank(f, rng, rank + spare, rank + nullity, rank)
+    assume(m.rank() == rank)
+    picks = []
+    real = linalg.quotient_kernel
+
+    def spied(field, phi, rows=None):
+        picks.append(phi.shape)
+        return real(field, phi, rows)
+
+    with mock.patch.object(linalg, "quotient_kernel", spied):
+        ker = kernel(m)
+    assert picks == ([(rank + nullity, rank)] if wide else [])
+    _assert_same_subspace(rng, ker, _transposed_fold(m))
+    assert kernel(m) is ker
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_rank_nullity_check_fires_on_either_side(monkeypatch, wide):
+    # rank 1 and nullity 4 read the quotient side, rank 2 and nullity 1
+    # the transposed fold; each side's fold made to lose one vector
+    if wide:
+        m = Matrix(QQ, [[1, 2, 0, 1, 3]])
+        real = linalg.quotient_kernel
+
+        def short(field, phi, rows=None):
+            ker = real(field, phi, rows)
+            return Subspace.from_vectors(field, ker.ambient, ker.basis().arr[1:])
+
+        monkeypatch.setattr(linalg, "quotient_kernel", short)
+    else:
+        m = Matrix(QQ, [[1, 0, 2], [0, 1, 1]])
+        m.rank()  # the row space is folded before the fault
+        real = Subspace.from_vectors.__func__
+
+        def short(cls, field, ambient, vectors):
+            return real(cls, field, ambient, vectors[1:])
+
+        monkeypatch.setattr(Subspace, "from_vectors", classmethod(short))
+    with pytest.raises(InternalAssertionFailed) as exc:
+        kernel(m)
+    assert exc.value.fact == "rank-nullity-violated"
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "Q"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), ambient=st.integers(1, 7), rank=st.integers(1, 4))
+def test_quotient_kernel_reads_only_the_rows_that_can_be_free(spec, seed, ambient, rank):
+    # rows that are zero or minus a later row are never free: the pick
+    # from the other rows alone is the kernel of the whole matrix, as for
+    # the rows with y < z and y = z of the cube's quotient map
+    f = field_of(spec)
+    rng = random.Random(seed)
+    rank = min(rank, ambient)
+    arr = np.array([[rng.randint(-5, 5) for _ in range(rank)] for _ in range(ambient)],
+                   dtype=np.int64)
+    if f.characteristic:
+        arr %= f.characteristic
+    assume(Matrix.from_raw(f, arr.copy()).rank() == rank)
+    # place each kept row, then before some of them a zero row or minus it
+    out, kept = [], []
+    for row in arr:
+        extra = rng.choice([None, "zero", "minus"])
+        if extra:
+            out.append(np.zeros_like(row) if extra == "zero" else -row)
+        kept.append(len(out))
+        out.append(row)
+    phi = np.array(out, dtype=np.int64)
+    if f.characteristic:
+        phi %= f.characteristic
+    want = _transposed_fold(Matrix.from_raw(f, phi.T.copy()))
+    _assert_same_subspace(rng, linalg.quotient_kernel(f, phi, kept), want)
+    _assert_same_subspace(rng, linalg.quotient_kernel(f, phi), want)

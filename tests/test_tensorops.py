@@ -517,3 +517,76 @@ def test_an_array_with_a_sparse_view_is_read_only():
     with pytest.raises(ValueError):
         t.arr += 1
     assert t.sparse() is t.sparse()
+
+
+@pytest.mark.parametrize("p,bits", CASES)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31), d=st.integers(1, 4),
+       density=st.sampled_from([0.1, 0.5, 1.0]))
+def test_jacobiator_terms_are_the_sums_on_every_route(p, bits, seed, d, density):
+    # the nonzero sums of the Jacobi chain, on each route, against the
+    # sum of the three rotations of an exact einsum of [x,[y,z]]
+    rng = random.Random(seed)
+    arr = _entries(rng, (d, d, d), p, bits)
+    arr[np.array([rng.random() > density for _ in range(d**3)]).reshape(arr.shape)] = 0
+    nested = np.einsum("yzu,xuw->xyzw", arr.astype(object), arr.astype(object))
+    jac = nested + nested.transpose(1, 2, 0, 3) + nested.transpose(2, 0, 1, 3)
+    flat = (jac if p is None else jac % p).reshape(-1, d)
+    want = [(r, c, int(flat[r, c])) for r, c in zip(*flat.nonzero())]
+    t = ExactTensor(arr, 1, p)
+    for dtype in _allowed(d * d, arr, arr):
+        for sparse in (False, True):
+            with _forced(dtype), _routed(sparse):
+                rows, cols, vals = tensorops.jacobiator_terms(t)
+            got = [(int(r), int(c), int(v)) for r, c, v in zip(rows, cols, vals)]
+            assert got == want, (dtype, sparse)
+
+
+def test_a_plain_tensor_is_priced_by_its_size_and_nonzeros():
+    # the cyclic sum of an LTS cube is three uses of one plain tensor: 3
+    # times its size dense, 3 times its nonzeros as products. The cube of
+    # forced sl4 over GF(2) (21^4 entries, 0.5% nonzero) takes the sparse
+    # route
+    cube = lts_tensor_cube(derived_lts(catalog("sl4", field_of("GF(2)"))), force=True)
+    t = cube.algebra.tensor()
+    t = ExactTensor(t.arr.copy(), t.scale, t.p)
+    staged = tensorops._staged([((t,), tensorops._CYCLIC)])
+    nnz = int(np.count_nonzero(t.arr))
+    assert tensorops._cost(staged) == (3 * nnz, 3 * t.arr.size)
+    routes = []
+    rule = tensorops._sparse_route
+
+    def spy(products, dense):
+        routes.append(rule(products, dense))
+        return routes[-1]
+
+    with mock.patch.object(tensorops, "_sparse_route", spy):
+        assert tensorops.lts_cyclic_witness(t) is None
+    assert routes[-1] is True
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_counts_are_kept_with_the_tensor(listed):
+    # each axis set is counted once, from the array or from the cached
+    # nonzeros, and the array turns read-only so the counts cannot go stale
+    rng = random.Random(5)
+    arr = _entries(rng, (3, 4, 5), 7, None)
+    t = ExactTensor(arr, 1, 7)
+    if listed:
+        t.sparse()
+    passes = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        passes.append(args[2])
+        return einsum(*args, **kwargs)
+
+    with mock.patch.object(np, "einsum", counted):
+        for axes in ([0, 2], [1], (), [0, 2], [1], ()):
+            got = tensorops._counts(t, axes)
+            want = np.count_nonzero(arr, axis=tuple(
+                a for a in range(3) if a not in axes))
+            assert np.array_equal(got, want) and got is tensorops._counts(t, axes)
+    assert passes == ([] if listed else [(0, 2), (1,), ()])
+    with pytest.raises(ValueError):
+        arr[0, 0, 0] = 1

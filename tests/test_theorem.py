@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import THEOREM_CASES, build_sl2_dual, tolists2, tolists3
+from conftest import THEOREM_CASES, build_sl2_dual, char_of, rebased_sl3, tolists2, tolists3
+from naive_checks import naive_i_j_dims
 
 from uce3 import (
     QQ,
@@ -20,6 +22,7 @@ from uce3 import (
     PrimeField,
     Rationals,
     Subspace,
+    TernaryAlgebra,
     WrongCategory,
     catalog,
     check_binary,
@@ -35,6 +38,7 @@ from uce3 import (
     verify_jacobiator_doubling,
     verify_main_theorem,
 )
+from uce3 import tensorops as tops
 
 # (u_lie, u_leib, u_lts, h2_lie, h2_leib, h2_lts, j, i, i_prime)
 FROZEN_DIMS = {
@@ -102,6 +106,55 @@ def test_jacobiator_and_symmetric_subspaces():
         jacobiator_subspace(lie_uce(catalog("sl2", QQ)))
     with pytest.raises(WrongCategory):
         symmetric_subspace(lie_uce(catalog("sl2", QQ)))
+
+
+def _dense_jacobiator_span(u):
+    """J by the dense construction: three transposed copies of the q^4
+    table of [x,[y,z]], summed, and folded as q^3 rows."""
+    lhs = tops.left_nested(u.algebra.tensor())
+    jac = lhs + lhs.transpose(2, 0, 1, 3) + lhs.transpose(1, 2, 0, 3)
+    q = u.carrier_dim
+    return Subspace.from_vectors(u.base.field, q, jac.reshape(q**3, q))
+
+
+def _dense_quotient_algebra(u, j):
+    """The ternary algebra of U_Leib/J by the dense construction: the q^4
+    table of [x,[y,z]] cut to the coset coordinates, then times K."""
+    k = j.projection()
+    et = u.algebra.tensor()
+    c = list(j.free)
+    nested = tops.left_nested(et)[np.ix_(c, c, c)]
+    raw = tops.exact_tensordot(nested, k.arr, ([3], [0]), k.p)
+    return TernaryAlgebra.from_raw(u.base.field, raw, et.scale**2 * k.scale)
+
+
+@pytest.mark.parametrize("case", ["takiff/Q", "sl2/GF(3)", "sl3/GF(3)",
+                                  "sl3-rebased/GF(3)"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_j_layer_is_the_dense_construction_on_either_route(case, sparse):
+    # Takiff/Q has J = I of dimension 1, so the quotient is a real one
+    import uce3.theorem as theorem_mod
+
+    if case == "takiff/Q":
+        g = build_sl2_dual()
+    elif case == "sl3-rebased/GF(3)":
+        g = rebased_sl3(0)
+    else:
+        name, spec = case.split("/")
+        g = catalog(name, field_of(spec))
+    u = leibniz_uce(g)
+    want_j = _dense_jacobiator_span(u)
+    with mock.patch.object(tops, "_sparse_route", lambda products, dense: sparse):
+        out = verify_jacobiator_doubling(u)
+        alg, proj, sec = theorem_mod._quotient_by_jacobiator_span(u, out["j"])
+    j, i = out["j"], out["i"]
+    assert j == want_j and out["j_equals_2i"] and out["char_branch"]
+    assert (i.dim, j.dim) == naive_i_j_dims(char_of(g.field), tolists2(u.algebra))
+    assert alg == _dense_quotient_algebra(u, j)
+    d = u.carrier_dim - j.dim
+    assert alg.dim == d and proj.shape == (g.dim, d) and sec.shape == (d, g.dim)
+    if case == "takiff/Q":
+        assert j.dim == i.dim == 1
 
 
 def test_doubling_summary_char0():
@@ -194,6 +247,94 @@ def test_theorem_verifies_each_extension_once(monkeypatch, spec):
     assert rep.ok
     assert sum(a is rep.u_lts.algebra for _, a in worked) == 1
     assert len({(c, id(a)) for c, a in worked}) == len(worked)
+    if spec == "GF(2)":
+        # psi's target is == U_LTS and phi's == U_Leib: both adopt
+        assert sum(a == rep.u_lts.algebra for _, a in worked) == 1
+        assert sum(a == rep.u_leib.algebra for _, a in worked) == 1
+    else:
+        # theta's target is U_Lie's own triple: it adopts U_Lie's verify
+        assert [c for c, a in worked if a is rep.u_lie.algebra] == ["lie"]
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_a_target_one_section_entry_off_is_verified_in_full(monkeypatch, valid):
+    # theta's target with one entry of U_Lie's section moved: by a kernel
+    # vector it is still a section and theta is the same map; off the
+    # kernel it is not split by the projection. Either way it is not ==
+    # to U_Lie's triple, so verify runs in full, as on any other target
+    import uce3.theorem as theorem_mod
+
+    g = catalog("sl3", field_of("GF(3)"))
+    want = verify_main_theorem(g)
+    proj = want.u_lie.projection.tensor().arr
+    # a carrier coordinate the projection kills, or one it does not
+    row = int(np.flatnonzero((proj != 0).any(axis=0) != valid)[0])
+    real_map = theorem_mod._canonical_map
+    verify = CentralExtension.verify
+    moved, worked = [], []
+
+    def shifted(u, algebra, projection, section, fact, *rest):
+        if fact == "lie-uce-not-a-leibniz-extension":
+            t = section.tensor()
+            arr = t.arr.copy()
+            arr[row, 0] = (arr[row, 0] + 1) % 3
+            section = Matrix.from_raw(section.field, arr, t.scale)
+            moved.append(section)
+        return real_map(u, algebra, projection, section, fact, *rest)
+
+    def recording(self):
+        if not self._verified:
+            worked.append(self.section)
+        return verify(self)
+
+    monkeypatch.setattr(theorem_mod, "_canonical_map", shifted)
+    monkeypatch.setattr(CentralExtension, "verify", recording)
+    rep = verify_main_theorem(g)
+    assert len(moved) == 1 and any(s is moved[0] for s in worked)
+    if valid:
+        assert rep.to_dict() == want.to_dict() and rep.ok
+        assert rep.maps["theta"] == want.maps["theta"]
+    else:
+        assert rep.failed_fact == ("lie-uce-not-a-leibniz-extension: section "
+                                   "is not split by the projection")
+        assert (rep.iso_lts_leib_mod_j, rep.char_branch_ok) == (True, False)
+
+
+def test_adoption_needs_the_targets_own_category_axioms():
+    # U_Leib of the Takiff algebra is not alternating: its own triple in
+    # the Lie category adopts nothing, and verify refuses the carrier
+    u = leibniz_uce(build_sl2_dual())
+    target = CentralExtension("lie", u.base, u.algebra, u.projection, u.section)
+    assert not target.adopt(u) and not target._verified
+    with pytest.raises(NotCentral, match="category's axioms"):
+        target.verify()
+    same = CentralExtension("leibniz", u.base, u.algebra, u.projection, u.section)
+    assert same.adopt(u) and same._verified and same.kernel is u.kernel
+
+
+def test_an_equal_second_action_reuses_the_first_bracket(monkeypatch):
+    # the two splittings differ but give one action (the kernel of
+    # carrier ^ carrier -> g acts trivially): the bracket is built and
+    # checked once
+    import uce3.theorem as theorem_mod
+
+    g = catalog("sl3", field_of("GF(2)"))
+    cube = lts_tensor_cube(derived_lts(g))
+    real = theorem_mod.equivariant_leibniz
+    seen = []
+
+    def counted(act, fmap):
+        seen.append(act)
+        return real(act, fmap)
+
+    monkeypatch.setattr(theorem_mod, "equivariant_leibniz", counted)
+    induced_leibniz_structure(cube, g)
+    mu, sigma = theorem_mod._bracket_splitting(g)
+    sigma2 = theorem_mod._reversed_right_inverse(mu)
+    assert sigma2 != sigma
+    assert (theorem_mod._action_from_splitting(cube, g, sigma2)
+            == theorem_mod._action_from_splitting(cube, g, sigma))
+    assert len(seen) == 1
 
 
 def test_report_repr_fields(theorem_report):
